@@ -422,14 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt: str) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--format",
-            choices=["json", "csv"],
-            default=fmt,
-            help=f"output format (default: {fmt})",
-        )
         p.add_argument("--tol-zero", type=float, default=1e-9,
                        help="zero-eigenvalue classification tolerance")
         p.add_argument("--tol-newton", type=float, default=1e-12,
@@ -444,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--dedup-tol", type=float, default=1e-6)
     p_find.add_argument("--plot-data", action="store_true",
                         help="embed unit-circle point lists per family")
-    common(p_find, "json")
-    p_find.set_defaults(func=cmd_find, formats=("json",))
+    common(p_find)
+    p_find.set_defaults(func=cmd_find)
 
     p_spec = sub.add_parser("ngon-spectrum",
                             help="closed-form vs dense spectrum of the regular polygon")
     p_spec.add_argument("--n", type=int, required=True)
-    common(p_spec, "csv")
-    p_spec.set_defaults(func=cmd_ngon_spectrum, formats=("csv",))
+    common(p_spec)
+    p_spec.set_defaults(func=cmd_ngon_spectrum)
 
     p_cont = sub.add_parser("continue",
                             help="continue a catalog family to nonzero epsilon")
@@ -459,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--family", type=int, default=0, help="family id in the catalog")
     p_cont.add_argument("--eps", type=_eps_values, required=True,
                         help="comma-separated nonzero epsilon values")
-    common(p_cont, "json")
-    p_cont.set_defaults(func=cmd_continue, formats=("json",))
+    common(p_cont)
+    p_cont.set_defaults(func=cmd_continue)
 
     p_stab = sub.add_parser("stability", help="linear stability of continued equilibria")
     p_stab.add_argument("--equilibria", required=True,
                         help="equilibria JSON from continue")
-    common(p_stab, "json")
-    p_stab.set_defaults(func=cmd_stability, formats=("json",))
+    common(p_stab)
+    p_stab.set_defaults(func=cmd_stability)
 
     p_sim = sub.add_parser("simulate", help="integrate the full vortex system")
     p_sim.add_argument("--equilibria", required=True,
@@ -477,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--T", type=_positive_float, required=True, help="final time")
     p_sim.add_argument("--perturb", type=float, default=0.0,
                        help="perturbation amplitude (0 = unperturbed)")
-    common(p_sim, "csv")
-    p_sim.set_defaults(func=cmd_simulate, formats=("csv",))
+    common(p_sim)
+    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
@@ -489,8 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("find requires --n >= 2")
     if args.command == "ngon-spectrum" and args.n < 3:
         parser.error("ngon-spectrum requires --n >= 3")
-    if args.format not in args.formats:
-        parser.error(f"{args.command} supports --format {'/'.join(args.formats)} only")
     if args.command == "simulate" and args.perturb < 0.0:
         parser.error("--perturb must be nonnegative")
     try:

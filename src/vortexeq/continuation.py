@@ -23,11 +23,10 @@ from .errors import (
     NoConvergence,
     VortexCollision,
 )
-from .search import CriticalPoint, _cyclic_gaps
+from .search import TWO_PI, CriticalPoint, _cyclic_gaps
 
-TWO_PI = 2.0 * np.pi
-
-_COLLISION_GUARD = 1e-10  # on squared distances: d^2 < guard^2
+# Smallest distance allowed between two vortices.
+_COLLISION_GUARD = 1e-10
 
 # Imaginary step for complex-step differentiation; first-order exact because
 # the field below uses only analytic operations.
@@ -84,38 +83,45 @@ class ScalingReport:
     radius_bounded: bool
 
 
+def _biot_savart(pos, gammas: np.ndarray):
+    """Point-vortex velocities and the smallest squared pair separation.
+
+    ``pos`` is an (M, 2) array; vortex j moves with
+    sum_{i != j} Gamma_i (q_j - q_i)^perp / |q_j - q_i|^2.  Accepts complex
+    positions for complex-step differentiation; the separation is then taken
+    from the real parts only.
+    """
+    x, y = pos[:, 0], pos[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    d2 = dx * dx + dy * dy
+    np.fill_diagonal(d2, np.inf)
+    sep2 = float(np.real(d2).min())
+    np.fill_diagonal(d2, 1.0)
+    w = gammas[None, :] / d2
+    np.fill_diagonal(w, 0.0)
+    return np.column_stack((-(dy * w).sum(axis=1), (dx * w).sum(axis=1))), sep2
+
+
 def _polar_mismatch(r, theta, epsilon: float, omega: float):
     """Radial and tangential velocity mismatch (v - omega q^perp) per vortex.
 
     Returns (a, b) with a_j the radial component and b_j the tangential one.
-    Accepts complex-valued r/theta so callers can differentiate by complex
-    step; the collision guard then reads only the real parts.
+    The strong vortex sits at q_0 = -eps * sum(q_j), which keeps the center
+    of vorticity at the origin.  Accepts complex-valued r/theta so callers
+    can differentiate by complex step.
     """
     r = np.asarray(r)
     theta = np.asarray(theta)
     ct, st = np.cos(theta), np.sin(theta)
-    x, y = r * ct, r * st
-    x0, y0 = -epsilon * x.sum(), -epsilon * y.sum()
-
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, 1.0)
-    dx0, dy0 = x - x0, y - y0
-    d20 = dx0 * dx0 + dy0 * dy0
-
-    sep2 = np.real(d2).copy()
-    np.fill_diagonal(sep2, np.inf)
-    if min(sep2.min(), np.real(d20).min()) < _COLLISION_GUARD**2:
+    weak = np.column_stack((r * ct, r * st))
+    pos = np.vstack((-epsilon * weak.sum(axis=0), weak))
+    vel, sep2 = _biot_savart(pos, Circulations(epsilon).gammas(r.size))
+    if sep2 < _COLLISION_GUARD**2:
         raise VortexCollision("two vortices are closer than the collision guard")
-
-    w = 1.0 / d2
-    np.fill_diagonal(w, 0.0)
-    vx = -dy0 / d20 + epsilon * np.sum(-dy * w, axis=1)
-    vy = dx0 / d20 + epsilon * np.sum(dx * w, axis=1)
-
-    a = ct * vx + st * vy
-    b = -st * vx + ct * vy - omega * r
+    u, v = vel[1:, 0], vel[1:, 1]
+    a = ct * u + st * v
+    b = -st * u + ct * v - omega * r
     return a, b
 
 

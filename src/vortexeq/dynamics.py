@@ -17,13 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .continuation import Circulations, RelativeEquilibrium
+from .continuation import (
+    _COLLISION_GUARD,
+    Circulations,
+    RelativeEquilibrium,
+    _biot_savart,
+)
 from .errors import CollisionAbort, VortexCollision
+from .search import TWO_PI
 
-_COLLISION_GUARD = 1e-10
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass
@@ -37,7 +40,7 @@ class PlanarConfiguration:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must be an (N+1, 2) array")
-        if _min_separation(self.positions) < _COLLISION_GUARD:
+        if _biot_savart(self.positions, self.gammas)[1] < _COLLISION_GUARD**2:
             raise VortexCollision("two vortices coincide in the initial data")
 
     @classmethod
@@ -67,27 +70,12 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
-def _min_separation(pos: np.ndarray) -> float:
-    iu = np.triu_indices(pos.shape[0], 1)
-    d = pos[iu[0]] - pos[iu[1]]
-    return float(np.sqrt((d * d).sum(axis=1).min()))
-
-
-def _field_raw(pos: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    dx = pos[:, 0][:, None] - pos[:, 0][None, :]
-    dy = pos[:, 1][:, None] - pos[:, 1][None, :]
-    d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, 1.0)
-    w = gammas[None, :] / d2
-    np.fill_diagonal(w, 0.0)
-    return np.column_stack(((-dy * w).sum(axis=1), (dx * w).sum(axis=1)))
-
-
 def vortex_field(config: PlanarConfiguration) -> np.ndarray:
     """Velocities of all vortices; VortexCollision below the guard distance."""
-    if _min_separation(config.positions) < _COLLISION_GUARD:
+    vel, sep2 = _biot_savart(config.positions, config.gammas)
+    if sep2 < _COLLISION_GUARD**2:
         raise VortexCollision("two vortices are closer than the collision guard")
-    return _field_raw(config.positions, config.gammas)
+    return vel
 
 
 def hamiltonian(config: PlanarConfiguration) -> float:
@@ -121,39 +109,29 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
     out[0] = config.positions
     times = h * np.arange(steps + 1)
     pos = config.positions.copy()
-    if _min_separation(pos) < _ABORT_SEP:
-        partial = Trajectory(
-            times=times[:1],
-            positions=out[:1].copy(),
-            h=h,
-            integrator="rk4",
-            epsilon=config.circulations.epsilon,
-            metadata={"aborted_at": 0.0},
-        )
-        raise CollisionAbort(
-            f"vortices within {_ABORT_SEP:g} at t = 0",
-            trajectory=partial,
-        )
-    for i in range(steps):
-        k1 = _field_raw(pos, gammas)
-        k2 = _field_raw(pos + 0.5 * h * k1, gammas)
-        k3 = _field_raw(pos + 0.5 * h * k2, gammas)
-        k4 = _field_raw(pos + h * k3, gammas)
-        pos = pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = pos
-        if _min_separation(pos) < _ABORT_SEP:
+    for i in range(steps + 1):
+        # k1 of the next step also gives the abort check for the current state
+        k1, sep2 = _biot_savart(pos, gammas)
+        if sep2 < _ABORT_SEP**2:
             partial = Trajectory(
-                times=times[: i + 2],
-                positions=out[: i + 2].copy(),
+                times=times[: i + 1],
+                positions=out[: i + 1].copy(),
                 h=h,
                 integrator="rk4",
                 epsilon=config.circulations.epsilon,
-                metadata={"aborted_at": float(times[i + 1])},
+                metadata={"aborted_at": float(times[i])},
             )
             raise CollisionAbort(
-                f"vortices within {_ABORT_SEP:g} at t = {times[i + 1]:g}",
+                f"vortices within {_ABORT_SEP:g} at t = {times[i]:g}",
                 trajectory=partial,
             )
+        if i == steps:
+            break
+        k2 = _biot_savart(pos + 0.5 * h * k1, gammas)[0]
+        k3 = _biot_savart(pos + 0.5 * h * k2, gammas)[0]
+        k4 = _biot_savart(pos + h * k3, gammas)[0]
+        pos = pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = pos
     return Trajectory(
         times=times,
         positions=out,

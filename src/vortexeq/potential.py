@@ -34,29 +34,38 @@ class CriticalPointClass(Enum):
     DEGENERATE = "degenerate"
 
 
-def _validate_angles(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
+def _pair_geometry(theta, eps_sep: float):
+    """Validate the angles and build their pairwise geometry once.
+
+    Returns (th, d, c, om) with d[j, i] = theta_j - theta_i, c = cos(d) and
+    om = 1 - c; the diagonal of om is set to 1 so callers may divide by it.
+    Raises AngularCollision when any off-diagonal 1 - cos is below eps_sep.
+    """
     th = np.asarray(theta, dtype=float)
     if th.ndim != 1 or th.size < 2:
         raise ValueError("expected a 1-d array of at least two angles")
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
     d = th[:, None] - th[None, :]
-    sep = 1.0 - np.cos(d)
-    np.fill_diagonal(sep, np.inf)
-    if sep.min() < eps_sep:
+    c = np.cos(d)
+    om = 1.0 - c
+    np.fill_diagonal(om, np.inf)
+    if om.min() < eps_sep:
         raise AngularCollision(
             f"two angles closer than the collision guard (1-cos < {eps_sep:g})"
         )
-    return th
+    np.fill_diagonal(om, 1.0)
+    return th, d, c, om
+
+
+def _validate_angles(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
+    return _pair_geometry(theta, eps_sep)[0]
 
 
 def potential(theta, eps_sep: float = EPS_SEP) -> float:
     """Evaluate V(theta).  Raises AngularCollision near coincident angles."""
-    th = _validate_angles(theta, eps_sep)
-    d = th[:, None] - th[None, :]
-    c = np.cos(d)
-    iu = np.triu_indices(th.size, 1)
-    cu = c[iu]
+    th, _, c, _ = _pair_geometry(theta, eps_sep)
+    cu = c[np.triu_indices(th.size, 1)]
     return float(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
 
 
@@ -67,11 +76,7 @@ def gradient(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
     (1 - 1/(2 - 2 cos(theta_j - theta_i))).  The components always sum to
     zero: V is invariant under a common rotation of all angles.
     """
-    th = _validate_angles(theta, eps_sep)
-    d = th[:, None] - th[None, :]  # d[j, i] = theta_j - theta_i
-    c = np.cos(d)
-    om = 1.0 - c
-    np.fill_diagonal(om, 1.0)  # diagonal excluded below
+    _, d, _, om = _pair_geometry(theta, eps_sep)
     w = 1.0 - 1.0 / (2.0 * om)
     np.fill_diagonal(w, 0.0)
     return np.sum(np.sin(d) * w, axis=1)
@@ -85,11 +90,7 @@ def hessian(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
     the off-diagonal entries in its row, so row sums vanish identically and
     (1,...,1) is always in the kernel.
     """
-    th = _validate_angles(theta, eps_sep)
-    d = th[:, None] - th[None, :]
-    c = np.cos(d)
-    om = 1.0 - c
-    np.fill_diagonal(om, 1.0)
+    _, _, c, om = _pair_geometry(theta, eps_sep)
     h = -c - 1.0 / (2.0 * om)
     np.fill_diagonal(h, 0.0)
     np.fill_diagonal(h, -h.sum(axis=1))
@@ -111,12 +112,11 @@ def classify(
 
     Raises NotCritical when the gradient sup-norm exceeds ``grad_tol``.
     """
-    th = _validate_angles(theta, eps_sep)
-    g = gradient(th, eps_sep)
+    g = gradient(theta, eps_sep)
     res = float(np.abs(g).max())
     if res >= grad_tol:
         raise NotCritical(f"gradient sup-norm {res:.3e} >= {grad_tol:g}")
-    report = eig_symmetric(hessian(th, eps_sep), tol=tol)
+    report = eig_symmetric(hessian(theta, eps_sep), tol=tol)
     ev = report.eigenvalues.real
     thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
     if report.zero_count != 1:

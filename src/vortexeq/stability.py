@@ -168,7 +168,10 @@ def stability_verdict(
     else:
         cls = StabilityClass.LINEARLY_STABLE
     full = np.concatenate((np.zeros(2, dtype=complex), rest))
-    order = np.lexsort((full.imag, full.real))
+    # the real parts of imaginary modes are roundoff; they must not decide
+    # the order, so they sort as zero
+    noise = np.abs(full.real) <= imag_rel_tol * np.abs(full)
+    order = np.lexsort((full.imag, np.where(noise, 0.0, full.real)))
     spectrum = SpectrumReport(
         eigenvalues=full[order],
         zero_count=n_zero,
@@ -290,9 +293,13 @@ def cabral_schmidt_check(
     Returns (inside_interval, consistent) where ``consistent`` compares the
     interval against this toolkit's verdict for the continued ring at eps
     (computed on demand when not supplied).
+
+    The interval is stated for N >= 3.  For N = 2 it would claim stability
+    for 0 < p < 1/4, where both the linearization and direct integration
+    show growth, so n < 3 raises ValueError.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if n < 3:
+        raise ValueError("need n >= 3")
     if epsilon == 0.0:
         raise ValueError("need eps != 0")
     p = 1.0 / epsilon

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexeq import (
     Circulations,
@@ -11,6 +13,7 @@ from vortexeq import (
     InsufficientFamily,
     InvalidEpsilon,
     NoConvergence,
+    VortexCollision,
     continue_equilibrium,
     epsilon_ceiling,
     gradient,
@@ -24,6 +27,7 @@ from vortexeq.continuation import _polar_mismatch
 from vortexeq.spectra import SpectrumReport
 from vortexeq.search import CriticalPoint
 from vortexeq.potential import CriticalPointClass
+from tests.test_dynamics import pairwise_field
 
 
 def make_degenerate_point():
@@ -181,3 +185,37 @@ def test_positions_layout(min3_eq):
     assert pos.shape == (4, 2)
     np.testing.assert_allclose(pos[0], min3_eq.strong_position(), atol=0)
     np.testing.assert_allclose(pos[1:], min3_eq.weak_positions(), atol=0)
+
+
+@st.composite
+def weak_ring(draw, log10_sep):
+    """Perturbed ring radii and angles with vortices 0 and 1 ``sep`` apart."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, n)
+    theta = np.cumsum(2 * np.pi / n * (1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)))
+    sep = 10.0 ** draw(log10_sep)
+    r[1] = r[0] + sep
+    theta[1] = theta[0]
+    return r, theta
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(weak_ring(st.floats(-8.0, -1.0)), st.floats(-0.05, 0.05), st.floats(0.5, 1.5))
+def test_residual_matches_pairwise_sum(ring, eps, omega):
+    r, theta = ring
+    weak = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    pos = np.vstack((-eps * weak.sum(axis=0), weak))
+    vel, scale = pairwise_field(pos, Circulations(eps).gammas(r.size))
+    ref = vel[1:] - omega * np.column_stack((-weak[:, 1], weak[:, 0]))
+    res = rotating_frame_residual(r, theta, eps, omega).reshape(2, -1).T
+    tol = 1e-13 * (scale[1:] + omega * r)
+    assert np.all(np.abs(res - ref).max(axis=1) <= tol)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weak_ring(st.floats(-14.0, np.log10(0.99e-10))), st.floats(-0.05, 0.05))
+def test_residual_guard_below_threshold(ring, eps):
+    r, theta = ring
+    with pytest.raises(VortexCollision):
+        rotating_frame_residual(r, theta, eps)

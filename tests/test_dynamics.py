@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexeq import (
     Circulations,
@@ -134,6 +136,21 @@ def test_rk4_collision_abort():
     assert partial.times.size >= 1
 
 
+def test_rk4_collision_abort_mid_run():
+    # two weak vortices near the unit circle, 5e-10 apart radially and 2e-9
+    # tangentially; the strong vortex's shear closes the tangential gap
+    pos = np.array([[0.0, 0.0], [1.0, -1e-9], [1.0 + 5e-10, 1e-9], [-1.5, 0.0]])
+    config = PlanarConfiguration(pos, Circulations(1e-20))
+    with pytest.raises(CollisionAbort) as info:
+        integrate_rk4(config, 0.01, 5.0)
+    partial = info.value.trajectory
+    assert partial.metadata["aborted_at"] == 0.01 * 115
+    assert partial.times.size == 116
+    sep = np.linalg.norm(partial.positions[:, 1] - partial.positions[:, 2], axis=1)
+    # the run stops at the first sample within ten times the guard
+    assert sep[-1] < 1e-9 <= sep[:-1].min()
+
+
 def test_rigidity_error_flags_shear():
     rng = np.random.default_rng(3)
     pos = rng.standard_normal((4, 2)) * 1.5
@@ -167,3 +184,53 @@ def test_growth_deterministic(collinear_eq):
     b = perturbation_growth(collinear_eq, amplitude=1e-6, t_final=20.0, h=0.05, seed=4)
     assert a.fitted_rate == b.fitted_rate
     assert a.max_deviation == b.max_deviation
+
+
+def pairwise_field(pos, gammas):
+    """Point-vortex velocities summed pair by pair."""
+    vel = np.zeros_like(pos)
+    scale = np.zeros(len(pos))
+    for j in range(len(pos)):
+        for i in range(len(pos)):
+            if i != j:
+                dx, dy = pos[j] - pos[i]
+                d2 = dx * dx + dy * dy
+                vel[j] += gammas[i] * np.array([-dy, dx]) / d2
+                scale[j] += abs(gammas[i]) / np.sqrt(d2)
+    return vel, scale
+
+
+@st.composite
+def near_pair_positions(draw, log10_sep):
+    """Random vortex positions with one pair ``sep`` apart."""
+    m = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.uniform(-2.0, 2.0, (m, 2))
+    k, j = rng.choice(m, 2, replace=False)
+    angle = draw(st.floats(0.0, 2 * np.pi))
+    sep = 10.0 ** draw(log10_sep)
+    pos[k] = pos[j] + sep * np.array([np.cos(angle), np.sin(angle)])
+    return pos, sep
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    near_pair_positions(st.floats(-8.0, 0.0)),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(-8.0, 0.0),
+)
+def test_field_matches_pairwise_sum(case, sign, log10_eps):
+    pos, _ = case
+    eps = sign * 0.5 * 10.0**log10_eps
+    config = PlanarConfiguration(pos, Circulations(eps))
+    ref, scale = pairwise_field(pos, config.gammas)
+    err = np.abs(vortex_field(config) - ref).max(axis=1)
+    assert np.all(err <= 1e-13 * scale)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(near_pair_positions(st.floats(-14.0, np.log10(0.99e-10))))
+def test_configuration_guard_below_threshold(case):
+    pos, _ = case
+    with pytest.raises(VortexCollision):
+        PlanarConfiguration(pos, Circulations(1e-3))

@@ -3,6 +3,8 @@ oracles, symmetry invariances, and classification."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexeq import (
     AngularCollision,
@@ -198,3 +200,51 @@ def test_bad_shapes_rejected():
         potential([[0.0, 1.0]])
     with pytest.raises(ValueError):
         potential([0.0, np.nan])
+
+
+def fd5(func, theta, h):
+    """Five-point central differences of func along each angle (columns)."""
+    cols = []
+    for j in range(theta.size):
+        e = np.zeros_like(theta)
+        e[j] = h
+        cols.append(
+            (8 * (func(theta + e) - func(theta - e))
+             - (func(theta + 2 * e) - func(theta - 2 * e))) / (12 * h)
+        )
+    return np.array(cols).T
+
+
+@st.composite
+def near_pair_angles(draw, log10_sep):
+    """Well-separated angles, rotated, plus one more angle ``sep`` away from
+    one of them (possibly across the 2*pi seam)."""
+    n = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = next(random_corpus(rng, sizes=[n], per_size=1))
+    theta = theta + draw(st.floats(0.0, 2 * np.pi))
+    k = draw(st.integers(0, n - 1))
+    sep = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(log10_sep)
+    wrap = 2 * np.pi * draw(st.integers(-1, 1))
+    return np.append(theta, theta[k] + sep + wrap), abs(sep)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(near_pair_angles(st.floats(-4.0, -1.0)))
+def test_derivatives_near_collision_match_finite_differences(case):
+    theta, sep = case
+    h = 1e-2 * sep
+    ref = fd5(lambda t: np.array([potential(t)]), theta, h)[0]
+    assert np.abs(gradient(theta) - ref).max() < 1e-5 * np.abs(ref).max()
+    ref = fd5(gradient, theta, h)
+    assert np.abs(hessian(theta) - ref).max() < 1e-5 * np.abs(ref).max()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(near_pair_angles(st.floats(-12.0, np.log10(1.4e-5))))
+def test_collision_guard_below_threshold(case):
+    # 1 - cos(1.4e-5) < 1e-10, the default guard
+    theta, _ = case
+    for func in (potential, gradient, hessian, classify):
+        with pytest.raises(AngularCollision):
+            func(theta)

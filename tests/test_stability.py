@@ -8,6 +8,7 @@ import pytest
 from vortexeq import (
     DegenerateSeed,
     JacobianUnstable,
+    RelativeEquilibrium,
     StabilityClass,
     asymptotic_eigenvalues,
     cabral_schmidt_check,
@@ -17,6 +18,7 @@ from vortexeq import (
     newton_refine,
     ngon,
     reduced_field,
+    rotating_frame_residual,
     skew_pairing_check,
     stability_verdict,
     truncation_crosscheck,
@@ -83,6 +85,19 @@ def test_spectrum_pairs_lambda_with_minus_lambda(min3_eq):
     for lam in ev:
         dist = np.abs(ev + lam).min()
         assert dist < 1e-8 * max(1.0, abs(lam))
+
+
+def test_spectrum_order_survives_one_ulp(min3_eq):
+    # stable: every real part is roundoff, and a 1-ulp nudge must not
+    # reorder the reported spectrum
+    base = stability_verdict(min3_eq).spectrum.eigenvalues
+    for name in ("r", "theta"):
+        for j in range(min3_eq.n):
+            values = getattr(min3_eq, name).copy()
+            values[j] = np.nextafter(values[j], np.inf)
+            nudged = dataclasses.replace(min3_eq, **{name: values})
+            ev = stability_verdict(nudged).spectrum.eigenvalues
+            assert np.abs(ev - base).max() < 1e-10, (name, j)
 
 
 def test_asymptotic_matches_exact_small_eps(min3_point):
@@ -155,3 +170,39 @@ def test_cabral_schmidt_with_supplied_verdict():
     inside, consistent = cabral_schmidt_check(6, 1e-3, verdict=verdict)
     assert not inside
     assert consistent
+
+
+def closed_form_ring(n, eps):
+    r = np.full(n, np.sqrt(1.0 + eps * (n - 1) / 2.0))
+    theta = ngon(n)
+    residual = float(np.abs(rotating_frame_residual(r, theta, eps)).max())
+    return RelativeEquilibrium(r=r, theta=theta, epsilon=eps, omega=1.0, residual=residual)
+
+
+def test_cabral_schmidt_window_edges():
+    # 10% either side of each positive end of the stable window in p = 1/eps
+    for n in range(3, 21):
+        lower = (n * n - 8 * n + (8 if n % 2 == 0 else 7)) / 16.0
+        upper = (n - 1) ** 2 / 4.0
+        cases = [(0.9 * upper, True), (1.1 * upper, False)]
+        if lower > 0:
+            cases += [(0.9 * lower, False), (1.1 * lower, True)]
+        for p, stable in cases:
+            eq = closed_form_ring(n, 1.0 / p)
+            assert eq.residual < 1e-13
+            verdict = stability_verdict(eq)
+            inside, consistent = cabral_schmidt_check(n, 1.0 / p, verdict=verdict)
+            assert inside == stable, (n, p)
+            assert consistent, (n, p)
+            expected = (
+                StabilityClass.LINEARLY_STABLE if stable
+                else StabilityClass.LINEARLY_UNSTABLE
+            )
+            assert verdict.classification is expected, (n, p)
+
+
+def test_cabral_schmidt_rejects_pair():
+    # at N = 2 the interval would call p = 0.2 stable; the ring is unstable
+    assert stability_verdict(closed_form_ring(2, 5.0)).instability_count == 1
+    with pytest.raises(ValueError):
+        cabral_schmidt_check(2, 5.0)
