@@ -55,7 +55,6 @@ from .search import (
     CriticalPoint,
     FamilyCatalog,
     canonicalize,
-    morse_index,
     multistart_search,
     newton_refine,
     sample_wedge,

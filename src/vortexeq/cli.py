@@ -81,8 +81,15 @@ def _complex_pairs(values) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values).ravel()]
 
 
-def _header(command: str, config: dict) -> dict:
-    return {"tool": TOOL_NAME, "version": __version__, "config": dict(config, command=command)}
+def _config(args: argparse.Namespace, fmt: str) -> dict:
+    """The resolved run configuration: every parsed option but ``--out``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "func")}
+    config["format"] = fmt
+    return config
+
+
+def _header(config: dict) -> dict:
+    return {"tool": TOOL_NAME, "version": __version__, "config": config}
 
 
 def _family_record(idx: int, p: CriticalPoint, plot_data: bool) -> dict:
@@ -164,17 +171,6 @@ def _scaling_record(family: list[RelativeEquilibrium]) -> dict | None:
 
 
 def cmd_find(args: argparse.Namespace) -> int:
-    config = {
-        "n": args.n,
-        "starts": args.starts,
-        "seed": args.seed,
-        "delta": args.delta,
-        "dedup_tol": args.dedup_tol,
-        "tol_newton": args.tol_newton,
-        "tol_zero": args.tol_zero,
-        "plot_data": bool(args.plot_data),
-        "format": "json",
-    }
     catalog = multistart_search(
         args.n,
         args.starts,
@@ -184,7 +180,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         newton_tol=args.tol_newton,
         tol_zero=args.tol_zero,
     )
-    payload = _header("find", config)
+    payload = _header(_config(args, "json"))
     payload["n"] = catalog.n
     payload["families"] = [
         _family_record(i, p, args.plot_data) for i, p in enumerate(catalog.points)
@@ -198,7 +194,6 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 
 def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
-    config = {"n": args.n, "format": "csv"}
     closed = ngon_spectrum_closed_form(args.n)
     from .potential import hessian, ngon
 
@@ -208,7 +203,7 @@ def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
     matched[order] = np.sort(dense)
     lines = [
         f"# tool={TOOL_NAME} version={__version__}",
-        "# config=" + json.dumps(dict(config, command="ngon-spectrum"), sort_keys=True),
+        "# config=" + json.dumps(_config(args, "csv"), sort_keys=True),
         "j,closed_form,dense,abs_difference",
     ]
     for j in range(args.n):
@@ -219,14 +214,6 @@ def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
-    eps_list = args.eps
-    config = {
-        "catalog": args.catalog,
-        "family": args.family,
-        "eps": eps_list,
-        "tol_newton": args.tol_newton,
-        "format": "json",
-    }
     catalog = _load_json(args.catalog)
     families = catalog["families"]
     if not 0 <= args.family < len(families):
@@ -235,12 +222,12 @@ def cmd_continue(args: argparse.Namespace) -> int:
         )
     record = families[args.family]
     cp = _family_from_record(record)
-    payload = _header("continue", config)
+    payload = _header(_config(args, "json"))
     payload["seed_family"] = dict(record, id=args.family)
     done: list[RelativeEquilibrium] = []
     failure = None
     try:
-        done = sweep_epsilon(cp, eps_list, releq_tol=args.tol_newton)
+        done = sweep_epsilon(cp, args.eps, releq_tol=args.tol_newton)
     except NoConvergence as exc:
         done = list(exc.partial or [])
         failure = str(exc)
@@ -262,15 +249,10 @@ def cmd_continue(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    config = {
-        "equilibria": args.equilibria,
-        "tol_zero": args.tol_zero,
-        "format": "json",
-    }
     data = _load_json(args.equilibria)
     seed_rec = data.get("seed_family")
     cp = _family_from_record(seed_rec) if seed_rec else None
-    payload = _header("stability", config)
+    payload = _header(_config(args, "json"))
     verdicts = []
     for rec in data["equilibria"]:
         eq = _equilibrium_from_record(rec)
@@ -313,7 +295,7 @@ def _trajectory_csv(traj, config: dict) -> str:
         cols += [f"x{j}", f"y{j}"]
     lines = [
         f"# tool={TOOL_NAME} version={__version__}",
-        "# config=" + json.dumps(dict(config, command="simulate"), sort_keys=True),
+        "# config=" + json.dumps(config, sort_keys=True),
         ",".join(cols),
     ]
     flat = traj.positions.reshape(traj.times.size, 2 * n_pts)
@@ -323,15 +305,7 @@ def _trajectory_csv(traj, config: dict) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = {
-        "equilibria": args.equilibria,
-        "index": args.index,
-        "h": args.h,
-        "T": args.T,
-        "perturb": args.perturb,
-        "seed": args.seed,
-        "format": "csv",
-    }
+    config = _config(args, "csv")
     data = _load_json(args.equilibria)
     records = data["equilibria"]
     if not 0 <= args.index < len(records):
@@ -363,7 +337,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
         csv_path = stem + ".csv"
         report_path = stem + ".report.json"
-    report = _header("simulate", config)
+    report = _header(config)
     report["aborted"] = aborted
     if traj is not None and traj.times.size > 0:
         h0 = hamiltonian(base)
@@ -422,14 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--tol-zero", type=float, default=1e-9,
-                       help="zero-eigenvalue classification tolerance")
-        p.add_argument("--tol-newton", type=float, default=1e-12,
-                       help="Newton residual tolerance")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-
     p_find = sub.add_parser("find", help="multistart search for critical-point families")
     p_find.add_argument("--n", type=int, required=True, help="number of weak vortices")
     p_find.add_argument("--starts", type=int, default=500)
@@ -438,13 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--dedup-tol", type=float, default=1e-6)
     p_find.add_argument("--plot-data", action="store_true",
                         help="embed unit-circle point lists per family")
-    common(p_find)
+    p_find.add_argument("--seed", type=int, default=0, help="RNG seed for the starts")
+    p_find.add_argument("--tol-newton", type=float, default=1e-12,
+                        help="Newton gradient sup-norm tolerance")
+    p_find.add_argument("--tol-zero", type=float, default=1e-9,
+                        help="zero Hessian eigenvalue tolerance, times "
+                        "max(1, largest |eigenvalue|)")
     p_find.set_defaults(func=cmd_find)
 
     p_spec = sub.add_parser("ngon-spectrum",
                             help="closed-form vs dense spectrum of the regular polygon")
     p_spec.add_argument("--n", type=int, required=True)
-    common(p_spec)
     p_spec.set_defaults(func=cmd_ngon_spectrum)
 
     p_cont = sub.add_parser("continue",
@@ -453,13 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--family", type=int, default=0, help="family id in the catalog")
     p_cont.add_argument("--eps", type=_eps_values, required=True,
                         help="comma-separated nonzero epsilon values")
-    common(p_cont)
+    p_cont.add_argument("--tol-newton", type=float, default=1e-12,
+                        help="Newton residual sup-norm tolerance")
     p_cont.set_defaults(func=cmd_continue)
 
     p_stab = sub.add_parser("stability", help="linear stability of continued equilibria")
     p_stab.add_argument("--equilibria", required=True,
                         help="equilibria JSON from continue")
-    common(p_stab)
+    p_stab.add_argument("--tol-zero", type=float, default=1e-9,
+                        help="zero eigenvalue tolerance, scaled by sqrt(|eps|)")
     p_stab.set_defaults(func=cmd_stability)
 
     p_sim = sub.add_parser("simulate", help="integrate the full vortex system")
@@ -471,8 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--T", type=_positive_float, required=True, help="final time")
     p_sim.add_argument("--perturb", type=float, default=0.0,
                        help="perturbation amplitude (0 = unperturbed)")
-    common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0,
+                       help="RNG seed for the perturbation")
     p_sim.set_defaults(func=cmd_simulate)
+
+    for p in (p_find, p_spec, p_cont, p_stab, p_sim):
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
 

@@ -32,6 +32,9 @@ _COLLISION_GUARD = 1e-10
 # the field below uses only analytic operations.
 _CS_STEP = 1e-100
 
+# Largest |eps| that continuation accepts; ring seeds get min(this, 1/N^2).
+_EPS_CEILING = 0.05
+
 
 @dataclass
 class Circulations:
@@ -103,13 +106,13 @@ def _biot_savart(pos, gammas: np.ndarray):
     return np.column_stack((-(dy * w).sum(axis=1), (dx * w).sum(axis=1))), sep2
 
 
-def _polar_mismatch(r, theta, epsilon: float, omega: float):
+def _mismatch(r, theta, epsilon: float, omega: float):
     """Radial and tangential velocity mismatch (v - omega q^perp) per vortex.
 
-    Returns (a, b) with a_j the radial component and b_j the tangential one.
-    The strong vortex sits at q_0 = -eps * sum(q_j), which keeps the center
-    of vorticity at the origin.  Accepts complex-valued r/theta so callers
-    can differentiate by complex step.
+    Returns (a, b, cos(theta), sin(theta)) with a_j the radial component and
+    b_j the tangential one.  The strong vortex sits at q_0 = -eps * sum(q_j),
+    which keeps the center of vorticity at the origin.  Accepts
+    complex-valued r/theta so callers can differentiate by complex step.
     """
     r = np.asarray(r)
     theta = np.asarray(theta)
@@ -122,7 +125,18 @@ def _polar_mismatch(r, theta, epsilon: float, omega: float):
     u, v = vel[1:, 0], vel[1:, 1]
     a = ct * u + st * v
     b = -st * u + ct * v - omega * r
-    return a, b
+    return a, b, ct, st
+
+
+def _polar_mismatch(r, theta, epsilon: float, omega: float):
+    """The (a, b) radial and tangential mismatch of ``_mismatch``."""
+    return _mismatch(r, theta, epsilon, omega)[:2]
+
+
+def _cartesian_mismatch(r, theta, epsilon: float, omega: float) -> np.ndarray:
+    """The mismatch rotated back to x-components then y-components."""
+    a, b, ct, st = _mismatch(r, theta, epsilon, omega)
+    return np.concatenate((a * ct - b * st, a * st + b * ct))
 
 
 def rotating_frame_residual(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
@@ -136,28 +150,23 @@ def rotating_frame_residual(r, theta, epsilon: float, omega: float = 1.0) -> np.
     theta = np.asarray(theta, dtype=float)
     if r.shape != theta.shape or r.ndim != 1:
         raise ValueError("r and theta must be 1-d arrays of equal length")
-    a, b = _polar_mismatch(r, theta, epsilon, omega)
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.concatenate((a * ct - b * st, a * st + b * ct))
+    return _cartesian_mismatch(r, theta, epsilon, omega)
 
 
 def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float, omega: float):
     n = phi.size
-    a, b = _polar_mismatch(x[:n], x[n:], epsilon, omega)
-    ct, st = np.cos(x[n:]), np.sin(x[n:])
-    res = np.concatenate((a * ct - b * st, a * st + b * ct))
+    res = _cartesian_mismatch(x[:n], x[n:], epsilon, omega)
     phase = np.sum(x[n:] - phi)
     return np.concatenate((res, [phase]))
 
 
 def _cs_jacobian(func, x: np.ndarray) -> np.ndarray:
-    m = func(x).size
-    jac = np.empty((m, x.size))
+    cols = []
     for k in range(x.size):
         xk = x.astype(complex)
         xk[k] += 1j * _CS_STEP
-        jac[:, k] = np.imag(func(xk)) / _CS_STEP
-    return jac
+        cols.append(np.imag(func(xk)) / _CS_STEP)
+    return np.column_stack(cols)
 
 
 def _is_ngon(config: np.ndarray, tol: float = 1e-8) -> bool:
@@ -165,11 +174,11 @@ def _is_ngon(config: np.ndarray, tol: float = 1e-8) -> bool:
     return bool(np.abs(gaps - TWO_PI / config.size).max() < tol)
 
 
-def epsilon_ceiling(cp: CriticalPoint, base: float = 0.05) -> float:
-    """Continuation ceiling on |eps|; tighter, min(base, 1/N^2), for ring seeds."""
+def epsilon_ceiling(cp: CriticalPoint) -> float:
+    """Continuation ceiling on |eps|: 0.05, or min(0.05, 1/N^2) for ring seeds."""
     if _is_ngon(cp.config):
-        return min(base, 1.0 / cp.config.size**2)
-    return base
+        return min(_EPS_CEILING, 1.0 / cp.config.size**2)
+    return _EPS_CEILING
 
 
 def continue_equilibrium(
@@ -177,7 +186,6 @@ def continue_equilibrium(
     epsilon: float,
     releq_tol: float = 1e-12,
     max_iter: int = 60,
-    eps_ceiling: float = 0.05,
     _warm_start: np.ndarray | None = None,
 ) -> RelativeEquilibrium:
     """Newton-continue a nondegenerate critical point to eps != 0, omega = 1.
@@ -196,7 +204,7 @@ def continue_equilibrium(
         raise DegenerateSeed(
             f"seed has {cp.morse_index[1]} zero eigenvalues; need exactly 1"
         )
-    ceiling = epsilon_ceiling(cp, eps_ceiling)
+    ceiling = epsilon_ceiling(cp)
     if abs(epsilon) > ceiling:
         raise InvalidEpsilon(f"|eps| = {abs(epsilon):g} exceeds ceiling {ceiling:g}")
 

@@ -26,6 +26,9 @@ from .spectra import SpectrumReport, eig_symmetric
 # Collision guard on the 1 - cos(theta_i - theta_j) separation scale.
 EPS_SEP = 1e-10
 
+# Largest gradient sup-norm that classify accepts as a critical point.
+_GRAD_TOL = 1e-8
+
 
 class CriticalPointClass(Enum):
     LOCAL_MIN = "min"
@@ -34,12 +37,12 @@ class CriticalPointClass(Enum):
     DEGENERATE = "degenerate"
 
 
-def _pair_geometry(theta, eps_sep: float):
+def _pair_geometry(theta):
     """Validate the angles and build their pairwise geometry once.
 
     Returns (th, d, c, om) with d[j, i] = theta_j - theta_i, c = cos(d) and
     om = 1 - c; the diagonal of om is set to 1 so callers may divide by it.
-    Raises AngularCollision when any off-diagonal 1 - cos is below eps_sep.
+    Raises AngularCollision when any off-diagonal 1 - cos is below EPS_SEP.
     """
     th = np.asarray(theta, dtype=float)
     if th.ndim != 1 or th.size < 2:
@@ -50,39 +53,39 @@ def _pair_geometry(theta, eps_sep: float):
     c = np.cos(d)
     om = 1.0 - c
     np.fill_diagonal(om, np.inf)
-    if om.min() < eps_sep:
+    if om.min() < EPS_SEP:
         raise AngularCollision(
-            f"two angles closer than the collision guard (1-cos < {eps_sep:g})"
+            f"two angles closer than the collision guard (1-cos < {EPS_SEP:g})"
         )
     np.fill_diagonal(om, 1.0)
     return th, d, c, om
 
 
-def _validate_angles(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
-    return _pair_geometry(theta, eps_sep)[0]
+def _validate_angles(theta) -> np.ndarray:
+    return _pair_geometry(theta)[0]
 
 
-def potential(theta, eps_sep: float = EPS_SEP) -> float:
+def potential(theta) -> float:
     """Evaluate V(theta).  Raises AngularCollision near coincident angles."""
-    th, _, c, _ = _pair_geometry(theta, eps_sep)
+    th, _, c, _ = _pair_geometry(theta)
     cu = c[np.triu_indices(th.size, 1)]
     return float(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
 
 
-def gradient(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
+def gradient(theta) -> np.ndarray:
     """Gradient of V.
 
     Component j is sum_{i != j} sin(theta_j - theta_i) *
     (1 - 1/(2 - 2 cos(theta_j - theta_i))).  The components always sum to
     zero: V is invariant under a common rotation of all angles.
     """
-    _, d, _, om = _pair_geometry(theta, eps_sep)
+    _, d, _, om = _pair_geometry(theta)
     w = 1.0 - 1.0 / (2.0 * om)
     np.fill_diagonal(w, 0.0)
     return np.sum(np.sin(d) * w, axis=1)
 
 
-def hessian(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
+def hessian(theta) -> np.ndarray:
     """Hessian of V.
 
     Off-diagonal entries are -cos(theta_i - theta_j) -
@@ -90,7 +93,7 @@ def hessian(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
     the off-diagonal entries in its row, so row sums vanish identically and
     (1,...,1) is always in the kernel.
     """
-    _, _, c, om = _pair_geometry(theta, eps_sep)
+    _, _, c, om = _pair_geometry(theta)
     h = -c - 1.0 / (2.0 * om)
     np.fill_diagonal(h, 0.0)
     np.fill_diagonal(h, -h.sum(axis=1))
@@ -98,10 +101,7 @@ def hessian(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
 
 
 def classify(
-    theta,
-    tol: float = 1e-9,
-    grad_tol: float = 1e-8,
-    eps_sep: float = EPS_SEP,
+    theta, tol: float = 1e-9
 ) -> tuple[CriticalPointClass, SpectrumReport]:
     """Classify a critical point of V by its Hessian spectrum.
 
@@ -110,13 +110,13 @@ def classify(
     semidefinite means LOCAL_MIN, negative semidefinite LOCAL_MAX, and a
     mixed spectrum SADDLE.  Two or more zeros give DEGENERATE.
 
-    Raises NotCritical when the gradient sup-norm exceeds ``grad_tol``.
+    Raises NotCritical when the gradient sup-norm reaches 1e-8.
     """
-    g = gradient(theta, eps_sep)
+    g = gradient(theta)
     res = float(np.abs(g).max())
-    if res >= grad_tol:
-        raise NotCritical(f"gradient sup-norm {res:.3e} >= {grad_tol:g}")
-    report = eig_symmetric(hessian(theta, eps_sep), tol=tol)
+    if res >= _GRAD_TOL:
+        raise NotCritical(f"gradient sup-norm {res:.3e} >= {_GRAD_TOL:g}")
+    report = eig_symmetric(hessian(theta), tol=tol)
     ev = report.eigenvalues.real
     thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
     if report.zero_count != 1:

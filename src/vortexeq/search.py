@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import AngularCollision, CollisionApproach, NoConvergence
 from .potential import (
-    EPS_SEP,
     CriticalPointClass,
     _validate_angles,
     classify,
@@ -75,14 +74,14 @@ def _symmetry_orbit(gaps: np.ndarray) -> list[np.ndarray]:
     return orbit
 
 
-def canonicalize(theta, eps_sep: float = EPS_SEP) -> np.ndarray:
+def canonicalize(theta) -> np.ndarray:
     """Reduce to the canonical representative of the symmetry orbit.
 
     The result has theta_1 = 0 and ascending angles in [0, 2*pi); among the
     N cyclic relabelings and the reflection theta -> -theta it realizes the
     lexicographically smallest gap sequence.  Idempotent.
     """
-    th = _validate_angles(theta, eps_sep)
+    th = _validate_angles(theta)
     gaps = _cyclic_gaps(th)
     best = gaps
     for cand in _symmetry_orbit(gaps):
@@ -111,12 +110,10 @@ def _pinv_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -q @ (inv * (q.T @ g))
 
 
-def _build_point(
-    theta: np.ndarray, tol_zero: float, eps_sep: float
-) -> CriticalPoint:
-    canon = canonicalize(theta, eps_sep)
-    cls, report = classify(canon, tol=tol_zero, eps_sep=eps_sep)
-    residual = float(np.abs(gradient(canon, eps_sep)).max())
+def _build_point(theta: np.ndarray, tol_zero: float) -> CriticalPoint:
+    canon = canonicalize(theta)
+    cls, report = classify(canon, tol=tol_zero)
+    residual = float(np.abs(gradient(canon)).max())
     ev = report.eigenvalues.real
     thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
     morse = (
@@ -134,14 +131,9 @@ def _build_point(
         spectrum=report,
         morse_index=morse,
         residual=residual,
-        value=potential(canon, eps_sep),
+        value=potential(canon),
         reflection_symmetric=mirrored < 1e-8,
     )
-
-
-def morse_index(point: CriticalPoint) -> tuple[int, int, int]:
-    """(negative, zero, positive) eigenvalue counts; entries sum to N."""
-    return point.morse_index
 
 
 def newton_refine(
@@ -149,7 +141,6 @@ def newton_refine(
     newton_tol: float = 1e-12,
     max_iter: int = 200,
     tol_zero: float = 1e-9,
-    eps_sep: float = EPS_SEP,
 ) -> CriticalPoint:
     """Damped Newton refinement of theta0 to a critical point.
 
@@ -159,33 +150,32 @@ def newton_refine(
     ||grad V||_inf < newton_tol.  Raises NoConvergence at the iteration cap
     and CollisionApproach if angles collapse toward a collision.
     """
+    th = np.array(theta0, dtype=float)
     try:
-        th = _validate_angles(theta0, eps_sep).copy()
+        g = gradient(th)
     except AngularCollision as exc:
         raise CollisionApproach(str(exc)) from exc
     for _ in range(max_iter):
-        g = gradient(th, eps_sep)
         f0 = float(g @ g)
         if float(np.abs(g).max()) < newton_tol:
-            return _build_point(th, tol_zero, eps_sep)
-        step = _pinv_step(hessian(th, eps_sep), g)
+            return _build_point(th, tol_zero)
+        step = _pinv_step(hessian(th), g)
         alpha = 1.0
         for _ in range(30):
             trial = th + alpha * step
             try:
-                gt = gradient(trial, eps_sep)
+                gt = gradient(trial)
             except AngularCollision:
                 alpha *= 0.5
                 continue
             if float(gt @ gt) < f0:
-                th = trial
+                th, g = trial, gt
                 break
             alpha *= 0.5
         else:
             raise NoConvergence("line search stalled before reaching tolerance")
-    g = gradient(th, eps_sep)
     if float(np.abs(g).max()) < newton_tol:
-        return _build_point(th, tol_zero, eps_sep)
+        return _build_point(th, tol_zero)
     raise NoConvergence(f"no convergence within {max_iter} iterations")
 
 
@@ -212,7 +202,6 @@ def multistart_search(
     delta: float = 1e-2,
     dedup_tol: float = 1e-6,
     newton_tol: float = 1e-12,
-    max_iter: int = 200,
     tol_zero: float = 1e-9,
 ) -> FamilyCatalog:
     """Locate critical-point families from random starts in the gap wedge.
@@ -231,12 +220,7 @@ def multistart_search(
     for _ in range(int(n_starts)):
         start = sample_wedge(n, rng, delta)
         try:
-            cp = newton_refine(
-                start,
-                newton_tol=newton_tol,
-                max_iter=max_iter,
-                tol_zero=tol_zero,
-            )
+            cp = newton_refine(start, newton_tol=newton_tol, tol_zero=tol_zero)
         except NoConvergence:
             failures["no_convergence"] += 1
             continue

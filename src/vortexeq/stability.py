@@ -29,6 +29,13 @@ from .potential import hessian, ngon
 from .search import CriticalPoint, newton_refine
 from .spectra import SpectrumReport, skew_inner
 
+# Largest relative disagreement between the complex-step Jacobian and its
+# central-difference checks.
+_FD_CHECK_TOL = 1e-5
+
+# An eigenvalue is imaginary when |Re lambda| <= this times |lambda|.
+_IMAG_REL_TOL = 1e-4
+
 
 class StabilityClass(Enum):
     LINEARLY_STABLE = "stable"
@@ -75,17 +82,13 @@ def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
     return np.concatenate((a, b / np.asarray(r)))
 
 
-def linearize(
-    eq: RelativeEquilibrium,
-    fd_step: float = 1e-7,
-    fd_check_tol: float = 1e-5,
-) -> np.ndarray:
+def linearize(eq: RelativeEquilibrium, fd_step: float = 1e-7) -> np.ndarray:
     """Jacobian of the exact reduced field at an equilibrium.
 
     State ordering is (r_1..r_N, theta_1..theta_N).  The Jacobian is computed
     by complex-step differentiation (exact to roundoff); central differences
-    at steps h and h/2 (h = fd_step * scale) must agree with it to
-    ``fd_check_tol`` relative, otherwise JacobianUnstable is raised.
+    at steps h and h/2 (h = fd_step * scale) must agree with it to 1e-5
+    relative, otherwise JacobianUnstable is raised.
     """
     if eq.residual >= 1e-10:
         raise ValueError(f"equilibrium residual {eq.residual:.3e} >= 1e-10")
@@ -109,10 +112,10 @@ def linearize(
     j1 = central(h)
     j2 = central(0.5 * h)
     ref = max(1.0, float(np.abs(j1).max()))
-    if np.abs(j1 - j2).max() > fd_check_tol * ref:
+    if np.abs(j1 - j2).max() > _FD_CHECK_TOL * ref:
         raise JacobianUnstable("central differences at h and h/2 disagree")
     richardson = (4.0 * j2 - j1) / 3.0
-    if np.abs(jac - richardson).max() > fd_check_tol * ref:
+    if np.abs(jac - richardson).max() > _FD_CHECK_TOL * ref:
         raise JacobianUnstable("complex step and extrapolated differences disagree")
     return jac
 
@@ -135,17 +138,13 @@ def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium):
     return rest, defect
 
 
-def stability_verdict(
-    eq: RelativeEquilibrium,
-    tol: float = 1e-6,
-    imag_rel_tol: float = 1e-4,
-) -> StabilityVerdict:
+def stability_verdict(eq: RelativeEquilibrium, tol: float = 1e-6) -> StabilityVerdict:
     """Classify an equilibrium from the linearization spectrum.
 
     The two structural symmetry eigenvalues count as zeros; further
     eigenvalues below tol * sqrt(|eps|) in magnitude flag a degenerate
     (Marginal) case.  With exactly two zeros the verdict is LinearlyStable
-    iff every remaining eigenvalue is pure imaginary, |Re| < imag_rel_tol *
+    iff every remaining eigenvalue is pure imaginary, |Re| < 1e-4 *
     |lambda|.  ``instability_count`` is the number of eigenvalues with real
     part above that relative threshold.
     """
@@ -160,7 +159,7 @@ def stability_verdict(
     extra = int(np.sum(np.abs(rest) < zero_abs))
     n_zero = 2 + extra
     nonzero = rest[np.abs(rest) >= zero_abs]
-    growing = nonzero.real > imag_rel_tol * np.abs(nonzero)
+    growing = nonzero.real > _IMAG_REL_TOL * np.abs(nonzero)
     if n_zero > 2:
         cls = StabilityClass.MARGINAL
     elif np.any(growing):
@@ -170,7 +169,7 @@ def stability_verdict(
     full = np.concatenate((np.zeros(2, dtype=complex), rest))
     # the real parts of imaginary modes are roundoff; they must not decide
     # the order, so they sort as zero
-    noise = np.abs(full.real) <= imag_rel_tol * np.abs(full)
+    noise = np.abs(full.real) <= _IMAG_REL_TOL * np.abs(full)
     order = np.lexsort((full.imag, np.where(noise, 0.0, full.real)))
     spectrum = SpectrumReport(
         eigenvalues=full[order],

@@ -36,6 +36,73 @@ def equilibria_path(tmp_path_factory, catalog4_path):
     return path
 
 
+# (command, option) pairs where the command does not read the option.
+DROPPED_FLAGS = [
+    ("ngon-spectrum", "--seed"),
+    ("ngon-spectrum", "--tol-newton"),
+    ("ngon-spectrum", "--tol-zero"),
+    ("continue", "--seed"),
+    ("continue", "--tol-zero"),
+    ("stability", "--seed"),
+    ("stability", "--tol-newton"),
+    ("simulate", "--tol-newton"),
+    ("simulate", "--tol-zero"),
+]
+
+CONFIG_KEYS = {
+    "find": {"command", "format", "n", "starts", "seed", "delta", "dedup_tol",
+             "tol_newton", "tol_zero", "plot_data"},
+    "ngon-spectrum": {"command", "format", "n"},
+    "continue": {"command", "format", "catalog", "family", "eps", "tol_newton"},
+    "stability": {"command", "format", "equilibria", "tol_zero"},
+    "simulate": {"command", "format", "equilibria", "index", "h", "T", "perturb",
+                 "seed"},
+}
+
+
+@pytest.fixture(scope="module")
+def valid_argv(catalog4_path, equilibria_path):
+    return {
+        "ngon-spectrum": ["--n", "4"],
+        "continue": ["--catalog", str(catalog4_path), "--eps", "1e-3"],
+        "stability": ["--equilibria", str(equilibria_path)],
+        "simulate": ["--equilibria", str(equilibria_path), "--h", "0.1", "--T", "1"],
+    }
+
+
+@pytest.mark.parametrize("command,flag", DROPPED_FLAGS)
+def test_unread_flags_are_usage_errors(valid_argv, command, flag):
+    assert run_usage_error(command, *valid_argv[command], flag, "1") == 2
+
+
+def _csv_config(path):
+    line = path.read_text().split("\n")[1]
+    assert line.startswith("# config=")
+    return json.loads(line[len("# config="):])
+
+
+def test_config_key_sets(tmp_path, catalog4_path, equilibria_path, capsys):
+    configs = {
+        "find": json.loads(catalog4_path.read_text())["config"],
+        "continue": json.loads(equilibria_path.read_text())["config"],
+    }
+    run(capsys, "stability", "--equilibria", str(equilibria_path),
+        "--out", str(tmp_path / "st.json"))
+    configs["stability"] = json.loads((tmp_path / "st.json").read_text())["config"]
+    run(capsys, "ngon-spectrum", "--n", "4", "--out", str(tmp_path / "ngon.csv"))
+    configs["ngon-spectrum"] = _csv_config(tmp_path / "ngon.csv")
+    run(capsys, "simulate", "--equilibria", str(equilibria_path), "--h", "0.1",
+        "--T", "1", "--out", str(tmp_path / "sim"))
+    configs["simulate"] = _csv_config(tmp_path / "sim.csv")
+    report = json.loads((tmp_path / "sim.report.json").read_text())
+    assert report["config"] == configs["simulate"]
+    for command, config in configs.items():
+        assert set(config) == CONFIG_KEYS[command], command
+        assert config["command"] == command
+        csv = command in ("ngon-spectrum", "simulate")
+        assert config["format"] == ("csv" if csv else "json")
+
+
 def test_find_catalog_schema(catalog4_path):
     data = json.loads(catalog4_path.read_text())
     assert data["tool"] == "vortexeq"

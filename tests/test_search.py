@@ -9,7 +9,6 @@ from vortexeq import (
     NoConvergence,
     canonicalize,
     gradient,
-    morse_index,
     multistart_search,
     newton_refine,
     ngon,
@@ -83,7 +82,6 @@ def test_newton_refine_classifies():
     point = newton_refine(np.array([0.0, np.pi / 3]))
     assert point.cls is CriticalPointClass.LOCAL_MIN
     assert point.morse_index == (0, 1, 1)
-    assert morse_index(point) == (0, 1, 1)
     assert point.reflection_symmetric
 
 
