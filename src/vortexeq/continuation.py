@@ -28,10 +28,6 @@ from .search import TWO_PI, CriticalPoint, _cyclic_gaps
 # Smallest distance allowed between two vortices.
 _COLLISION_GUARD = 1e-10
 
-# Imaginary step for complex-step differentiation; first-order exact because
-# the field below uses only analytic operations.
-_CS_STEP = 1e-100
-
 # Largest |eps| that continuation accepts; ring seeds get min(this, 1/N^2).
 _EPS_CEILING = 0.05
 
@@ -91,8 +87,8 @@ def _biot_savart(pos, gammas: np.ndarray):
 
     ``pos`` is an (M, 2) array; vortex j moves with
     sum_{i != j} Gamma_i (q_j - q_i)^perp / |q_j - q_i|^2.  Accepts complex
-    positions for complex-step differentiation; the separation is then taken
-    from the real parts only.
+    positions, so the closed-form Jacobian can be checked by complex step;
+    the separation is then taken from the real parts only.
     """
     x, y = pos[:, 0], pos[:, 1]
     dx = x[:, None] - x[None, :]
@@ -112,7 +108,7 @@ def _mismatch(r, theta, epsilon: float, omega: float):
     Returns (a, b, cos(theta), sin(theta)) with a_j the radial component and
     b_j the tangential one.  The strong vortex sits at q_0 = -eps * sum(q_j),
     which keeps the center of vorticity at the origin.  Accepts
-    complex-valued r/theta so callers can differentiate by complex step.
+    complex-valued r/theta so the Jacobian can be checked by complex step.
     """
     r = np.asarray(r)
     theta = np.asarray(theta)
@@ -126,11 +122,6 @@ def _mismatch(r, theta, epsilon: float, omega: float):
     a = ct * u + st * v
     b = -st * u + ct * v - omega * r
     return a, b, ct, st
-
-
-def _polar_mismatch(r, theta, epsilon: float, omega: float):
-    """The (a, b) radial and tangential mismatch of ``_mismatch``."""
-    return _mismatch(r, theta, epsilon, omega)[:2]
 
 
 def _cartesian_mismatch(r, theta, epsilon: float, omega: float) -> np.ndarray:
@@ -160,13 +151,27 @@ def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float, omega: flo
     return np.concatenate((res, [phase]))
 
 
-def _cs_jacobian(func, x: np.ndarray) -> np.ndarray:
-    cols = []
-    for k in range(x.size):
-        xk = x.astype(complex)
-        xk[k] += 1j * _CS_STEP
-        cols.append(np.imag(func(xk)) / _CS_STEP)
-    return np.column_stack(cols)
+def _mismatch_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
+    """[dM/dr, dM/dtheta] (N x 2N) of the mismatch M_j = (u_j + i v_j) - i omega z_j.
+
+    u_j - i v_j = -i sum_k Gamma_k / (z_j - z_k) is holomorphic in the positions,
+    with z_0 = -eps sum z_k.  No two vortices may coincide.
+    """
+    e = np.exp(1j * theta)
+    z = r * e
+    k = np.arange(z.size)
+    diff = z[:, None] - np.concatenate(([-epsilon * z.sum()], z))
+    diff[k, k + 1] = 1.0
+    p = -1j * Circulations(epsilon).gammas(z.size) / (diff * diff)
+    p[k, k + 1] = 0.0
+    # dW_j/dz_l for W_j = u_j - i v_j, directly and through z_0
+    dw = p[:, 1:] - epsilon * p[:, :1]
+    dw[k, k] -= p.sum(axis=1)
+    d_r = np.conj(dw * e)  # dz_l/dr_l = e^{i theta_l}, dz_l/dtheta_l = i z_l
+    jac = np.hstack((d_r, -1j * d_r * r))
+    jac[k, k] -= 1j * omega * e
+    jac[k, k + z.size] += omega * z
+    return jac
 
 
 def _is_ngon(config: np.ndarray, tol: float = 1e-8) -> bool:
@@ -216,6 +221,7 @@ def continue_equilibrium(
         else _warm_start.copy()
     )
     func = lambda z: _augmented_system(z, phi, epsilon, 1.0)
+    phase = np.concatenate((np.zeros(n), np.ones(n)))
 
     try:
         fx = func(x)
@@ -223,7 +229,8 @@ def continue_equilibrium(
         for _ in range(max_iter):
             if best < releq_tol:
                 break
-            jac = _cs_jacobian(func, x)
+            jac = _mismatch_jacobian(x[:n], x[n:], epsilon, 1.0)
+            jac = np.vstack((jac.real, jac.imag, phase))
             step = np.linalg.lstsq(jac, -fx, rcond=None)[0]
             alpha = 1.0
             for _ in range(20):

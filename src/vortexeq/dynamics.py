@@ -143,11 +143,12 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
 
 def rigidity_error(traj: Trajectory) -> float:
     """Max deviation of any pairwise distance from its initial value."""
-    m = traj.positions.shape[1]
-    iu = np.triu_indices(m, 1)
-    d = traj.positions[:, iu[0], :] - traj.positions[:, iu[1], :]
-    dist = np.sqrt((d * d).sum(axis=2))
-    return float(np.abs(dist - dist[0]).max())
+    p, worst = traj.positions, 0.0
+    for i in range(p.shape[1] - 1):  # one row of pairs: O(steps * M) memory
+        d = p[:, i : i + 1] - p[:, i + 1 :]
+        dist = np.sqrt((d * d).sum(axis=2))
+        worst = max(worst, float(np.abs(dist - dist[0]).max()))
+    return worst
 
 
 @dataclass

@@ -112,7 +112,11 @@ def classify(
 
     Raises NotCritical when the gradient sup-norm reaches 1e-8.
     """
-    g = gradient(theta)
+    return _classify(theta, gradient(theta), tol)
+
+
+def _classify(theta, g: np.ndarray, tol: float):
+    """``classify`` with the gradient at theta already computed."""
     res = float(np.abs(g).max())
     if res >= _GRAD_TOL:
         raise NotCritical(f"gradient sup-norm {res:.3e} >= {_GRAD_TOL:g}")

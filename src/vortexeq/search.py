@@ -14,8 +14,8 @@ import numpy as np
 from .errors import AngularCollision, CollisionApproach, NoConvergence
 from .potential import (
     CriticalPointClass,
+    _classify,
     _validate_angles,
-    classify,
     gradient,
     hessian,
     potential,
@@ -112,8 +112,9 @@ def _pinv_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _build_point(theta: np.ndarray, tol_zero: float) -> CriticalPoint:
     canon = canonicalize(theta)
-    cls, report = classify(canon, tol=tol_zero)
-    residual = float(np.abs(gradient(canon)).max())
+    g = gradient(canon)
+    cls, report = _classify(canon, g, tol_zero)
+    residual = float(np.abs(g).max())
     ev = report.eigenvalues.real
     thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
     morse = (

@@ -20,8 +20,8 @@ import numpy as np
 
 from .continuation import (
     RelativeEquilibrium,
-    _cs_jacobian,
-    _polar_mismatch,
+    _mismatch,
+    _mismatch_jacobian,
     continue_equilibrium,
 )
 from .errors import DegenerateSeed, JacobianUnstable
@@ -29,7 +29,7 @@ from .potential import hessian, ngon
 from .search import CriticalPoint, newton_refine
 from .spectra import SpectrumReport, skew_inner
 
-# Largest relative disagreement between the complex-step Jacobian and its
+# Largest relative disagreement between the closed-form Jacobian and its
 # central-difference checks.
 _FD_CHECK_TOL = 1e-5
 
@@ -76,19 +76,19 @@ class TruncationReport:
 def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
     """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - omega).
 
-    Accepts complex input for complex-step differentiation.
+    Accepts complex input, so its Jacobian can be checked by complex step.
     """
-    a, b = _polar_mismatch(r, theta, epsilon, omega)
+    a, b = _mismatch(r, theta, epsilon, omega)[:2]
     return np.concatenate((a, b / np.asarray(r)))
 
 
 def linearize(eq: RelativeEquilibrium, fd_step: float = 1e-7) -> np.ndarray:
     """Jacobian of the exact reduced field at an equilibrium.
 
-    State ordering is (r_1..r_N, theta_1..theta_N).  The Jacobian is computed
-    by complex-step differentiation (exact to roundoff); central differences
-    at steps h and h/2 (h = fd_step * scale) must agree with it to 1e-5
-    relative, otherwise JacobianUnstable is raised.
+    State ordering is (r_1..r_N, theta_1..theta_N).  The Jacobian is in
+    closed form; central differences at steps h and h/2 (h = fd_step *
+    scale) must still agree with it to 1e-5 relative, otherwise
+    JacobianUnstable is raised.
     """
     if eq.residual >= 1e-10:
         raise ValueError(f"equilibrium residual {eq.residual:.3e} >= 1e-10")
@@ -96,7 +96,14 @@ def linearize(eq: RelativeEquilibrium, fd_step: float = 1e-7) -> np.ndarray:
     x0 = np.concatenate((eq.r, eq.theta))
     func = lambda z: reduced_field(z[:n], z[n:], eq.epsilon, eq.omega)
 
-    jac = _cs_jacobian(func, x0)
+    # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
+    a, b, ct, st = _mismatch(eq.r, eq.theta, eq.epsilon, eq.omega)
+    rot = _mismatch_jacobian(eq.r, eq.theta, eq.epsilon, eq.omega)
+    rot *= (ct - 1j * st)[:, None]
+    k = np.arange(n)
+    rot[k, k + n] -= 1j * (a + 1j * b)
+    jac = np.vstack((rot.real, rot.imag / eq.r[:, None]))
+    jac[k + n, k] -= b / eq.r**2
 
     scale = max(1.0, float(np.abs(x0).max()))
     h = fd_step * scale
@@ -116,7 +123,7 @@ def linearize(eq: RelativeEquilibrium, fd_step: float = 1e-7) -> np.ndarray:
         raise JacobianUnstable("central differences at h and h/2 disagree")
     richardson = (4.0 * j2 - j1) / 3.0
     if np.abs(jac - richardson).max() > _FD_CHECK_TOL * ref:
-        raise JacobianUnstable("complex step and extrapolated differences disagree")
+        raise JacobianUnstable("closed form and extrapolated differences disagree")
     return jac
 
 

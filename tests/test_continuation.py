@@ -23,11 +23,40 @@ from vortexeq import (
     sweep_epsilon,
     verify_lemma1_scaling,
 )
-from vortexeq.continuation import _polar_mismatch
+from vortexeq.continuation import _augmented_system, _mismatch, _mismatch_jacobian
 from vortexeq.spectra import SpectrumReport
 from vortexeq.search import CriticalPoint
 from vortexeq.potential import CriticalPointClass
 from tests.test_dynamics import pairwise_field
+
+
+# Imaginary step of the complex-step oracle (Martins, Sturdza & Alonso, ACM
+# TOMS 29 (2003) 245): the field uses only analytic operations, so
+# Im f(x + i h e_k) / h is column k of the Jacobian to roundoff, with no
+# subtractive cancellation.
+CS_STEP = 1e-100
+
+# (N, eps) cases for the closed-form Jacobian checks; both signs of eps and
+# one eps near the continuation ceiling.
+JACOBIAN_CASES = [(n, eps) for n in (2, 3, 7, 20) for eps in (1e-3, -1e-3, -0.04)]
+
+
+def cs_jacobian(func, x):
+    """Complex-step Jacobian of func at the real point x."""
+    cols = []
+    for k in range(x.size):
+        xk = x.astype(complex)
+        xk[k] += 1j * CS_STEP
+        cols.append(np.imag(func(xk)) / CS_STEP)
+    return np.column_stack(cols)
+
+
+def off_equilibrium_state(n, seed):
+    """Radii within 10% of 1 and angles within 30% of a gap of the n-gon."""
+    rng = np.random.default_rng(seed)
+    r = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, n)
+    theta = ngon(n) + 0.3 * np.pi / n * rng.uniform(-1.0, 1.0, n)
+    return r, theta
 
 
 def make_degenerate_point():
@@ -59,7 +88,7 @@ def test_radial_mismatch_tends_to_gradient():
     # on the unit circle the radial defect is eps * grad V + O(eps^2)
     theta = np.array([0.3, 1.1, 2.7])
     eps = 1e-8
-    a, _ = _polar_mismatch(np.ones(3), theta, eps, 1.0)
+    a, _ = _mismatch(np.ones(3), theta, eps, 1.0)[:2]
     assert np.abs(a / eps - gradient(theta)).max() < 1e-6
 
 
@@ -67,12 +96,24 @@ def test_cartesian_residual_norm_matches_polar():
     rng = np.random.default_rng(0)
     theta = np.sort(rng.random(4)) * 5.0
     r = 1.0 + 0.05 * rng.standard_normal(4)
-    a, b = _polar_mismatch(r, theta, 1e-2, 0.9)
+    a, b = _mismatch(r, theta, 1e-2, 0.9)[:2]
     res = rotating_frame_residual(r, theta, 1e-2, 0.9)
     assert res.size == 8
     assert np.linalg.norm(res) == pytest.approx(
         np.sqrt((a * a + b * b).sum()), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n, eps", JACOBIAN_CASES)
+def test_newton_jacobian_matches_complex_step(n, eps):
+    r, theta = off_equilibrium_state(n, seed=n)
+    x = np.concatenate((r, theta))
+    phi = theta + 0.01
+    ref = cs_jacobian(lambda z: _augmented_system(z, phi, eps, 1.3), x)
+    # stacked as in continue_equilibrium: Re M, Im M, then the phase row
+    jac = _mismatch_jacobian(r, theta, eps, 1.3)
+    jac = np.vstack((jac.real, jac.imag, np.concatenate((np.zeros(n), np.ones(n)))))
+    assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_continued_equilibrium_residual(min3_point):

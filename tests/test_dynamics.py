@@ -9,6 +9,7 @@ from vortexeq import (
     Circulations,
     CollisionAbort,
     PlanarConfiguration,
+    Trajectory,
     VortexCollision,
     hamiltonian,
     integrate_rk4,
@@ -157,6 +158,21 @@ def test_rigidity_error_flags_shear():
     config = PlanarConfiguration(pos, Circulations(0.5))
     traj = integrate_rk4(config, 1e-3, 1.0)
     assert rigidity_error(traj) > 1e-3
+
+
+def test_rigidity_error_matches_all_pairs(min3_eq):
+    rng = np.random.default_rng(5)
+    config = PlanarConfiguration.from_equilibrium(min3_eq)
+    trajectories = [
+        Trajectory(np.arange(33.0), rng.standard_normal((33, 7, 2)), 1.0, "rk4", 0.1),
+        integrate_rk4(config, 0.05, 2.0),
+    ]
+    for traj in trajectories:
+        pos = traj.positions
+        iu = np.triu_indices(pos.shape[1], 1)
+        d = pos[:, iu[0], :] - pos[:, iu[1], :]
+        dist = np.sqrt((d * d).sum(axis=2))
+        assert rigidity_error(traj) == float(np.abs(dist - dist[0]).max())
 
 
 def test_growth_unstable_pair_matches_prediction(collinear_eq):

@@ -1,5 +1,7 @@
 """Canonical forms, symmetry quotient, Newton refinement, multistart search."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,24 @@ def test_newton_refine_classifies():
     assert point.cls is CriticalPointClass.LOCAL_MIN
     assert point.morse_index == (0, 1, 1)
     assert point.reflection_symmetric
+
+
+def test_newton_refine_gradient_calls(monkeypatch):
+    # one gradient per iterate and line-search trial, plus one that the
+    # converged point's residual and NotCritical check share; the modules
+    # are looked up by name because ``vortexeq.potential`` is the function
+    modules = [importlib.import_module(f"vortexeq.{m}") for m in ("potential", "search")]
+    original = modules[0].gradient
+    calls = []
+
+    def counted(theta):
+        calls.append(1)
+        return original(theta)
+
+    for module in modules:
+        monkeypatch.setattr(module, "gradient", counted)
+    newton_refine(np.array([0.0, 1.0, 2.5, 4.0]))
+    assert len(calls) == 9
 
 
 def test_newton_refine_quarter_arc_values():

@@ -23,7 +23,13 @@ from vortexeq import (
     stability_verdict,
     truncation_crosscheck,
 )
-from tests.test_continuation import make_degenerate_point
+from vortexeq.continuation import _mismatch
+from tests.test_continuation import (
+    JACOBIAN_CASES,
+    cs_jacobian,
+    make_degenerate_point,
+    off_equilibrium_state,
+)
 
 
 def test_reduced_field_vanishes_at_equilibrium(min3_eq):
@@ -47,6 +53,20 @@ def test_linearize_block_structure(min3_eq):
     ur = mat[:n, n:]
     vtt = hessian(min3_eq.theta)
     assert np.abs(ur - eps * vtt).max() < 100 * eps * eps
+
+
+@pytest.mark.parametrize("n, eps", JACOBIAN_CASES)
+def test_linearize_matches_complex_step(n, eps):
+    r, theta = off_equilibrium_state(n, seed=n)
+    a, b = _mismatch(r, theta, eps, 1.3)[:2]
+    # off equilibrium, so the -i (a + i b) and -b / r^2 diagonal terms count
+    assert np.abs(a).max() > 1e-5 and np.abs(b).max() > 1e-2
+    # linearize trusts the stored residual; the Jacobian holds at any state
+    eq = RelativeEquilibrium(r=r, theta=theta, epsilon=eps, omega=1.3, residual=0.0)
+    x = np.concatenate((r, theta))
+    ref = cs_jacobian(lambda z: reduced_field(z[:n], z[n:], eps, 1.3), x)
+    jac = linearize(eq)
+    assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_linearize_flags_bad_step(min3_eq):
