@@ -316,21 +316,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     base = PlanarConfiguration.from_equilibrium(eq)
     aborted = False
     growth = None
-    if args.perturb > 0.0:
-        try:
+    try:
+        if args.perturb > 0.0:
             growth = perturbation_growth(
                 eq, amplitude=args.perturb, t_final=args.T, h=args.h, seed=args.seed
             )
             traj = growth.trajectory
-        except CollisionAbort as exc:
-            traj = exc.trajectory
-            aborted = True
-    else:
-        try:
+        else:
             traj = integrate_rk4(base, args.h, args.T)
-        except CollisionAbort as exc:
-            traj = exc.trajectory
-            aborted = True
+    except CollisionAbort as exc:
+        traj = exc.trajectory
+        aborted = True
     csv_path = args.out
     report_path = None
     if csv_path is not None:

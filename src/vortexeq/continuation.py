@@ -23,10 +23,13 @@ from .errors import (
     NoConvergence,
     VortexCollision,
 )
-from .search import TWO_PI, CriticalPoint, _cyclic_gaps
+from .search import TWO_PI, CriticalPoint, _cyclic_gaps, _newton
 
 # Smallest distance allowed between two vortices.
 _COLLISION_GUARD = 1e-10
+
+# Squared separations below the smallest normal float overflow 1 / d^2.
+_TINY_SEP2 = np.finfo(float).tiny
 
 # Largest |eps| that continuation accepts; ring seeds get min(this, 1/N^2).
 _EPS_CEILING = 0.05
@@ -96,6 +99,9 @@ def _biot_savart(pos, gammas: np.ndarray):
     d2 = dx * dx + dy * dy
     np.fill_diagonal(d2, np.inf)
     sep2 = float(np.real(d2).min())
+    if sep2 < _TINY_SEP2:
+        # 1 / d2 would be inf: drop these pairs, the guards reject them by sep2
+        d2[np.real(d2) < _TINY_SEP2] = np.inf
     np.fill_diagonal(d2, 1.0)
     w = gammas[None, :] / d2
     np.fill_diagonal(w, 0.0)
@@ -197,11 +203,15 @@ def continue_equilibrium(
 
     Solves the 2N rotating-frame residual equations jointly in (r, theta)
     with the phase constraint sum(theta_j - phi_j) = 0 against the seed
-    angles phi.  Convergence means residual sup-norm below ``releq_tol``.
+    angles phi.  The shared driver ``search._newton`` takes least-squares
+    steps on the closed-form Jacobian and halves them until the squared
+    2-norm of residual and phase drops.  Convergence means their sup-norm
+    below ``releq_tol`` within ``max_iter`` Newton steps.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
-    eigenvalue, InvalidEpsilon for eps = 0 or |eps| above the ceiling, and
-    NoConvergence / CollisionApproach on Newton failure.
+    eigenvalue, InvalidEpsilon for eps = 0 or |eps| above the ceiling,
+    NoConvergence when the line search stalls or the cap is reached, and
+    CollisionApproach if the start has two vortices within the guard.
     """
     if epsilon == 0.0 or not np.isfinite(epsilon):
         raise InvalidEpsilon("continuation needs a finite nonzero eps")
@@ -220,48 +230,26 @@ def continue_equilibrium(
         if _warm_start is None
         else _warm_start.copy()
     )
-    func = lambda z: _augmented_system(z, phi, epsilon, 1.0)
     phase = np.concatenate((np.zeros(n), np.ones(n)))
 
-    try:
-        fx = func(x)
-        best = float(np.abs(fx).max())
-        for _ in range(max_iter):
-            if best < releq_tol:
-                break
-            jac = _mismatch_jacobian(x[:n], x[n:], epsilon, 1.0)
-            jac = np.vstack((jac.real, jac.imag, phase))
-            step = np.linalg.lstsq(jac, -fx, rcond=None)[0]
-            alpha = 1.0
-            for _ in range(20):
-                trial = x + alpha * step
-                try:
-                    ft = func(trial)
-                except VortexCollision:
-                    alpha *= 0.5
-                    continue
-                norm = float(np.abs(ft).max())
-                if norm < best:
-                    x, fx, best = trial, ft, norm
-                    break
-                alpha *= 0.5
-            else:
-                raise NoConvergence("continuation line search stalled")
-        else:
-            raise NoConvergence(
-                f"continuation did not reach {releq_tol:g} in {max_iter} iterations"
-            )
-    except VortexCollision as exc:
-        raise CollisionApproach(str(exc)) from exc
+    def lstsq_step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
+        jac = _mismatch_jacobian(z[:n], z[n:], epsilon, 1.0)
+        jac = np.vstack((jac.real, jac.imag, phase))
+        return np.linalg.lstsq(jac, -fz, rcond=None)[0]
 
-    r, theta = x[:n], x[n:]
-    residual = float(np.abs(rotating_frame_residual(r, theta, epsilon, 1.0)).max())
+    x, fx = _newton(
+        lambda z: _augmented_system(z, phi, epsilon, 1.0),
+        lstsq_step,
+        x,
+        releq_tol,
+        max_iter,
+    )
     return RelativeEquilibrium(
-        r=r,
-        theta=theta,
+        r=x[:n],
+        theta=x[n:],
         epsilon=float(epsilon),
         omega=1.0,
-        residual=residual,
+        residual=float(np.abs(fx[:-1]).max()),
         source=cp,
     )
 

@@ -61,10 +61,6 @@ def _pair_geometry(theta):
     return th, d, c, om
 
 
-def _validate_angles(theta) -> np.ndarray:
-    return _pair_geometry(theta)[0]
-
-
 def potential(theta) -> float:
     """Evaluate V(theta).  Raises AngularCollision near coincident angles."""
     th, _, c, _ = _pair_geometry(theta)
@@ -112,24 +108,25 @@ def classify(
 
     Raises NotCritical when the gradient sup-norm reaches 1e-8.
     """
-    return _classify(theta, gradient(theta), tol)
+    return _classify(theta, gradient(theta), tol)[:2]
 
 
 def _classify(theta, g: np.ndarray, tol: float):
-    """``classify`` with the gradient at theta already computed."""
+    """``classify`` with the gradient given; also returns the Morse index."""
     res = float(np.abs(g).max())
     if res >= _GRAD_TOL:
         raise NotCritical(f"gradient sup-norm {res:.3e} >= {_GRAD_TOL:g}")
     report = eig_symmetric(hessian(theta), tol=tol)
     ev = report.eigenvalues.real
     thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
+    morse = (int(np.sum(ev < -thr)), int(report.zero_count), int(np.sum(ev > thr)))
     if report.zero_count != 1:
-        return CriticalPointClass.DEGENERATE, report
+        return CriticalPointClass.DEGENERATE, report, morse
     if np.all(ev > -thr):
-        return CriticalPointClass.LOCAL_MIN, report
+        return CriticalPointClass.LOCAL_MIN, report, morse
     if np.all(ev < thr):
-        return CriticalPointClass.LOCAL_MAX, report
-    return CriticalPointClass.SADDLE, report
+        return CriticalPointClass.LOCAL_MAX, report, morse
+    return CriticalPointClass.SADDLE, report, morse
 
 
 def ngon(n: int) -> np.ndarray:

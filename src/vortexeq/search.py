@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AngularCollision, CollisionApproach, NoConvergence
+from .errors import AngularCollision, CollisionApproach, NoConvergence, VortexCollision
 from .potential import (
     CriticalPointClass,
     _classify,
-    _validate_angles,
+    _pair_geometry,
     gradient,
     hessian,
     potential,
@@ -81,7 +81,7 @@ def canonicalize(theta) -> np.ndarray:
     N cyclic relabelings and the reflection theta -> -theta it realizes the
     lexicographically smallest gap sequence.  Idempotent.
     """
-    th = _validate_angles(theta)
+    th = _pair_geometry(theta)[0]
     gaps = _cyclic_gaps(th)
     best = gaps
     for cand in _symmetry_orbit(gaps):
@@ -110,18 +110,47 @@ def _pinv_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -q @ (inv * (q.T @ g))
 
 
+def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int):
+    """Damped Newton solve of residual(x) = 0, shared by search and continuation.
+
+    ``step(x, f)`` is the full Newton step at x, f = residual(x); it is
+    halved up to 30 times until ||f||_2^2 drops, and also when the trial
+    point collides.  Returns (x, f) once ||f||_inf < tol, within at most
+    ``max_iter`` steps.  Raises CollisionApproach if x collides and
+    NoConvergence when the line search stalls or the cap is reached.
+    """
+    try:
+        f = residual(x)
+    except (AngularCollision, VortexCollision) as exc:
+        raise CollisionApproach(str(exc)) from exc
+    for _ in range(max_iter):
+        if float(np.abs(f).max()) < tol:
+            return x, f
+        s = step(x, f)
+        f0 = float(f @ f)
+        alpha = 1.0
+        for _ in range(30):
+            trial = x + alpha * s
+            try:
+                ft = residual(trial)
+            except (AngularCollision, VortexCollision):
+                alpha *= 0.5
+                continue
+            if float(ft @ ft) < f0:
+                x, f = trial, ft
+                break
+            alpha *= 0.5
+        else:
+            raise NoConvergence("line search stalled before reaching tolerance")
+    if float(np.abs(f).max()) < tol:
+        return x, f
+    raise NoConvergence(f"no convergence within {max_iter} iterations")
+
+
 def _build_point(theta: np.ndarray, tol_zero: float) -> CriticalPoint:
     canon = canonicalize(theta)
     g = gradient(canon)
-    cls, report = _classify(canon, g, tol_zero)
-    residual = float(np.abs(g).max())
-    ev = report.eigenvalues.real
-    thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
-    morse = (
-        int(np.sum(ev < -thr)),
-        int(report.zero_count),
-        int(np.sum(ev > thr)),
-    )
+    cls, report, morse = _classify(canon, g, tol_zero)
     gaps = _cyclic_gaps(canon)
     mirrored = min(
         float(np.abs(gaps - np.roll(gaps[::-1], -k)).max()) for k in range(gaps.size)
@@ -131,7 +160,7 @@ def _build_point(theta: np.ndarray, tol_zero: float) -> CriticalPoint:
         cls=cls,
         spectrum=report,
         morse_index=morse,
-        residual=residual,
+        residual=float(np.abs(g).max()),
         value=potential(canon),
         reflection_symmetric=mirrored < 1e-8,
     )
@@ -145,39 +174,22 @@ def newton_refine(
 ) -> CriticalPoint:
     """Damped Newton refinement of theta0 to a critical point.
 
-    The step solves the Newton system through the Hessian pseudo-inverse on
-    the complement of the rotation direction; a backtracking line search on
-    ||grad V||^2 halves the step up to 30 times.  Convergence means
-    ||grad V||_inf < newton_tol.  Raises NoConvergence at the iteration cap
-    and CollisionApproach if angles collapse toward a collision.
+    Runs the shared driver ``_newton`` on grad V.  The step solves the
+    Newton system through the Hessian pseudo-inverse on the complement of
+    the rotation direction; the line search on ||grad V||^2 halves it up to
+    30 times.  Convergence means ||grad V||_inf < newton_tol within
+    ``max_iter`` Newton steps.  Raises NoConvergence at the iteration cap
+    or when the line search stalls, and CollisionApproach if the start
+    collides.
     """
-    th = np.array(theta0, dtype=float)
-    try:
-        g = gradient(th)
-    except AngularCollision as exc:
-        raise CollisionApproach(str(exc)) from exc
-    for _ in range(max_iter):
-        f0 = float(g @ g)
-        if float(np.abs(g).max()) < newton_tol:
-            return _build_point(th, tol_zero)
-        step = _pinv_step(hessian(th), g)
-        alpha = 1.0
-        for _ in range(30):
-            trial = th + alpha * step
-            try:
-                gt = gradient(trial)
-            except AngularCollision:
-                alpha *= 0.5
-                continue
-            if float(gt @ gt) < f0:
-                th, g = trial, gt
-                break
-            alpha *= 0.5
-        else:
-            raise NoConvergence("line search stalled before reaching tolerance")
-    if float(np.abs(g).max()) < newton_tol:
-        return _build_point(th, tol_zero)
-    raise NoConvergence(f"no convergence within {max_iter} iterations")
+    th, _ = _newton(
+        gradient,
+        lambda t, g: _pinv_step(hessian(t), g),
+        np.array(theta0, dtype=float),
+        newton_tol,
+        max_iter,
+    )
+    return _build_point(th, tol_zero)
 
 
 def sample_wedge(n: int, rng: np.random.Generator, delta: float = 1e-2) -> np.ndarray:

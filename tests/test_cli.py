@@ -253,6 +253,24 @@ def test_stability_verdicts(tmp_path, equilibria_path, capsys):
     assert mm[0] > mm[1] > mm[2]
 
 
+def test_negative_eps_pipeline(tmp_path, catalog4_path, capsys):
+    # argparse takes "-1e-3" after a space for a flag, so negative eps use "="
+    eq = tmp_path / "eq-neg.json"
+    code, _, _ = run(capsys, "continue", "--catalog", str(catalog4_path),
+                     "--eps=-1e-3,-1e-2", "--out", str(eq))
+    assert code == 0
+    data = json.loads(eq.read_text())
+    assert [e["epsilon"] for e in data["equilibria"]] == [-1e-3, -1e-2]
+    assert max(e["residual"] for e in data["equilibria"]) < 1e-12
+    out = tmp_path / "verdicts-neg.json"
+    code, _, _ = run(capsys, "stability", "--equilibria", str(eq), "--out", str(out))
+    assert code == 0
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert [v["epsilon"] for v in verdicts] == [-1e-3, -1e-2]
+    assert all(v["classification"] == "unstable" for v in verdicts)
+    assert all(v["n_zero"] == 2 for v in verdicts)
+
+
 def test_stability_deterministic(tmp_path, equilibria_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

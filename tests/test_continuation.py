@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from vortexeq import (
     Circulations,
+    CollisionApproach,
     DegenerateSeed,
     InsufficientFamily,
     InvalidEpsilon,
     NoConvergence,
+    PlanarConfiguration,
     VortexCollision,
     continue_equilibrium,
     epsilon_ceiling,
@@ -23,6 +25,7 @@ from vortexeq import (
     sweep_epsilon,
     verify_lemma1_scaling,
 )
+from vortexeq import continuation
 from vortexeq.continuation import _augmented_system, _mismatch, _mismatch_jacobian
 from vortexeq.spectra import SpectrumReport
 from vortexeq.search import CriticalPoint
@@ -178,12 +181,45 @@ def test_sweep_warm_start(min3_point):
 
 
 def test_sweep_partial_on_failure(min3_point):
-    # the first step converges within 4 iterations, the long jump does not
+    # the cold step to 1e-4 takes 2 Newton steps, the jump to 4e-2 takes 4
     with pytest.raises(NoConvergence) as info:
-        sweep_epsilon(min3_point, [1e-4, 4e-2], max_iter=4)
+        sweep_epsilon(min3_point, [1e-4, 4e-2], max_iter=3)
     partial = info.value.partial
     assert len(partial) == 1
     assert partial[0].epsilon == 1e-4
+
+
+def test_max_iter_counts_newton_steps(min3_point):
+    eq = continue_equilibrium(min3_point, 1e-4)
+    warm = np.concatenate((eq.r, eq.theta))
+    jumped = continue_equilibrium(min3_point, 4e-2, max_iter=4, _warm_start=warm)
+    assert jumped.residual < 1e-12
+    with pytest.raises(NoConvergence):
+        continue_equilibrium(min3_point, 4e-2, max_iter=3, _warm_start=warm)
+
+
+def test_residual_comes_from_the_last_newton_evaluation(monkeypatch):
+    calls = []
+    inner = continuation._mismatch
+    monkeypatch.setattr(
+        continuation, "_mismatch", lambda *args: calls.append(1) or inner(*args)
+    )
+    eq = continue_equilibrium(newton_refine(ngon(10)), 1e-3)
+    assert len(calls) == 4
+    assert eq.residual == np.abs(rotating_frame_residual(eq.r, eq.theta, 1e-3)).max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coincident_vortices_raise_typed_errors(min3_point):
+    for dy in (0.0, 1e-160):  # coincident, and 1/d^2 beyond the float range
+        with pytest.raises(VortexCollision):
+            PlanarConfiguration([[0.0, 0.0], [1.0, 0.0], [1.0, dy]], Circulations(1e-3))
+    with pytest.raises(VortexCollision):
+        rotating_frame_residual([1.0, 1.0, 1.0], [0.0, 0.0, 2.0], 1e-3)
+    with pytest.raises(CollisionApproach):
+        continue_equilibrium(
+            min3_point, 1e-3, _warm_start=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0])
+        )
 
 
 def test_sweep_rejects_zero(min3_point):
