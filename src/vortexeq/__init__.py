@@ -35,7 +35,6 @@ from .errors import (
     InsufficientFamily,
     InvalidEpsilon,
     InvalidN,
-    JacobianUnstable,
     NoConvergence,
     NotCritical,
     NotSymmetric,
@@ -63,21 +62,15 @@ from .search import (
 from .spectra import (
     SpectrumReport,
     block_determinant,
-    eig_general,
     eig_symmetric,
     ngon_spectrum_closed_form,
-    skew_inner,
 )
 from .stability import (
-    PairingReport,
     StabilityClass,
     StabilityVerdict,
-    TruncationReport,
     asymptotic_eigenvalues,
     cabral_schmidt_check,
     linearize,
     reduced_field,
-    skew_pairing_check,
     stability_verdict,
-    truncation_crosscheck,
 )

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .continuation import (
     RelativeEquilibrium,
-    continue_equilibrium,
+    rotating_frame_residual,
     sweep_epsilon,
     verify_lemma1_scaling,
 )
@@ -119,12 +119,7 @@ def _family_from_record(rec: dict) -> CriticalPoint:
     """Rebuild a catalog entry without re-solving (keeps synthetic inputs)."""
     eig = np.asarray(rec["spectrum"], dtype=float)
     morse = tuple(int(k) for k in rec["morse_index"])
-    spectrum = SpectrumReport(
-        eigenvalues=eig,
-        zero_count=morse[1],
-        tol_used=0.0,
-        is_real_spectrum=True,
-    )
+    spectrum = SpectrumReport(eigenvalues=eig, zero_count=morse[1], tol_used=0.0)
     return CriticalPoint(
         config=np.asarray(rec["angles"], dtype=float),
         cls=CriticalPointClass(rec["class"]),
@@ -147,12 +142,18 @@ def _equilibrium_record(eq: RelativeEquilibrium) -> dict:
 
 
 def _equilibrium_from_record(rec: dict) -> RelativeEquilibrium:
+    """Rebuild an equilibrium; the residual is recomputed, not read."""
+    r = np.asarray(rec["r"], dtype=float)
+    theta = np.asarray(rec["theta"], dtype=float)
+    epsilon = float(rec["epsilon"])
+    omega = float(rec["omega"])
+    residual = rotating_frame_residual(r, theta, epsilon, omega)
     return RelativeEquilibrium(
-        r=np.asarray(rec["r"], dtype=float),
-        theta=np.asarray(rec["theta"], dtype=float),
-        epsilon=float(rec["epsilon"]),
-        omega=float(rec["omega"]),
-        residual=float(rec["residual"]),
+        r=r,
+        theta=theta,
+        epsilon=epsilon,
+        omega=omega,
+        residual=float(np.abs(residual).max()),
     )
 
 

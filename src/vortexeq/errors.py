@@ -76,6 +76,3 @@ class CollisionAbort(VortexEqError):
         super().__init__(message)
         self.trajectory = trajectory
 
-
-class JacobianUnstable(VortexEqError):
-    """Finite-difference Jacobian failed its step-halving consistency check."""

@@ -1,9 +1,9 @@
-"""Eigenvalue utilities: dense solvers, the ring spectrum in closed form,
-block determinants, and the skew (symplectic) inner product."""
+"""Eigenvalue utilities: the symmetric eigensolver, the ring spectrum in
+closed form, and block determinants."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     zero_count: int
     tol_used: float
-    is_real_spectrum: bool
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
-
-
-def _sorted_spectrum(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))
-    return values[order], order
 
 
 def _count_zeros(values: np.ndarray, tol: float) -> int:
@@ -46,15 +39,11 @@ def _count_zeros(values: np.ndarray, tol: float) -> int:
     return int(np.sum(mags < tol * max(1.0, radius)))
 
 
-def eig_symmetric(
-    s, tol: float = 1e-9, want_vectors: bool = False
-) -> SpectrumReport:
-    """Full spectrum of a real symmetric matrix.
+def eig_symmetric(s, tol: float = 1e-9) -> SpectrumReport:
+    """Full spectrum of a real symmetric matrix, in ascending order.
 
     Symmetry is required within 1e-12 relative sup-norm (NotSymmetric
-    otherwise).  Eigenvectors, when requested, are orthonormal columns in the
-    sorted eigenvalue order, sign-fixed so the largest-magnitude component of
-    each is positive.
+    otherwise).
     """
     m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -63,46 +52,13 @@ def eig_symmetric(
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
     try:
-        ev, vec = np.linalg.eigh(0.5 * (m + m.T))
+        # eigh, not eigvalsh: LAPACK takes another path without vectors and
+        # the eigenvalues move in the last bits
+        values = np.linalg.eigh(0.5 * (m + m.T))[0].astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
-    values, order = _sorted_spectrum(ev.astype(complex))
-    vec = vec[:, order]
-    flip = np.take_along_axis(
-        vec, np.abs(vec).argmax(axis=0)[None, :], axis=0
-    )[0]
-    vec = vec * np.where(flip < 0.0, -1.0, 1.0)
     return SpectrumReport(
-        eigenvalues=values,
-        zero_count=_count_zeros(values, tol),
-        tol_used=tol,
-        is_real_spectrum=True,
-        eigenvectors=vec if want_vectors else None,
-    )
-
-
-def eig_general(m, tol: float = 1e-9, want_vectors: bool = False) -> SpectrumReport:
-    """Full spectrum of a general real matrix (complex eigenvalues allowed)."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        ev, vec = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    values, order = _sorted_spectrum(ev.astype(complex))
-    vec = vec[:, order]
-    mags = np.abs(values)
-    radius = mags.max() if mags.size else 0.0
-    is_real = bool(np.abs(values.imag).max(initial=0.0) <= tol * max(1.0, radius))
-    return SpectrumReport(
-        eigenvalues=values,
-        zero_count=_count_zeros(values, tol),
-        tol_used=tol,
-        is_real_spectrum=is_real,
-        eigenvectors=vec if want_vectors else None,
+        eigenvalues=values, zero_count=_count_zeros(values, tol), tol_used=tol
     )
 
 
@@ -158,17 +114,3 @@ def block_determinant(a, b, c, d) -> tuple[float, float, float]:
     det_a = float(np.linalg.det(a) * np.linalg.det(d - c @ np.linalg.solve(a, b)))
     det_d = float(np.linalg.det(d) * np.linalg.det(a - b @ np.linalg.solve(d, c)))
     return det_full, det_a, det_d
-
-
-def skew_inner(v, w) -> complex:
-    """Skew-symmetric product v^T J w with J = [[0, -I], [I, 0]].
-
-    Bilinear (no conjugation): skew_inner(v, v) = 0 for real v, and the
-    product is antisymmetric under swapping the arguments.
-    """
-    v = np.asarray(v)
-    w = np.asarray(w)
-    if v.ndim != 1 or w.ndim != 1 or v.size != w.size or v.size % 2:
-        raise DimensionMismatch("expected two equal-length even-dimension vectors")
-    n = v.size // 2
-    return complex(v[n:] @ w[:n] - v[:n] @ w[n:])

@@ -9,11 +9,15 @@ For a seed Hessian eigenvalue zeta != 0 the matching pair is asymptotically
 +/- sqrt(-2 zeta eps): imaginary when zeta eps > 0, real otherwise.  Summed
 over modes this yields the dichotomy: stable for eps > 0 iff the seed is a
 local minimum, stable for eps < 0 iff it is a local maximum.
+
+The linearization is built in closed form from the Biot-Savart Jacobian of
+``continuation``; the tests check it against complex step and central
+differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,14 +28,10 @@ from .continuation import (
     _mismatch_jacobian,
     continue_equilibrium,
 )
-from .errors import DegenerateSeed, JacobianUnstable
-from .potential import hessian, ngon
+from .errors import DegenerateSeed
+from .potential import ngon
 from .search import CriticalPoint, newton_refine
-from .spectra import SpectrumReport, skew_inner
-
-# Largest relative disagreement between the closed-form Jacobian and its
-# central-difference checks.
-_FD_CHECK_TOL = 1e-5
+from .spectra import SpectrumReport
 
 # An eigenvalue is imaginary when |Re lambda| <= this times |lambda|.
 _IMAG_REL_TOL = 1e-4
@@ -52,27 +52,6 @@ class StabilityVerdict:
     instability_count: int
 
 
-@dataclass
-class PairingReport:
-    """Skew products Omega(v, conj(v)) for the nonzero-eigenvalue modes."""
-
-    eigenvalues: np.ndarray
-    pairings: np.ndarray
-    normalized: np.ndarray  # |Omega| / sqrt(|eps|)
-    threshold: float
-    all_nondegenerate: bool
-
-
-@dataclass
-class TruncationReport:
-    """Block-wise distance between the exact linearization and its
-    leading-order model [[-eps A, eps V_tt], [-2 I, eps A]]."""
-
-    epsilon: float
-    block_errors: dict = field(default_factory=dict)
-    expected_orders: dict = field(default_factory=dict)
-
-
 def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
     """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - omega).
 
@@ -82,20 +61,17 @@ def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
     return np.concatenate((a, b / np.asarray(r)))
 
 
-def linearize(eq: RelativeEquilibrium, fd_step: float = 1e-7) -> np.ndarray:
-    """Jacobian of the exact reduced field at an equilibrium.
+def linearize(eq: RelativeEquilibrium) -> np.ndarray:
+    """Closed-form Jacobian of the reduced field at an equilibrium.
 
-    State ordering is (r_1..r_N, theta_1..theta_N).  The Jacobian is in
-    closed form; central differences at steps h and h/2 (h = fd_step *
-    scale) must still agree with it to 1e-5 relative, otherwise
-    JacobianUnstable is raised.
+    State ordering is (r_1..r_N, theta_1..theta_N).  The rows are the
+    mismatch Jacobian rotated into radial and tangential parts, with the
+    tangential rows divided by r.  Raises ValueError when the equilibrium's
+    residual is 1e-10 or more.
     """
     if eq.residual >= 1e-10:
         raise ValueError(f"equilibrium residual {eq.residual:.3e} >= 1e-10")
     n = eq.n
-    x0 = np.concatenate((eq.r, eq.theta))
-    func = lambda z: reduced_field(z[:n], z[n:], eq.epsilon, eq.omega)
-
     # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
     a, b, ct, st = _mismatch(eq.r, eq.theta, eq.epsilon, eq.omega)
     rot = _mismatch_jacobian(eq.r, eq.theta, eq.epsilon, eq.omega)
@@ -104,26 +80,6 @@ def linearize(eq: RelativeEquilibrium, fd_step: float = 1e-7) -> np.ndarray:
     rot[k, k + n] -= 1j * (a + 1j * b)
     jac = np.vstack((rot.real, rot.imag / eq.r[:, None]))
     jac[k + n, k] -= b / eq.r**2
-
-    scale = max(1.0, float(np.abs(x0).max()))
-    h = fd_step * scale
-
-    def central(step: float) -> np.ndarray:
-        cols = []
-        for k in range(2 * n):
-            e = np.zeros(2 * n)
-            e[k] = step
-            cols.append((func(x0 + e) - func(x0 - e)) / (2.0 * step))
-        return np.column_stack(cols)
-
-    j1 = central(h)
-    j2 = central(0.5 * h)
-    ref = max(1.0, float(np.abs(j1).max()))
-    if np.abs(j1 - j2).max() > _FD_CHECK_TOL * ref:
-        raise JacobianUnstable("central differences at h and h/2 disagree")
-    richardson = (4.0 * j2 - j1) / 3.0
-    if np.abs(jac - richardson).max() > _FD_CHECK_TOL * ref:
-        raise JacobianUnstable("closed form and extrapolated differences disagree")
     return jac
 
 
@@ -179,10 +135,7 @@ def stability_verdict(eq: RelativeEquilibrium, tol: float = 1e-6) -> StabilityVe
     noise = np.abs(full.real) <= _IMAG_REL_TOL * np.abs(full)
     order = np.lexsort((full.imag, np.where(noise, 0.0, full.real)))
     spectrum = SpectrumReport(
-        eigenvalues=full[order],
-        zero_count=n_zero,
-        tol_used=zero_abs,
-        is_real_spectrum=bool(np.abs(full.imag).max(initial=0.0) < zero_abs),
+        eigenvalues=full[order], zero_count=n_zero, tol_used=zero_abs
     )
     return StabilityVerdict(
         classification=cls,
@@ -212,79 +165,6 @@ def asymptotic_eigenvalues(cp: CriticalPoint, epsilon: float) -> np.ndarray:
     arr = np.asarray(out, dtype=complex)
     order = np.lexsort((arr.imag, arr.real))
     return arr[order]
-
-
-def skew_pairing_check(eq: RelativeEquilibrium) -> PairingReport:
-    """Skew products Omega(v, conj(v)) for the 2N-2 non-symmetry modes.
-
-    Eigenvectors are normalized to unit length; a mode is nondegenerately
-    paired when |Omega| exceeds 0.1 * sqrt(|eps|).  Report-only.
-    """
-    mat = linearize(eq)
-    values, vectors = np.linalg.eig(mat)
-    order = np.argsort(-np.abs(values))[: mat.shape[0] - 2]
-    lam = values[order]
-    pairings = np.empty(lam.size, dtype=complex)
-    for i, k in enumerate(order):
-        v = vectors[:, k]
-        v = v / np.linalg.norm(v)
-        pairings[i] = skew_inner(v, np.conj(v))
-    threshold = 0.1 * np.sqrt(abs(eq.epsilon))
-    normalized = np.abs(pairings) / np.sqrt(abs(eq.epsilon))
-    return PairingReport(
-        eigenvalues=lam,
-        pairings=pairings,
-        normalized=normalized,
-        threshold=threshold,
-        all_nondegenerate=bool(np.all(np.abs(pairings) > threshold)),
-    )
-
-
-def _sine_coupling(phi: np.ndarray) -> np.ndarray:
-    a = np.sin(phi[None, :] - phi[:, None])  # a[i, j] = sin(phi_j - phi_i)
-    np.fill_diagonal(a, 0.0)
-    np.fill_diagonal(a, -a.sum(axis=1))  # a_ii = sum_j sin(phi_i - phi_j)
-    return a
-
-
-def truncation_crosscheck(eq: RelativeEquilibrium) -> TruncationReport:
-    """Compare the exact linearization against its leading-order model.
-
-    The model, assembled from the seed angles phi, is
-    [[-eps A, eps V_tt(phi)], [-2 I, eps A]] with a_ij = sin(phi_j - phi_i)
-    and a_ii = sum_{j != i} sin(phi_i - phi_j).  Off the lower-left block the
-    model truncates at O(eps^2); the lower-left block truncates at O(eps).
-    Report-only: the stated orders are meant to be verified by comparing
-    reports at eps and eps/10.
-    """
-    if eq.source is None:
-        raise ValueError("equilibrium carries no seed critical point")
-    phi = eq.source.config
-    n = phi.size
-    eps = eq.epsilon
-    a = _sine_coupling(phi)
-    vtt = hessian(phi)
-    model = np.block(
-        [[-eps * a, eps * vtt], [-2.0 * np.eye(n), eps * a]]
-    )
-    exact = linearize(eq)
-    diff = exact - model
-    blocks = {
-        "upper_left": diff[:n, :n],
-        "upper_right": diff[:n, n:],
-        "lower_left": diff[n:, :n],
-        "lower_right": diff[n:, n:],
-    }
-    return TruncationReport(
-        epsilon=eps,
-        block_errors={k: float(np.abs(v).max()) for k, v in blocks.items()},
-        expected_orders={
-            "upper_left": 2,
-            "upper_right": 2,
-            "lower_left": 1,
-            "lower_right": 2,
-        },
-    )
 
 
 def cabral_schmidt_check(

@@ -271,6 +271,24 @@ def test_negative_eps_pipeline(tmp_path, catalog4_path, capsys):
     assert all(v["n_zero"] == 2 for v in verdicts)
 
 
+def test_stability_recomputes_the_residual(tmp_path, equilibria_path, capsys):
+    # theta_1 moved by 1e-3 leaves the stored residual at roundoff, but the
+    # state is no longer an equilibrium (true residual about 8e-6)
+    data = json.loads(equilibria_path.read_text())
+    rec = dict(data["equilibria"][1])
+    assert rec["epsilon"] == 1e-3 and rec["residual"] < 1e-12
+    rec["theta"] = [rec["theta"][0] + 1e-3] + rec["theta"][1:]
+    data["equilibria"] = [rec]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "verdicts.json"
+    code, _, err = run(capsys, "stability", "--equilibria", str(bad),
+                       "--out", str(out))
+    assert code == 1
+    assert "residual" in err
+    assert not out.exists()
+
+
 def test_stability_deterministic(tmp_path, equilibria_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

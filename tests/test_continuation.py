@@ -19,8 +19,10 @@ from vortexeq import (
     continue_equilibrium,
     epsilon_ceiling,
     gradient,
+    linearize,
     newton_refine,
     ngon,
+    reduced_field,
     rotating_frame_residual,
     sweep_epsilon,
     verify_lemma1_scaling,
@@ -54,6 +56,38 @@ def cs_jacobian(func, x):
     return np.column_stack(cols)
 
 
+# Largest relative disagreement allowed in the central-difference check of
+# linearize.
+FD_CHECK_TOL = 1e-5
+
+
+def fd_disagreement(eq, fd_step=1e-7):
+    """Relative disagreement of linearize(eq) with central differences.
+
+    Differences at h = fd_step * max(1, |x|) and h/2 must agree with each
+    other, and their Richardson extrapolation with the closed form.  Returns
+    the larger of the two sup-norm gaps over max(1, |J_h|).
+    """
+    n = eq.n
+    x0 = np.concatenate((eq.r, eq.theta))
+    h = fd_step * max(1.0, float(np.abs(x0).max()))
+    func = lambda z: reduced_field(z[:n], z[n:], eq.epsilon, eq.omega)
+
+    def central(step):
+        cols = []
+        for k in range(2 * n):
+            e = np.zeros(2 * n)
+            e[k] = step
+            cols.append((func(x0 + e) - func(x0 - e)) / (2.0 * step))
+        return np.column_stack(cols)
+
+    j1 = central(h)
+    j2 = central(0.5 * h)
+    richardson = (4.0 * j2 - j1) / 3.0
+    gap = max(np.abs(j1 - j2).max(), np.abs(linearize(eq) - richardson).max())
+    return gap / max(1.0, float(np.abs(j1).max()))
+
+
 def off_equilibrium_state(n, seed):
     """Radii within 10% of 1 and angles within 30% of a gap of the n-gon."""
     rng = np.random.default_rng(seed)
@@ -64,7 +98,7 @@ def off_equilibrium_state(n, seed):
 
 def make_degenerate_point():
     eig = np.array([0.0, 0.0, 1.0])
-    spectrum = SpectrumReport(eig, zero_count=2, tol_used=1e-9, is_real_spectrum=True)
+    spectrum = SpectrumReport(eig, zero_count=2, tol_used=1e-9)
     return CriticalPoint(
         config=np.array([0.0, 2.0, 4.0]),
         cls=CriticalPointClass.DEGENERATE,

@@ -1,4 +1,4 @@
-"""Eigen solvers, ring spectrum closed form, block determinants, skew product."""
+"""Symmetric eigensolver, ring spectrum closed form, block determinants."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from vortexeq import (
     NotSymmetric,
     SingularBlock,
     block_determinant,
-    eig_general,
     eig_symmetric,
     hessian,
     ngon,
     ngon_spectrum_closed_form,
-    skew_inner,
 )
 
 
@@ -22,17 +20,16 @@ def test_eig_symmetric_known_2x2():
     report = eig_symmetric([[1.5, -1.5], [-1.5, 1.5]])
     np.testing.assert_allclose(report.eigenvalues.real, [0.0, 3.0], atol=1e-12)
     assert report.zero_count == 1
-    assert report.is_real_spectrum
 
 
 def test_eig_symmetric_sorted_and_orthonormal():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((8, 8))
     s = a + a.T
-    report = eig_symmetric(s, want_vectors=True)
-    ev = report.eigenvalues.real
+    ev = eig_symmetric(s).eigenvalues.real
     assert np.all(np.diff(ev) >= -1e-12)
-    v = report.eigenvectors
+    # the reported order is the column order of the orthonormal eigenbasis
+    v = np.linalg.eigh(s)[1]
     np.testing.assert_allclose(v.T @ v, np.eye(8), atol=1e-12)
     np.testing.assert_allclose(s @ v, v * ev, atol=1e-10)
 
@@ -40,23 +37,6 @@ def test_eig_symmetric_sorted_and_orthonormal():
 def test_eig_symmetric_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         eig_symmetric([[0.0, 1.0], [0.5, 0.0]])
-
-
-def test_eig_general_conjugate_pair():
-    report = eig_general([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(
-        np.sort_complex(report.eigenvalues), [-1j, 1j], atol=1e-12
-    )
-    assert not report.is_real_spectrum
-
-
-def test_eig_general_agrees_with_symmetric_path():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((6, 6))
-    s = a + a.T
-    ev_g = np.sort(eig_general(s).eigenvalues.real)
-    ev_s = np.sort(eig_symmetric(s).eigenvalues.real)
-    np.testing.assert_allclose(ev_g, ev_s, atol=1e-10)
 
 
 def test_ring_closed_form_small_cases():
@@ -127,43 +107,3 @@ def test_block_determinant_singular_block():
 def test_block_determinant_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         block_determinant(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
-
-
-def test_skew_inner_antisymmetric_bilinear():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(8)
-    w = rng.standard_normal(8)
-    u = rng.standard_normal(8)
-    assert skew_inner(v, w) == pytest.approx(-skew_inner(w, v), abs=1e-12)
-    assert skew_inner(v, v) == pytest.approx(0.0, abs=1e-12)
-    lhs = skew_inner(v, 2.0 * w + u)
-    rhs = 2.0 * skew_inner(v, w) + skew_inner(v, u)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_skew_inner_canonical_pairs():
-    n = 3
-    v = np.zeros(2 * n)
-    w = np.zeros(2 * n)
-    v[0] = 1.0
-    w[n] = 1.0
-    assert abs(skew_inner(v, w)) == pytest.approx(1.0, abs=1e-15)
-    # same-half vectors pair to zero
-    w2 = np.zeros(2 * n)
-    w2[1] = 1.0
-    assert skew_inner(v, w2) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_skew_inner_conjugate_is_pure_imaginary():
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    omega = skew_inner(v, np.conj(v))
-    assert abs(omega.real) < 1e-12
-    assert abs(omega.imag) > 1e-3
-
-
-def test_skew_inner_dimension_checks():
-    with pytest.raises(DimensionMismatch):
-        skew_inner(np.ones(3), np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        skew_inner(np.ones(4), np.ones(6))

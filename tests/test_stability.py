@@ -1,4 +1,5 @@
-"""Linearization, stability verdicts, asymptotic spectra, pairing checks."""
+"""Linearization, stability verdicts, asymptotic spectra, and the paper's
+pairing and truncation claims checked against the exact linearization."""
 
 import dataclasses
 
@@ -7,7 +8,6 @@ import pytest
 
 from vortexeq import (
     DegenerateSeed,
-    JacobianUnstable,
     RelativeEquilibrium,
     StabilityClass,
     asymptotic_eigenvalues,
@@ -19,17 +19,24 @@ from vortexeq import (
     ngon,
     reduced_field,
     rotating_frame_residual,
-    skew_pairing_check,
     stability_verdict,
-    truncation_crosscheck,
 )
 from vortexeq.continuation import _mismatch
+from vortexeq.stability import _structural_deflation
 from tests.test_continuation import (
+    FD_CHECK_TOL,
     JACOBIAN_CASES,
     cs_jacobian,
+    fd_disagreement,
     make_degenerate_point,
     off_equilibrium_state,
 )
+
+# Equilibria for the central-difference check: the conftest fixtures, then
+# (N, eps) rings.
+FD_EQUILIBRIA = ["triangle_eq", "collinear_eq", "min3_eq"] + [
+    (n, eps) for n in (4, 5, 10) for eps in (1e-3, -1e-3)
+]
 
 
 def test_reduced_field_vanishes_at_equilibrium(min3_eq):
@@ -69,9 +76,18 @@ def test_linearize_matches_complex_step(n, eps):
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("case", FD_EQUILIBRIA, ids=str)
+def test_linearize_matches_central_differences(request, ring_points, case):
+    if isinstance(case, str):
+        eq = request.getfixturevalue(case)
+    else:
+        n, eps = case
+        eq = continue_equilibrium(ring_points[n], eps)
+    assert fd_disagreement(eq) <= FD_CHECK_TOL
+
+
 def test_linearize_flags_bad_step(min3_eq):
-    with pytest.raises(JacobianUnstable):
-        linearize(min3_eq, fd_step=0.5)
+    assert fd_disagreement(min3_eq, fd_step=0.5) > FD_CHECK_TOL
 
 
 def test_verdict_dichotomy_pair():
@@ -84,6 +100,21 @@ def test_verdict_dichotomy_pair():
     assert unstable.classification is StabilityClass.LINEARLY_UNSTABLE
     assert unstable.instability_count == 1
     assert unstable.max_real_part == pytest.approx(np.sqrt(6e-3), rel=0.02)
+
+
+def test_verdict_falls_back_to_raw_spectrum():
+    # off equilibrium the symmetry directions are not invariant, so the
+    # verdict reports the raw eigenvalues less the two smallest in magnitude
+    r, theta = off_equilibrium_state(3, seed=3)
+    eq = RelativeEquilibrium(r=r, theta=theta, epsilon=1e-3, omega=1.3, residual=0.0)
+    mat = linearize(eq)
+    assert _structural_deflation(mat, eq)[1] > 1e-6 * np.abs(mat).max()
+    raw = np.linalg.eigvals(mat)
+    raw = raw[np.argsort(np.abs(raw))][2:]
+    reported = stability_verdict(eq).spectrum.eigenvalues
+    np.testing.assert_array_equal(
+        np.sort_complex(reported), np.sort_complex(np.concatenate((np.zeros(2), raw)))
+    )
 
 
 def test_verdict_spectrum_structure(triangle_eq):
@@ -141,30 +172,49 @@ def test_asymptotic_rejects_degenerate():
 
 
 def test_skew_pairing_triangle(triangle_eq):
-    report = skew_pairing_check(triangle_eq)
-    assert report.all_nondegenerate
-    assert report.normalized.min() > 0.1
-    assert report.eigenvalues.size == 2
+    # Hamiltonian pairing: each unit mode v off the symmetry block has
+    # |Omega(v, conj v)| > 0.1 sqrt|eps|, Omega(v, w) = v^T [[0, -I], [I, 0]] w
+    n = triangle_eq.n
+    values, vectors = np.linalg.eig(linearize(triangle_eq))
+    keep = np.argsort(-np.abs(values))[: 2 * n - 2]
+    v = vectors[:, keep] / np.linalg.norm(vectors[:, keep], axis=0)
+    omega = (v[n:] * np.conj(v[:n]) - v[:n] * np.conj(v[n:])).sum(axis=0)
+    assert keep.size == 2
+    assert np.all(np.abs(omega) > 0.1 * np.sqrt(abs(triangle_eq.epsilon)))
+
+
+def truncation_errors(eq):
+    """Block-wise sup distance from linearize(eq) to its leading-order model.
+
+    The model at the seed angles phi is [[-eps A, eps V_tt], [-2 I, eps A]]
+    with a_ij = sin(phi_j - phi_i) and a_ii = sum_{j != i} sin(phi_i - phi_j).
+    """
+    phi = eq.source.config
+    n = phi.size
+    eps = eq.epsilon
+    a = np.sin(phi[None, :] - phi[:, None])
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    model = np.block([[-eps * a, eps * hessian(phi)], [-2.0 * np.eye(n), eps * a]])
+    diff = np.abs(linearize(eq) - model)
+    return {
+        "upper_left": diff[:n, :n].max(),
+        "upper_right": diff[:n, n:].max(),
+        "lower_left": diff[n:, :n].max(),
+        "lower_right": diff[n:, n:].max(),
+    }
 
 
 def test_truncation_error_orders(min3_point):
+    # the model truncates at O(eps^2), except the lower-left block at O(eps)
     errs = {}
     for eps in (1e-3, 1e-4):
-        eq = continue_equilibrium(min3_point, eps)
-        errs[eps] = truncation_crosscheck(eq).block_errors
+        errs[eps] = truncation_errors(continue_equilibrium(min3_point, eps))
     orders = {"upper_left": 2, "upper_right": 2, "lower_left": 1, "lower_right": 2}
     for block, expected in orders.items():
         ratio = errs[1e-3][block] / errs[1e-4][block]
         target = 10.0 ** expected
         assert target / 2 < ratio < target * 2, (block, ratio)
-
-
-def test_truncation_report_fields(min3_eq):
-    report = truncation_crosscheck(min3_eq)
-    assert report.epsilon == min3_eq.epsilon
-    expected = {"upper_left": 2, "upper_right": 2, "lower_left": 1, "lower_right": 2}
-    assert set(report.block_errors) == set(expected)
-    assert report.expected_orders == expected
 
 
 def test_ring_instability_counts():
