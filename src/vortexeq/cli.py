@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .continuation import (
     RelativeEquilibrium,
-    rotating_frame_residual,
     sweep_epsilon,
     verify_lemma1_scaling,
 )
@@ -142,18 +141,12 @@ def _equilibrium_record(eq: RelativeEquilibrium) -> dict:
 
 
 def _equilibrium_from_record(rec: dict) -> RelativeEquilibrium:
-    """Rebuild an equilibrium; the residual is recomputed, not read."""
-    r = np.asarray(rec["r"], dtype=float)
-    theta = np.asarray(rec["theta"], dtype=float)
-    epsilon = float(rec["epsilon"])
-    omega = float(rec["omega"])
-    residual = rotating_frame_residual(r, theta, epsilon, omega)
     return RelativeEquilibrium(
-        r=r,
-        theta=theta,
-        epsilon=epsilon,
-        omega=omega,
-        residual=float(np.abs(residual).max()),
+        r=np.asarray(rec["r"], dtype=float),
+        theta=np.asarray(rec["theta"], dtype=float),
+        epsilon=float(rec["epsilon"]),
+        omega=float(rec["omega"]),
+        residual=float(rec["residual"]),
     )
 
 

@@ -11,8 +11,7 @@ over modes this yields the dichotomy: stable for eps > 0 iff the seed is a
 local minimum, stable for eps < 0 iff it is a local maximum.
 
 The linearization is built in closed form from the Biot-Savart Jacobian of
-``continuation``; the tests check it against complex step and central
-differences.
+``continuation``, at states where the reduced field is below 1e-10.
 """
 
 from __future__ import annotations
@@ -64,31 +63,42 @@ def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
 def linearize(eq: RelativeEquilibrium) -> np.ndarray:
     """Closed-form Jacobian of the reduced field at an equilibrium.
 
-    State ordering is (r_1..r_N, theta_1..theta_N).  The rows are the
-    mismatch Jacobian rotated into radial and tangential parts, with the
-    tangential rows divided by r.  Raises ValueError when the equilibrium's
-    residual is 1e-10 or more.
+    State ordering is (r_1..r_N, theta_1..theta_N).  Raises ValueError when
+    the reduced field at the state is 1e-10 or more in magnitude; the stored
+    ``eq.residual`` is not read.
     """
-    if eq.residual >= 1e-10:
-        raise ValueError(f"equilibrium residual {eq.residual:.3e} >= 1e-10")
-    n = eq.n
+    residual = float(np.abs(reduced_field(eq.r, eq.theta, eq.epsilon, eq.omega)).max())
+    if residual >= 1e-10:
+        raise ValueError(f"equilibrium residual {residual:.3e} >= 1e-10")
+    return _reduced_jacobian(eq.r, eq.theta, eq.epsilon, eq.omega)
+
+
+def _reduced_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
+    """Jacobian of ``reduced_field`` at any state, in closed form.
+
+    The rows are the mismatch Jacobian rotated into radial and tangential
+    parts, with the tangential rows divided by r.
+    """
+    n = r.size
     # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
-    a, b, ct, st = _mismatch(eq.r, eq.theta, eq.epsilon, eq.omega)
-    rot = _mismatch_jacobian(eq.r, eq.theta, eq.epsilon, eq.omega)
+    a, b, ct, st = _mismatch(r, theta, epsilon, omega)
+    rot = _mismatch_jacobian(r, theta, epsilon, omega)
     rot *= (ct - 1j * st)[:, None]
     k = np.arange(n)
     rot[k, k + n] -= 1j * (a + 1j * b)
-    jac = np.vstack((rot.real, rot.imag / eq.r[:, None]))
-    jac[k + n, k] -= b / eq.r**2
+    jac = np.vstack((rot.real, rot.imag / r[:, None]))
+    jac[k + n, k] -= b / r**2
     return jac
 
 
-def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium):
-    """Split off the exact two-dimensional symmetry block.
+def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium) -> np.ndarray:
+    """Eigenvalues of the linearization less the two-dimensional symmetry block.
 
     The rotation direction (0, 1..1) and the scaling direction (r, 0) span an
-    invariant subspace on which the linearization is nilpotent.  Returns the
-    eigenvalues of the complementary block and the invariance defect.
+    invariant subspace on which the linearization is nilpotent.  The reduced
+    field is rotation invariant, so the first is mapped to 0 exactly; the
+    second is mapped into the subspace up to twice the field, which
+    ``linearize`` bounds by 1e-10.
     """
     n = eq.n
     w_rot = np.concatenate((np.zeros(n), np.ones(n))) / np.sqrt(n)
@@ -96,9 +106,7 @@ def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium):
     w_scl = w_scl / np.linalg.norm(w_scl)
     q, _ = np.linalg.qr(np.column_stack((w_rot, w_scl)), mode="complete")
     b = q.T @ mat @ q
-    defect = float(np.abs(b[2:, :2]).max())
-    rest = np.linalg.eigvals(b[2:, 2:])
-    return rest, defect
+    return np.linalg.eigvals(b[2:, 2:])
 
 
 def stability_verdict(eq: RelativeEquilibrium, tol: float = 1e-6) -> StabilityVerdict:
@@ -111,14 +119,8 @@ def stability_verdict(eq: RelativeEquilibrium, tol: float = 1e-6) -> StabilityVe
     |lambda|.  ``instability_count`` is the number of eigenvalues with real
     part above that relative threshold.
     """
-    mat = linearize(eq)
-    rest, defect = _structural_deflation(mat, eq)
+    rest = _structural_deflation(linearize(eq), eq)
     zero_abs = tol * np.sqrt(abs(eq.epsilon))
-    if defect > max(1e-8, 1e-6 * float(np.abs(mat).max())):
-        # symmetry structure not usable; fall back to the raw spectrum
-        rest = np.linalg.eigvals(mat)
-        order = np.argsort(np.abs(rest))
-        rest = rest[order][2:]
     extra = int(np.sum(np.abs(rest) < zero_abs))
     n_zero = 2 + extra
     nonzero = rest[np.abs(rest) >= zero_abs]

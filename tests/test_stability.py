@@ -22,7 +22,7 @@ from vortexeq import (
     stability_verdict,
 )
 from vortexeq.continuation import _mismatch
-from vortexeq.stability import _structural_deflation
+from vortexeq.stability import _reduced_jacobian
 from tests.test_continuation import (
     FD_CHECK_TOL,
     JACOBIAN_CASES,
@@ -45,9 +45,12 @@ def test_reduced_field_vanishes_at_equilibrium(min3_eq):
 
 
 def test_linearize_requires_equilibrium(min3_eq):
-    junk = dataclasses.replace(min3_eq, residual=1e-6)
-    with pytest.raises(ValueError):
-        linearize(junk)
+    # the field at the state decides, not the stored residual
+    moved = dataclasses.replace(min3_eq, theta=min3_eq.theta + [1e-3, 0.0, 0.0])
+    with pytest.raises(ValueError, match="residual"):
+        linearize(moved)
+    stale = dataclasses.replace(min3_eq, residual=1e-6)
+    np.testing.assert_array_equal(linearize(stale), linearize(min3_eq))
 
 
 def test_linearize_block_structure(min3_eq):
@@ -68,11 +71,9 @@ def test_linearize_matches_complex_step(n, eps):
     a, b = _mismatch(r, theta, eps, 1.3)[:2]
     # off equilibrium, so the -i (a + i b) and -b / r^2 diagonal terms count
     assert np.abs(a).max() > 1e-5 and np.abs(b).max() > 1e-2
-    # linearize trusts the stored residual; the Jacobian holds at any state
-    eq = RelativeEquilibrium(r=r, theta=theta, epsilon=eps, omega=1.3, residual=0.0)
     x = np.concatenate((r, theta))
     ref = cs_jacobian(lambda z: reduced_field(z[:n], z[n:], eps, 1.3), x)
-    jac = linearize(eq)
+    jac = _reduced_jacobian(r, theta, eps, 1.3)
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -100,21 +101,6 @@ def test_verdict_dichotomy_pair():
     assert unstable.classification is StabilityClass.LINEARLY_UNSTABLE
     assert unstable.instability_count == 1
     assert unstable.max_real_part == pytest.approx(np.sqrt(6e-3), rel=0.02)
-
-
-def test_verdict_falls_back_to_raw_spectrum():
-    # off equilibrium the symmetry directions are not invariant, so the
-    # verdict reports the raw eigenvalues less the two smallest in magnitude
-    r, theta = off_equilibrium_state(3, seed=3)
-    eq = RelativeEquilibrium(r=r, theta=theta, epsilon=1e-3, omega=1.3, residual=0.0)
-    mat = linearize(eq)
-    assert _structural_deflation(mat, eq)[1] > 1e-6 * np.abs(mat).max()
-    raw = np.linalg.eigvals(mat)
-    raw = raw[np.argsort(np.abs(raw))][2:]
-    reported = stability_verdict(eq).spectrum.eigenvalues
-    np.testing.assert_array_equal(
-        np.sort_complex(reported), np.sort_complex(np.concatenate((np.zeros(2), raw)))
-    )
 
 
 def test_verdict_spectrum_structure(triangle_eq):
