@@ -39,7 +39,7 @@ from .errors import (
 from .potential import CriticalPointClass
 from .search import CriticalPoint, multistart_search
 from .spectra import SpectrumReport, eig_symmetric, ngon_spectrum_closed_form
-from .stability import asymptotic_eigenvalues, stability_verdict
+from .stability import _require_equilibrium, asymptotic_eigenvalues, stability_verdict
 
 TOOL_NAME = "vortexeq"
 
@@ -293,8 +293,9 @@ def _trajectory_csv(traj, config: dict) -> str:
         ",".join(cols),
     ]
     flat = traj.positions.reshape(traj.times.size, 2 * n_pts)
-    for i, t in enumerate(traj.times):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in flat[i]]))
+    # one row at a time: a whole-trajectory tolist() holds every float at once
+    for t, row in zip(traj.times.tolist(), flat):
+        lines.append(",".join(map(repr, [t] + row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -317,6 +318,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             traj = growth.trajectory
         else:
+            _require_equilibrium(eq)
             traj = integrate_rk4(base, args.h, args.T)
     except CollisionAbort as exc:
         traj = exc.trajectory

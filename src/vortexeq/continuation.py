@@ -85,46 +85,40 @@ class ScalingReport:
     radius_bounded: bool
 
 
-def _biot_savart(pos, gammas: np.ndarray):
+def _biot_savart(z: np.ndarray, gammas: np.ndarray):
     """Point-vortex velocities and the smallest squared pair separation.
 
-    ``pos`` is an (M, 2) array; vortex j moves with
-    sum_{i != j} Gamma_i (q_j - q_i)^perp / |q_j - q_i|^2.  Accepts complex
-    positions, so the closed-form Jacobian can be checked by complex step;
-    the separation is then taken from the real parts only.
+    ``z`` holds the M positions as complex numbers x + iy; the velocities
+    come back the same way, u_j + i v_j = i sum_{k != j} Gamma_k
+    (z_j - z_k) / |z_j - z_k|^2.
     """
-    x, y = pos[:, 0], pos[:, 1]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, np.inf)
-    sep2 = float(np.real(d2).min())
+    dz = z[:, None] - z
+    d2 = dz.real * dz.real + dz.imag * dz.imag
+    d2.flat[:: z.size + 1] = np.inf  # the diagonal, without fill_diagonal's overhead
+    sep2 = float(d2.min())
     if sep2 < _TINY_SEP2:
         # 1 / d2 would be inf: drop these pairs, the guards reject them by sep2
-        d2[np.real(d2) < _TINY_SEP2] = np.inf
-    np.fill_diagonal(d2, 1.0)
-    w = gammas[None, :] / d2
-    np.fill_diagonal(w, 0.0)
-    return np.column_stack((-(dy * w).sum(axis=1), (dx * w).sum(axis=1))), sep2
+        d2[d2 < _TINY_SEP2] = np.inf
+    return 1j * (dz * (gammas / d2)).sum(axis=1), sep2
 
 
 def _mismatch(r, theta, epsilon: float, omega: float):
     """Radial and tangential velocity mismatch (v - omega q^perp) per vortex.
 
     Returns (a, b, cos(theta), sin(theta)) with a_j the radial component and
-    b_j the tangential one.  The strong vortex sits at q_0 = -eps * sum(q_j),
-    which keeps the center of vorticity at the origin.  Accepts
-    complex-valued r/theta so the Jacobian can be checked by complex step.
+    b_j the tangential one.  The strong vortex sits at z_0 = -eps * sum(z_j),
+    which keeps the center of vorticity at the origin.
     """
     r = np.asarray(r)
     theta = np.asarray(theta)
     ct, st = np.cos(theta), np.sin(theta)
-    weak = np.column_stack((r * ct, r * st))
-    pos = np.vstack((-epsilon * weak.sum(axis=0), weak))
-    vel, sep2 = _biot_savart(pos, Circulations(epsilon).gammas(r.size))
+    z = r * (ct + 1j * st)
+    vel, sep2 = _biot_savart(
+        np.concatenate(([-epsilon * z.sum()], z)), Circulations(epsilon).gammas(r.size)
+    )
     if sep2 < _COLLISION_GUARD**2:
         raise VortexCollision("two vortices are closer than the collision guard")
-    u, v = vel[1:, 0], vel[1:, 1]
+    u, v = vel.real[1:], vel.imag[1:]
     a = ct * u + st * v
     b = -st * u + ct * v - omega * r
     return a, b, ct, st

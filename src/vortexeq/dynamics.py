@@ -29,6 +29,11 @@ from .search import TWO_PI
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
 
 
+def _complex(positions: np.ndarray) -> np.ndarray:
+    """Positions (..., M, 2) as complex x + iy (..., M), a view when contiguous."""
+    return np.ascontiguousarray(positions).view(complex)[..., 0]
+
+
 @dataclass
 class PlanarConfiguration:
     """Positions (strong vortex first) plus the circulation pattern."""
@@ -40,7 +45,7 @@ class PlanarConfiguration:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must be an (N+1, 2) array")
-        if _biot_savart(self.positions, self.gammas)[1] < _COLLISION_GUARD**2:
+        if _biot_savart(_complex(self.positions), self.gammas)[1] < _COLLISION_GUARD**2:
             raise VortexCollision("two vortices coincide in the initial data")
 
     @classmethod
@@ -71,11 +76,11 @@ class Trajectory:
 
 
 def vortex_field(config: PlanarConfiguration) -> np.ndarray:
-    """Velocities of all vortices; VortexCollision below the guard distance."""
-    vel, sep2 = _biot_savart(config.positions, config.gammas)
+    """Velocities (M, 2) of all vortices; VortexCollision below the guard distance."""
+    vel, sep2 = _biot_savart(_complex(config.positions), config.gammas)
     if sep2 < _COLLISION_GUARD**2:
         raise VortexCollision("two vortices are closer than the collision guard")
-    return vel
+    return vel.view(float).reshape(-1, 2)
 
 
 def hamiltonian(config: PlanarConfiguration) -> float:
@@ -105,17 +110,17 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
         raise ValueError("need h > 0 and t_final > 0")
     steps = max(1, int(round(t_final / h)))
     gammas = config.gammas
-    out = np.empty((steps + 1, config.positions.shape[0], 2))
-    out[0] = config.positions
+    z = _complex(config.positions)
+    out = np.empty((steps + 1, z.size), dtype=complex)
+    out[0] = z
     times = h * np.arange(steps + 1)
-    pos = config.positions.copy()
     for i in range(steps + 1):
         # k1 of the next step also gives the abort check for the current state
-        k1, sep2 = _biot_savart(pos, gammas)
+        k1, sep2 = _biot_savart(z, gammas)
         if sep2 < _ABORT_SEP**2:
             partial = Trajectory(
                 times=times[: i + 1],
-                positions=out[: i + 1].copy(),
+                positions=out[: i + 1].view(float).reshape(i + 1, -1, 2).copy(),
                 h=h,
                 integrator="rk4",
                 epsilon=config.circulations.epsilon,
@@ -127,14 +132,14 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
             )
         if i == steps:
             break
-        k2 = _biot_savart(pos + 0.5 * h * k1, gammas)[0]
-        k3 = _biot_savart(pos + 0.5 * h * k2, gammas)[0]
-        k4 = _biot_savart(pos + h * k3, gammas)[0]
-        pos = pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = pos
+        k2 = _biot_savart(z + 0.5 * h * k1, gammas)[0]
+        k3 = _biot_savart(z + 0.5 * h * k2, gammas)[0]
+        k4 = _biot_savart(z + h * k3, gammas)[0]
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = z
     return Trajectory(
         times=times,
-        positions=out,
+        positions=out.view(float).reshape(steps + 1, -1, 2),
         h=h,
         integrator="rk4",
         epsilon=config.circulations.epsilon,
@@ -159,11 +164,6 @@ class GrowthReport:
     window_points: int
     max_deviation: float
     trajectory: Trajectory | None = None
-
-
-def _rotation(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def perturbation_growth(
@@ -191,6 +191,8 @@ def perturbation_growth(
     """
     from .stability import stability_verdict
 
+    # linearize rejects a start that is not an equilibrium before any step
+    predicted = stability_verdict(eq).max_real_part
     if h is None:
         h = t_final / 4096.0
     base = eq.all_positions()
@@ -214,10 +216,8 @@ def perturbation_growth(
     traj = integrate_rk4(
         PlanarConfiguration(pos0, Circulations(eq.epsilon)), h, t_final
     )
-    dev = np.empty(traj.times.size)
-    for i, t in enumerate(traj.times):
-        exact = base @ _rotation(eq.omega * t).T
-        dev[i] = np.linalg.norm(traj.positions[i] - exact)
+    rotated = np.exp(1j * eq.omega * traj.times)[:, None] * _complex(base)
+    dev = np.linalg.norm(_complex(traj.positions) - rotated, axis=1)
     floor = max(10.0 * amplitude, 1e-300)
     mask = (dev >= floor) & (dev <= 1e-2)
     if mask.sum() < 8:
@@ -225,7 +225,6 @@ def perturbation_growth(
     rate = 0.0
     if mask.sum() >= 2:
         rate = float(np.polyfit(traj.times[mask], np.log(dev[mask]), 1)[0])
-    predicted = stability_verdict(eq).max_real_part
     return GrowthReport(
         fitted_rate=rate,
         predicted_rate=predicted,

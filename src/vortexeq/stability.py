@@ -52,24 +52,26 @@ class StabilityVerdict:
 
 
 def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
-    """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - omega).
-
-    Accepts complex input, so its Jacobian can be checked by complex step.
-    """
+    """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - omega)."""
     a, b = _mismatch(r, theta, epsilon, omega)[:2]
     return np.concatenate((a, b / np.asarray(r)))
+
+
+def _require_equilibrium(eq: RelativeEquilibrium) -> None:
+    """ValueError when the reduced field at the state is 1e-10 or more in
+    magnitude; the stored ``eq.residual`` is not read."""
+    residual = float(np.abs(reduced_field(eq.r, eq.theta, eq.epsilon, eq.omega)).max())
+    if residual >= 1e-10:
+        raise ValueError(f"equilibrium residual {residual:.3e} >= 1e-10")
 
 
 def linearize(eq: RelativeEquilibrium) -> np.ndarray:
     """Closed-form Jacobian of the reduced field at an equilibrium.
 
-    State ordering is (r_1..r_N, theta_1..theta_N).  Raises ValueError when
-    the reduced field at the state is 1e-10 or more in magnitude; the stored
-    ``eq.residual`` is not read.
+    State ordering is (r_1..r_N, theta_1..theta_N).  The state is checked
+    first by ``_require_equilibrium``.
     """
-    residual = float(np.abs(reduced_field(eq.r, eq.theta, eq.epsilon, eq.omega)).max())
-    if residual >= 1e-10:
-        raise ValueError(f"equilibrium residual {residual:.3e} >= 1e-10")
+    _require_equilibrium(eq)
     return _reduced_jacobian(eq.r, eq.theta, eq.epsilon, eq.omega)
 
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from vortexeq.cli import main
+from vortexeq import Trajectory
+from vortexeq.cli import _trajectory_csv, main
 
 
 def run(capsys, *argv):
@@ -287,6 +288,35 @@ def test_stability_recomputes_the_residual(tmp_path, equilibria_path, capsys):
     assert code == 1
     assert "residual" in err
     assert not out.exists()
+
+
+def test_simulate_rejects_a_non_equilibrium(tmp_path, equilibria_path, capsys):
+    # the same tampered record as above, integrated without --perturb
+    data = json.loads(equilibria_path.read_text())
+    rec = dict(data["equilibria"][1])
+    rec["theta"] = [rec["theta"][0] + 1e-3] + rec["theta"][1:]
+    data["equilibria"] = [rec]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "simulate", "--equilibria", str(bad), "--h", "0.1",
+                       "--T", "1", "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "residual" in err
+    assert not (tmp_path / "run.csv").exists()
+    assert not (tmp_path / "run.report.json").exists()
+
+
+def test_trajectory_csv_rows_are_float_reprs():
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0 / 3.0]
+    positions = np.array(values[:6] + values[1:7]).reshape(2, 3, 2)
+    traj = Trajectory(np.array([0.0, 1e-300]), positions, 1e-300, "rk4", 1e-3)
+    lines = _trajectory_csv(traj, {"command": "simulate"}).split("\n")
+    rows = [
+        ",".join(repr(float(v)) for v in [t, *positions[i].ravel()])
+        for i, t in enumerate(traj.times)
+    ]
+    assert lines[3:] == rows + [""]
+    assert lines[3].startswith("0.0,-0.0,5e-324,")
 
 
 def test_stability_deterministic(tmp_path, equilibria_path, capsys):

@@ -56,6 +56,34 @@ def cs_jacobian(func, x):
     return np.column_stack(cols)
 
 
+def real_form_mismatch(r, theta, epsilon, omega):
+    """Radial and tangential mismatch (a, b) from the pairwise x/y sum.
+
+    The library kernel takes positions as complex numbers, which leaves no
+    room for a complex step; this real-form field keeps x and y apart and
+    uses only analytic operations, so ``cs_jacobian`` can differentiate it.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    x, y = r * ct, r * st
+    x = np.concatenate(([-epsilon * x.sum()], x))
+    y = np.concatenate(([-epsilon * y.sum()], y))
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    d2 = dx * dx + dy * dy
+    np.fill_diagonal(d2, 1.0)
+    w = Circulations(epsilon).gammas(r.size)[None, :] / d2
+    np.fill_diagonal(w, 0.0)
+    u, v = -(dy * w).sum(axis=1)[1:], (dx * w).sum(axis=1)[1:]
+    return ct * u + st * v, -st * u + ct * v - omega * r
+
+
+def real_form_reduced(x, epsilon, omega):
+    """Reduced field (a, b / r) at x = (r, theta), in real form."""
+    n = x.size // 2
+    a, b = real_form_mismatch(x[:n], x[n:], epsilon, omega)
+    return np.concatenate((a, b / x[:n]))
+
+
 # Largest relative disagreement allowed in the central-difference check of
 # linearize.
 FD_CHECK_TOL = 1e-5
@@ -146,11 +174,30 @@ def test_newton_jacobian_matches_complex_step(n, eps):
     r, theta = off_equilibrium_state(n, seed=n)
     x = np.concatenate((r, theta))
     phi = theta + 0.01
-    ref = cs_jacobian(lambda z: _augmented_system(z, phi, eps, 1.3), x)
+
+    def augmented(z):
+        a, b = real_form_mismatch(z[:n], z[n:], eps, 1.3)
+        ct, st = np.cos(z[n:]), np.sin(z[n:])
+        return np.concatenate((a * ct - b * st, a * st + b * ct, [np.sum(z[n:] - phi)]))
+
+    ref = cs_jacobian(augmented, x)
+    assert np.abs(_augmented_system(x, phi, eps, 1.3) - augmented(x)).max() <= 1e-14
     # stacked as in continue_equilibrium: Re M, Im M, then the phase row
     jac = _mismatch_jacobian(r, theta, eps, 1.3)
     jac = np.vstack((jac.real, jac.imag, np.concatenate((np.zeros(n), np.ones(n)))))
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, eps", JACOBIAN_CASES)
+def test_real_form_reference_matches_library(n, eps):
+    r, theta = off_equilibrium_state(n, seed=n)
+    x = np.concatenate((r, theta))
+    ref = np.concatenate(real_form_mismatch(r, theta, eps, 1.3))
+    got = np.concatenate(_mismatch(r, theta, eps, 1.3)[:2])
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref = real_form_reduced(x, eps, 1.3)
+    got = reduced_field(r, theta, eps, 1.3)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_continued_equilibrium_residual(min3_point):

@@ -11,8 +11,11 @@ from vortexeq import (
     PlanarConfiguration,
     Trajectory,
     VortexCollision,
+    continue_equilibrium,
     hamiltonian,
     integrate_rk4,
+    newton_refine,
+    ngon,
     perturbation_growth,
     rigidity_error,
     vortex_field,
@@ -39,6 +42,7 @@ def test_field_center_of_vorticity_stationary():
     pos = rng.standard_normal((5, 2)) * 2.0
     config = PlanarConfiguration(pos, Circulations(2e-3))
     vel = vortex_field(config)
+    assert vel.shape == (5, 2)
     np.testing.assert_allclose(config.gammas @ vel, [0.0, 0.0], atol=1e-14)
 
 
@@ -127,6 +131,40 @@ def test_rk4_convergence_order(min3_eq):
     assert np.log2(rigidity(256) / rigidity(512)) >= 3.7
 
 
+def real_form_rk4(pos, gammas, h, steps):
+    """Classical RK4 on (M, 2) real positions with the pairwise x/y field."""
+
+    def field(p):
+        d = p[:, None, :] - p[None, :, :]
+        d2 = (d * d).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        w = gammas[None, :] / d2
+        return np.column_stack((-(d[:, :, 1] * w).sum(1), (d[:, :, 0] * w).sum(1)))
+
+    out = [pos]
+    for _ in range(steps):
+        k1 = field(pos)
+        k2 = field(pos + 0.5 * h * k1)
+        k3 = field(pos + 0.5 * h * k2)
+        k4 = field(pos + h * k3)
+        pos = pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(pos)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["min3_eq", "ring20"])
+def test_rk4_matches_real_form(request, case):
+    if case == "ring20":
+        eq = continue_equilibrium(newton_refine(ngon(20)), 1e-3)
+    else:
+        eq = request.getfixturevalue(case)
+    config = PlanarConfiguration.from_equilibrium(eq)
+    traj = integrate_rk4(config, TWO_PI / 512, TWO_PI)
+    ref = real_form_rk4(config.positions, config.gammas, TWO_PI / 512, 512)
+    assert traj.positions.shape == ref.shape
+    assert np.abs(traj.positions - ref).max() <= 1e-13
+
+
 def test_rk4_collision_abort():
     pos = np.array([[0.0, 0.0], [5e-10, 0.0], [1.0, 0.0]])
     config = PlanarConfiguration(pos, Circulations(1e-3))
@@ -181,6 +219,15 @@ def test_growth_unstable_pair_matches_prediction(collinear_eq):
     assert report.fitted_rate == pytest.approx(target, rel=0.2)
     assert report.predicted_rate == pytest.approx(target, rel=0.01)
     assert report.window_points > 100
+    # the deviation from the rigidly rotating start, one sample at a time
+    traj, base = report.trajectory, collinear_eq.all_positions()
+    dev = np.empty(traj.times.size)
+    for i, t in enumerate(traj.times):
+        c, s = np.cos(collinear_eq.omega * t), np.sin(collinear_eq.omega * t)
+        dev[i] = np.linalg.norm(traj.positions[i] - base @ np.array([[c, -s], [s, c]]).T)
+    assert report.max_deviation == pytest.approx(dev.max(), rel=1e-12)
+    window = (dev >= 10.0 * report.amplitude) & (dev <= 1e-2)
+    assert report.window_points == np.count_nonzero(window)
 
 
 def test_growth_stable_pair_stays_flat(triangle_eq):

@@ -30,6 +30,7 @@ from tests.test_continuation import (
     fd_disagreement,
     make_degenerate_point,
     off_equilibrium_state,
+    real_form_reduced,
 )
 
 # Equilibria for the central-difference check: the conftest fixtures, then
@@ -72,7 +73,7 @@ def test_linearize_matches_complex_step(n, eps):
     # off equilibrium, so the -i (a + i b) and -b / r^2 diagonal terms count
     assert np.abs(a).max() > 1e-5 and np.abs(b).max() > 1e-2
     x = np.concatenate((r, theta))
-    ref = cs_jacobian(lambda z: reduced_field(z[:n], z[n:], eps, 1.3), x)
+    ref = cs_jacobian(lambda z: real_form_reduced(z, eps, 1.3), x)
     jac = _reduced_jacobian(r, theta, eps, 1.3)
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
