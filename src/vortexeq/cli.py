@@ -446,6 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--eps" in argv[:-1]:  # argparse reads "--eps -1e-3" as two flags
+        i = argv.index("--eps")
+        argv[i : i + 2] = [f"--eps={argv[i + 1]}"]
     args = parser.parse_args(argv)
     if args.command == "find" and args.n < 2:
         parser.error("find requires --n >= 2")

@@ -27,6 +27,7 @@ from .search import TWO_PI, CriticalPoint, _cyclic_gaps, _newton
 
 # Smallest distance allowed between two vortices.
 _COLLISION_GUARD = 1e-10
+_COLLIDED = "two vortices are closer than the collision guard"
 
 # Squared separations below the smallest normal float overflow 1 / d^2.
 _TINY_SEP2 = np.finfo(float).tiny
@@ -88,25 +89,28 @@ class ScalingReport:
 def _biot_savart(z: np.ndarray, gammas: np.ndarray):
     """Point-vortex velocities and the smallest squared pair separation.
 
-    ``z`` holds the M positions as complex numbers x + iy; the velocities
-    come back the same way, u_j + i v_j = i sum_{k != j} Gamma_k
-    (z_j - z_k) / |z_j - z_k|^2.
+    ``z`` holds the M positions as complex numbers x + iy, after any stack
+    axes; the velocities come back the same way, u_j + i v_j = i sum_{k != j}
+    Gamma_k (z_j - z_k) / |z_j - z_k|^2, with one separation per stack entry.
     """
-    dz = z[:, None] - z
+    m = z.shape[-1]
+    dz = z[..., None] - z[..., None, :]
     d2 = dz.real * dz.real + dz.imag * dz.imag
-    d2.flat[:: z.size + 1] = np.inf  # the diagonal, without fill_diagonal's overhead
-    sep2 = float(d2.min())
-    if sep2 < _TINY_SEP2:
+    d2.reshape(-1, m * m)[:, :: m + 1] = np.inf  # the diagonals, through a strided view
+    low = d2.min()
+    sep2 = d2.min(axis=(-2, -1)) if z.ndim > 1 else low  # one reduction unstacked (RK4)
+    if low < _TINY_SEP2:
         # 1 / d2 would be inf: drop these pairs, the guards reject them by sep2
         d2[d2 < _TINY_SEP2] = np.inf
-    return 1j * (dz * (gammas / d2)).sum(axis=1), sep2
+    return 1j * (dz * (gammas / d2)).sum(axis=-1), sep2
 
 
 def _mismatch(r, theta, epsilon: float, omega: float):
     """Radial and tangential velocity mismatch (v - omega q^perp) per vortex.
 
-    Returns (a, b, cos(theta), sin(theta)) with a_j the radial component and
-    b_j the tangential one.  The strong vortex sits at z_0 = -eps * sum(z_j),
+    Returns (a, b, cos(theta), sin(theta), clear) over any stack axes, with
+    a_j the radial component, b_j the tangential one and clear False within
+    the collision guard.  The strong vortex sits at z_0 = -eps * sum(z_j),
     which keeps the center of vorticity at the origin.
     """
     r = np.asarray(r)
@@ -114,20 +118,26 @@ def _mismatch(r, theta, epsilon: float, omega: float):
     ct, st = np.cos(theta), np.sin(theta)
     z = r * (ct + 1j * st)
     vel, sep2 = _biot_savart(
-        np.concatenate(([-epsilon * z.sum()], z)), Circulations(epsilon).gammas(r.size)
+        np.concatenate((-epsilon * z.sum(axis=-1, keepdims=True), z), axis=-1),
+        Circulations(epsilon).gammas(r.shape[-1]),
     )
-    if sep2 < _COLLISION_GUARD**2:
-        raise VortexCollision("two vortices are closer than the collision guard")
-    u, v = vel.real[1:], vel.imag[1:]
+    u, v = vel.real[..., 1:], vel.imag[..., 1:]
     a = ct * u + st * v
     b = -st * u + ct * v - omega * r
-    return a, b, ct, st
+    return a, b, ct, st, sep2 >= _COLLISION_GUARD**2
 
 
-def _cartesian_mismatch(r, theta, epsilon: float, omega: float) -> np.ndarray:
+def _checked_mismatch(r, theta, epsilon: float, omega: float):
+    """``_mismatch`` of one configuration; VortexCollision within the guard."""
+    *mismatch, clear = _mismatch(r, theta, epsilon, omega)
+    if not clear:
+        raise VortexCollision(_COLLIDED)
+    return mismatch
+
+
+def _cartesian(a, b, ct, st) -> np.ndarray:
     """The mismatch rotated back to x-components then y-components."""
-    a, b, ct, st = _mismatch(r, theta, epsilon, omega)
-    return np.concatenate((a * ct - b * st, a * st + b * ct))
+    return np.concatenate((a * ct - b * st, a * st + b * ct), axis=-1)
 
 
 def rotating_frame_residual(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
@@ -141,14 +151,15 @@ def rotating_frame_residual(r, theta, epsilon: float, omega: float = 1.0) -> np.
     theta = np.asarray(theta, dtype=float)
     if r.shape != theta.shape or r.ndim != 1:
         raise ValueError("r and theta must be 1-d arrays of equal length")
-    return _cartesian_mismatch(r, theta, epsilon, omega)
+    return _cartesian(*_checked_mismatch(r, theta, epsilon, omega))
 
 
 def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float, omega: float):
+    """Residual and phase rows of a (..., 2N) stack of states, and collision flags."""
     n = phi.size
-    res = _cartesian_mismatch(x[:n], x[n:], epsilon, omega)
-    phase = np.sum(x[n:] - phi)
-    return np.concatenate((res, [phase]))
+    a, b, ct, st, clear = _mismatch(x[..., :n], x[..., n:], epsilon, omega)
+    phase = np.sum(x[..., n:] - phi, axis=-1, keepdims=True)
+    return np.concatenate((_cartesian(a, b, ct, st), phase), axis=-1), clear
 
 
 def _mismatch_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
@@ -237,6 +248,7 @@ def continue_equilibrium(
         x,
         releq_tol,
         max_iter,
+        _COLLIDED,
     )
     return RelativeEquilibrium(
         r=x[:n],

@@ -25,6 +25,7 @@ from .spectra import SpectrumReport, eig_symmetric
 
 # Collision guard on the 1 - cos(theta_i - theta_j) separation scale.
 EPS_SEP = 1e-10
+_COLLIDED = f"two angles closer than the collision guard (1-cos < {EPS_SEP:g})"
 
 # Largest gradient sup-norm that classify accepts as a critical point.
 _GRAD_TOL = 1e-8
@@ -37,6 +38,15 @@ class CriticalPointClass(Enum):
     DEGENERATE = "degenerate"
 
 
+def _angles(theta) -> np.ndarray:
+    th = np.asarray(theta, dtype=float)
+    if th.ndim != 1 or th.size < 2:
+        raise ValueError("expected a 1-d array of at least two angles")
+    if not np.all(np.isfinite(th)):
+        raise ValueError("angles must be finite")
+    return th
+
+
 def _pair_geometry(theta):
     """Validate the angles and build their pairwise geometry once.
 
@@ -44,19 +54,13 @@ def _pair_geometry(theta):
     om = 1 - c; the diagonal of om is set to 1 so callers may divide by it.
     Raises AngularCollision when any off-diagonal 1 - cos is below EPS_SEP.
     """
-    th = np.asarray(theta, dtype=float)
-    if th.ndim != 1 or th.size < 2:
-        raise ValueError("expected a 1-d array of at least two angles")
-    if not np.all(np.isfinite(th)):
-        raise ValueError("angles must be finite")
+    th = _angles(theta)
     d = th[:, None] - th[None, :]
     c = np.cos(d)
     om = 1.0 - c
     np.fill_diagonal(om, np.inf)
     if om.min() < EPS_SEP:
-        raise AngularCollision(
-            f"two angles closer than the collision guard (1-cos < {EPS_SEP:g})"
-        )
+        raise AngularCollision(_COLLIDED)
     np.fill_diagonal(om, 1.0)
     return th, d, c, om
 
@@ -68,6 +72,18 @@ def potential(theta) -> float:
     return float(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
 
 
+def _gradients(theta: np.ndarray):
+    """Gradients of V over a (..., N) stack of angle rows, unvalidated, and
+    per-row flags, False where two angles collide (that row is meaningless)."""
+    n = theta.shape[-1]
+    d = theta[..., :, None] - theta[..., None, :]
+    om = 1.0 - np.cos(d)
+    om.reshape(-1, n * n)[:, :: n + 1] = np.inf  # diagonals (strided): sin(0) * 1 = 0
+    clear = om.min(axis=(-2, -1)) >= EPS_SEP
+    np.maximum(om, EPS_SEP, out=om)  # changes only collided rows; keeps 1 / om finite
+    return np.sum(np.sin(d) * (1.0 - 1.0 / (2.0 * om)), axis=-1), clear
+
+
 def gradient(theta) -> np.ndarray:
     """Gradient of V.
 
@@ -75,10 +91,10 @@ def gradient(theta) -> np.ndarray:
     (1 - 1/(2 - 2 cos(theta_j - theta_i))).  The components always sum to
     zero: V is invariant under a common rotation of all angles.
     """
-    _, d, _, om = _pair_geometry(theta)
-    w = 1.0 - 1.0 / (2.0 * om)
-    np.fill_diagonal(w, 0.0)
-    return np.sum(np.sin(d) * w, axis=1)
+    g, clear = _gradients(_angles(theta))
+    if not clear:
+        raise AngularCollision(_COLLIDED)
+    return g
 
 
 def hessian(theta) -> np.ndarray:

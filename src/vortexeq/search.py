@@ -11,10 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AngularCollision, CollisionApproach, NoConvergence, VortexCollision
+from .errors import AngularCollision, CollisionApproach, NoConvergence
 from .potential import (
     CriticalPointClass,
+    _COLLIDED,
+    _angles,
     _classify,
+    _gradients,
     _pair_geometry,
     gradient,
     hessian,
@@ -66,12 +69,10 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _symmetry_orbit(gaps: np.ndarray) -> list[np.ndarray]:
-    orbit = []
-    for seq in (gaps, gaps[::-1]):
-        for k in range(seq.size):
-            orbit.append(np.roll(seq, -k))
-    return orbit
+def _symmetry_orbit(gaps: np.ndarray) -> np.ndarray:
+    # rows 0..N-1 are the cyclic shifts of gaps, rows N..2N-1 those of its reversal
+    idx = np.add.outer(np.arange(gaps.size), np.arange(gaps.size)) % gaps.size
+    return gaps[np.vstack((idx, gaps.size - 1 - idx))]
 
 
 def canonicalize(theta) -> np.ndarray:
@@ -98,7 +99,7 @@ def symmetry_distance(theta_a, theta_b) -> float:
     gb = _cyclic_gaps(np.asarray(theta_b, dtype=float))
     if ga.size != gb.size:
         return float("inf")
-    return min(float(np.abs(ga - cand).max()) for cand in _symmetry_orbit(gb))
+    return float(np.abs(ga - _symmetry_orbit(gb)).max(axis=1).min())
 
 
 def _pinv_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -110,38 +111,46 @@ def _pinv_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -q @ (inv * (q.T @ g))
 
 
-def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int):
+_ALPHA = np.ldexp(1.0, -np.arange(30))[:, None]  # line-search steps 2**-k, k = 0..29
+
+
+def _backtrack(residual, x: np.ndarray, s: np.ndarray, f0: float):
+    """(trial, f) for the first x + 2**-k s, in k order, that is clear of
+    collisions with ||f||_2^2 < f0.  k = 0 goes alone, then k = 1..4 and
+    k = 5..29 as stacks, which pay the per-call overhead once; at most
+    4096 // n^2 rows per call, as large-n rows are bound by arithmetic."""
+    trial = x + s
+    f, clear = residual(trial)
+    if clear and float(f @ f) < f0:
+        return trial, f
+    cap = max(1, 4096 // x.size**2)
+    for a, b in ((1, 5), (5, 30)):
+        for lo in range(a, b, cap):
+            trials = x + _ALPHA[lo : min(lo + cap, b)] * s
+            for trial, f, clear in zip(trials, *residual(trials)):
+                if clear and float(f @ f) < f0:
+                    return trial, f
+    raise NoConvergence("line search stalled before reaching tolerance")
+
+
+def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collision: str):
     """Damped Newton solve of residual(x) = 0, shared by search and continuation.
 
-    ``step(x, f)`` is the full Newton step at x, f = residual(x); it is
-    halved up to 30 times until ||f||_2^2 drops, and also when the trial
-    point collides.  Returns (x, f) once ||f||_inf < tol, within at most
-    ``max_iter`` steps.  Raises CollisionApproach if x collides and
-    NoConvergence when the line search stalls or the cap is reached.
+    ``residual`` maps points (..., n), with or without a stack axis, to
+    their residuals (..., m) and flags (...) that are False where a point
+    collides.  ``step(x, f)`` is the full Newton step at x; ``_backtrack``
+    halves it until ||f||_2^2 drops.  Returns (x, f) once ||f||_inf < tol,
+    within at most ``max_iter`` steps.  Raises CollisionApproach(collision)
+    if x collides and NoConvergence when the line search stalls or the cap
+    is reached.
     """
-    try:
-        f = residual(x)
-    except (AngularCollision, VortexCollision) as exc:
-        raise CollisionApproach(str(exc)) from exc
+    f, clear = residual(x)
+    if not clear:
+        raise CollisionApproach(collision)
     for _ in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f
-        s = step(x, f)
-        f0 = float(f @ f)
-        alpha = 1.0
-        for _ in range(30):
-            trial = x + alpha * s
-            try:
-                ft = residual(trial)
-            except (AngularCollision, VortexCollision):
-                alpha *= 0.5
-                continue
-            if float(ft @ ft) < f0:
-                x, f = trial, ft
-                break
-            alpha *= 0.5
-        else:
-            raise NoConvergence("line search stalled before reaching tolerance")
+        x, f = _backtrack(residual, x, step(x, f), float(f @ f))
     if float(np.abs(f).max()) < tol:
         return x, f
     raise NoConvergence(f"no convergence within {max_iter} iterations")
@@ -152,9 +161,7 @@ def _build_point(theta: np.ndarray, tol_zero: float) -> CriticalPoint:
     g = gradient(canon)
     cls, report, morse = _classify(canon, g, tol_zero)
     gaps = _cyclic_gaps(canon)
-    mirrored = min(
-        float(np.abs(gaps - np.roll(gaps[::-1], -k)).max()) for k in range(gaps.size)
-    )
+    mirrored = float(np.abs(gaps - _symmetry_orbit(gaps)[gaps.size :]).max(axis=1).min())
     return CriticalPoint(
         config=canon,
         cls=cls,
@@ -177,17 +184,18 @@ def newton_refine(
     Runs the shared driver ``_newton`` on grad V.  The step solves the
     Newton system through the Hessian pseudo-inverse on the complement of
     the rotation direction; the line search on ||grad V||^2 halves it up to
-    30 times.  Convergence means ||grad V||_inf < newton_tol within
+    29 times.  Convergence means ||grad V||_inf < newton_tol within
     ``max_iter`` Newton steps.  Raises NoConvergence at the iteration cap
     or when the line search stalls, and CollisionApproach if the start
     collides.
     """
     th, _ = _newton(
-        gradient,
+        _gradients,
         lambda t, g: _pinv_step(hessian(t), g),
-        np.array(theta0, dtype=float),
+        _angles(theta0),
         newton_tol,
         max_iter,
+        _COLLIDED,
     )
     return _build_point(th, tol_zero)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .continuation import (
     RelativeEquilibrium,
-    _mismatch,
+    _checked_mismatch,
     _mismatch_jacobian,
     continue_equilibrium,
 )
@@ -53,7 +53,7 @@ class StabilityVerdict:
 
 def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
     """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - omega)."""
-    a, b = _mismatch(r, theta, epsilon, omega)[:2]
+    a, b = _checked_mismatch(r, theta, epsilon, omega)[:2]
     return np.concatenate((a, b / np.asarray(r)))
 
 
@@ -83,7 +83,7 @@ def _reduced_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
     """
     n = r.size
     # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
-    a, b, ct, st = _mismatch(r, theta, epsilon, omega)
+    a, b, ct, st = _checked_mismatch(r, theta, epsilon, omega)
     rot = _mismatch_jacobian(r, theta, epsilon, omega)
     rot *= (ct - 1j * st)[:, None]
     k = np.arange(n)

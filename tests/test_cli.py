@@ -254,8 +254,18 @@ def test_stability_verdicts(tmp_path, equilibria_path, capsys):
     assert mm[0] > mm[1] > mm[2]
 
 
+@pytest.mark.parametrize("eps", [["--eps", "-1e-3"], ["--eps=-1e-3"],
+                                 ["--eps", "-1e-3,-1e-2"], ["--eps=-1e-3,-1e-2"]])
+def test_negative_eps_after_a_space_or_equals(tmp_path, catalog4_path, capsys, eps):
+    out = tmp_path / "eq.json"
+    code, _, _ = run(capsys, "continue", "--catalog", str(catalog4_path), *eps,
+                     "--out", str(out))
+    assert code == 0
+    values = [float(v) for v in eps[-1].split("=")[-1].split(",")]
+    assert [e["epsilon"] for e in json.loads(out.read_text())["equilibria"]] == values
+
+
 def test_negative_eps_pipeline(tmp_path, catalog4_path, capsys):
-    # argparse takes "-1e-3" after a space for a flag, so negative eps use "="
     eq = tmp_path / "eq-neg.json"
     code, _, _ = run(capsys, "continue", "--catalog", str(catalog4_path),
                      "--eps=-1e-3,-1e-2", "--out", str(eq))

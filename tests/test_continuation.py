@@ -181,7 +181,7 @@ def test_newton_jacobian_matches_complex_step(n, eps):
         return np.concatenate((a * ct - b * st, a * st + b * ct, [np.sum(z[n:] - phi)]))
 
     ref = cs_jacobian(augmented, x)
-    assert np.abs(_augmented_system(x, phi, eps, 1.3) - augmented(x)).max() <= 1e-14
+    assert np.abs(_augmented_system(x, phi, eps, 1.3)[0] - augmented(x)).max() <= 1e-14
     # stacked as in continue_equilibrium: Re M, Im M, then the phase row
     jac = _mismatch_jacobian(r, theta, eps, 1.3)
     jac = np.vstack((jac.real, jac.imag, np.concatenate((np.zeros(n), np.ones(n)))))
@@ -303,6 +303,14 @@ def test_coincident_vortices_raise_typed_errors(min3_point):
         )
 
 
+def test_colliding_warm_start_message(min3_point):
+    message = "^two vortices are closer than the collision guard$"
+    with pytest.raises(CollisionApproach, match=message):
+        continue_equilibrium(
+            min3_point, 1e-3, _warm_start=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0])
+        )
+
+
 def test_sweep_rejects_zero(min3_point):
     with pytest.raises(InvalidEpsilon):
         sweep_epsilon(min3_point, [1e-3, 0.0])
@@ -377,3 +385,33 @@ def test_residual_guard_below_threshold(ring, eps):
     r, theta = ring
     with pytest.raises(VortexCollision):
         rotating_frame_residual(r, theta, eps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(1, 29), st.integers(0, 2**32 - 1),
+       st.floats(-0.05, 0.05).filter(lambda e: e != 0.0))
+def test_stacked_augmented_system_rows_match_one_row(n, k, seed, eps):
+    # rows with two weak vortices coincident or closer than the guard are
+    # flagged, not raised, and stay finite
+    rng = np.random.default_rng(seed)
+    r = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, (k, n))
+    theta = rng.uniform(-4.0, 4.0, (k, n))
+    if n > 1:
+        for row in rng.choice(k, rng.integers(0, k + 1), replace=False):
+            r[row, 1] = r[row, 0] + rng.choice([0.0, 1e-160, 1e-12])
+            theta[row, 1] = theta[row, 0]
+    x = np.concatenate((r, theta), axis=1)
+    phi = rng.uniform(-4.0, 4.0, n)
+    f, clear = _augmented_system(x, phi, eps, 1.0)
+    assert f.shape == (k, 2 * n + 1) and clear.shape == (k,)
+    assert np.all(np.isfinite(f))
+    for x_row, f_row, clear_row in zip(x, f, clear):
+        f_one, clear_one = _augmented_system(x_row, phi, eps, 1.0)
+        assert f_one.tobytes() == f_row.tobytes() and clear_one == clear_row
+        if clear_row:
+            res = rotating_frame_residual(x_row[:n], x_row[n:], eps)
+            assert res.tobytes() == f_row[:-1].tobytes()
+        else:
+            with pytest.raises(VortexCollision):
+                rotating_frame_residual(x_row[:n], x_row[n:], eps)

@@ -17,6 +17,7 @@ from vortexeq import (
     ngon,
     potential,
 )
+from vortexeq.potential import _gradients
 
 SQRT2 = np.sqrt(2.0)
 
@@ -248,3 +249,34 @@ def test_collision_guard_below_threshold(case):
     for func in (potential, gradient, hessian, classify):
         with pytest.raises(AngularCollision):
             func(theta)
+
+
+@st.composite
+def angle_stacks(draw):
+    """A (k, N) stack of angle rows, N = 2..12 and k = 1..29, some of them
+    with a pair within the collision guard (coincident or closer)."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 29))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(-10.0, 10.0, (k, n))
+    for row in rng.choice(k, draw(st.integers(0, k)), replace=False):
+        i, j = rng.choice(n, 2, replace=False)
+        theta[row, j] = theta[row, i] + 2 * np.pi * rng.integers(-1, 2) + rng.choice(
+            [0.0, 1e-300, 1e-9, -1e-6]
+        )
+    return theta
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None, database=None)
+@given(angle_stacks())
+def test_stacked_gradient_rows_match_gradient(theta):
+    g, clear = _gradients(theta)
+    assert g.shape == theta.shape and clear.shape == theta.shape[:1]
+    for row, g_row, clear_row in zip(theta, g, clear):
+        if clear_row:
+            assert gradient(row).tobytes() == g_row.tobytes()
+        else:
+            with pytest.raises(AngularCollision):
+                gradient(row)
+            assert np.all(np.isfinite(g_row))

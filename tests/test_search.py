@@ -10,6 +10,7 @@ from vortexeq import (
     CriticalPointClass,
     NoConvergence,
     canonicalize,
+    continue_equilibrium,
     gradient,
     multistart_search,
     newton_refine,
@@ -17,6 +18,46 @@ from vortexeq import (
     sample_wedge,
     symmetry_distance,
 )
+from vortexeq import continuation, search
+
+
+def sequential_newton(residual, step, x, tol, max_iter, collision):
+    """Reference for ``search._newton``: the same damped Newton solve with the
+    line search run one trial point at a time, alpha = 1, 1/2, ..., 2**-29."""
+    f, clear = residual(x)
+    if not clear:
+        raise CollisionApproach(collision)
+    for _ in range(max_iter):
+        if float(np.abs(f).max()) < tol:
+            return x, f
+        s = step(x, f)
+        f0 = float(f @ f)
+        alpha = 1.0
+        for _ in range(30):
+            trial = x + alpha * s
+            ft, clear = residual(trial)
+            if clear and float(ft @ ft) < f0:
+                x, f = trial, ft
+                break
+            alpha *= 0.5
+        else:
+            raise NoConvergence("line search stalled before reaching tolerance")
+    if float(np.abs(f).max()) < tol:
+        return x, f
+    raise NoConvergence(f"no convergence within {max_iter} iterations")
+
+
+@pytest.fixture
+def sequential(monkeypatch):
+    """Run ``fn`` with the reference line search in place of the library's."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            for module in (search, continuation):
+                m.setattr(module, "_newton", sequential_newton)
+            return fn(*args)
+
+    return run
 
 
 def test_canonicalize_starts_at_zero_ascending():
@@ -87,22 +128,23 @@ def test_newton_refine_classifies():
     assert point.reflection_symmetric
 
 
-def test_newton_refine_gradient_calls(monkeypatch):
-    # one gradient per iterate and line-search trial, plus one that the
-    # converged point's residual and NotCritical check share; the modules
-    # are looked up by name because ``vortexeq.potential`` is the function
+def test_newton_refine_kernel_rows_and_calls(monkeypatch):
+    # the start and the full step of each of six Newton steps go unstacked,
+    # a four-row stack settles the one backtrack, and one last call gives
+    # the converged point's residual and NotCritical check; the modules are
+    # looked up by name because ``vortexeq.potential`` is the function
     modules = [importlib.import_module(f"vortexeq.{m}") for m in ("potential", "search")]
-    original = modules[0].gradient
-    calls = []
+    inner = modules[0]._gradients
+    shapes = []
 
     def counted(theta):
-        calls.append(1)
-        return original(theta)
+        shapes.append(theta.shape)
+        return inner(theta)
 
     for module in modules:
-        monkeypatch.setattr(module, "gradient", counted)
+        monkeypatch.setattr(module, "_gradients", counted)
     newton_refine(np.array([0.0, 1.0, 2.5, 4.0]))
-    assert len(calls) == 9
+    assert shapes == [(4,)] * 3 + [(4, 4)] + [(4,)] * 5
 
 
 def test_newton_refine_quarter_arc_values():
@@ -114,12 +156,17 @@ def test_newton_refine_quarter_arc_values():
 
 
 def test_newton_refine_reports_no_convergence():
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="^no convergence within 1 iterations$"):
         newton_refine(np.array([0.0, 1.0, 2.0, 4.0]), max_iter=1)
+    # a local minimum of ||grad V||^2: every trial of some step fails
+    stall = "^line search stalled before reaching tolerance$"
+    with pytest.raises(NoConvergence, match=stall):
+        newton_refine(np.array([0.0, 2.721061, 3.151143, 4.889553, 5.970518]))
 
 
 def test_newton_refine_rejects_colliding_start():
-    with pytest.raises(CollisionApproach):
+    message = r"^two angles closer than the collision guard \(1-cos < 1e-10\)$"
+    with pytest.raises(CollisionApproach, match=message):
         newton_refine(np.array([0.0, 1e-9]))
 
 
@@ -186,3 +233,53 @@ def test_catalog_points_are_critical(catalog4):
         assert p.residual < 1e-12
         assert np.abs(gradient(p.config)).max() < 1e-10
         assert sum(p.morse_index) == 4
+
+
+def test_line_search_skips_collided_trials():
+    # residual f = x, colliding on [-0.6, 0.3]: from x = 1 the step -3 gives
+    # trials -2 (merit up), then -0.5 and 0.25 (lower merit, collided), then
+    # 0.625, the first to count
+    def residual(x):
+        return x, np.abs(x[..., 0] + 0.15) > 0.45
+
+    def step(x, f):
+        return np.array([-3.0])
+
+    for newton in (search._newton, sequential_newton):
+        x, f = newton(residual, step, np.array([1.0]), 0.7, 1, "collided")
+        assert x.tolist() == f.tolist() == [0.625]
+        with pytest.raises(CollisionApproach, match="^collided$"):
+            newton(residual, step, np.array([0.0]), 0.7, 1, "collided")
+
+
+# N = 15, 20 and 30 split the 25-row stack: at most 4096 // N^2 rows per call.
+LADDER_CASES = [(n, seed, 40) for n in range(2, 13) for seed in range(6)] + [
+    (n, seed, 15) for n in (15, 20, 30) for seed in range(2)
+]
+
+
+@pytest.mark.parametrize("n, seed, starts", LADDER_CASES)
+def test_multistart_matches_sequential_line_search(sequential, n, seed, starts):
+    got = multistart_search(n, starts, seed=seed)
+    ref = sequential(multistart_search, n, starts, seed)
+    assert got.metadata == ref.metadata
+    assert len(got.points) == len(ref.points)
+    for p, q in zip(got.points, ref.points):
+        np.testing.assert_array_equal(p.config, q.config)
+        assert (p.value, p.morse_index, p.residual) == (q.value, q.morse_index, q.residual)
+
+
+def test_continuation_matches_sequential_line_search(
+    sequential, triangle_point, collinear_point, catalog3, catalog4, ring_points
+):
+    seeds = [triangle_point, collinear_point, *catalog3.points, *catalog4.points]
+    seeds += ring_points.values()
+    seeds = [cp for cp in seeds if cp.morse_index[1] == 1]
+    assert len(seeds) >= 10
+    for cp in seeds:
+        for eps in (1e-3, -1e-3):
+            got = continue_equilibrium(cp, eps)
+            ref = sequential(continue_equilibrium, cp, eps)
+            np.testing.assert_array_equal(got.r, ref.r)
+            np.testing.assert_array_equal(got.theta, ref.theta)
+            assert got.residual == ref.residual
