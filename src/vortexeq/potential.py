@@ -47,41 +47,44 @@ def _angles(theta) -> np.ndarray:
     return th
 
 
-def _pair_geometry(theta):
-    """Validate the angles and build their pairwise geometry once.
+def _geometry(theta: np.ndarray):
+    """Pairwise geometry of a (..., N) stack of angle rows, unvalidated.
 
-    Returns (th, d, c, om) with d[j, i] = theta_j - theta_i, c = cos(d) and
-    om = 1 - c; the diagonal of om is set to 1 so callers may divide by it.
-    Raises AngularCollision when any off-diagonal 1 - cos is below EPS_SEP.
+    Returns (d, c, om, clear) with d[..., j, i] = theta_j - theta_i,
+    c = cos(d), om = 1 - c with its diagonals set to inf, and per-row flags,
+    False where two angles collide (1 - cos < EPS_SEP; that row is
+    meaningless).  The one geometry behind V, grad V and the Hessian.
     """
-    th = _angles(theta)
-    d = th[:, None] - th[None, :]
+    n = theta.shape[-1]
+    d = theta[..., :, None] - theta[..., None, :]
     c = np.cos(d)
     om = 1.0 - c
-    np.fill_diagonal(om, np.inf)
-    if om.min() < EPS_SEP:
+    om.reshape(-1, n * n)[:, :: n + 1] = np.inf  # diagonals (strided)
+    return d, c, om, om.min(axis=(-2, -1)) >= EPS_SEP
+
+
+def _checked(kernel, theta):
+    """``kernel`` (``_geometry`` or ``_gradients``) on one validated row of
+    angles, its flag dropped.  Raises AngularCollision when two collide."""
+    *out, clear = kernel(_angles(theta))
+    if not clear:
         raise AngularCollision(_COLLIDED)
-    np.fill_diagonal(om, 1.0)
-    return th, d, c, om
+    return out
 
 
 def potential(theta) -> float:
     """Evaluate V(theta).  Raises AngularCollision near coincident angles."""
-    th, _, c, _ = _pair_geometry(theta)
-    cu = c[np.triu_indices(th.size, 1)]
+    _, c, _ = _checked(_geometry, theta)
+    cu = c[np.triu_indices(len(c), 1)]
     return float(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
 
 
 def _gradients(theta: np.ndarray):
     """Gradients of V over a (..., N) stack of angle rows, unvalidated, and
     per-row flags, False where two angles collide (that row is meaningless)."""
-    n = theta.shape[-1]
-    d = theta[..., :, None] - theta[..., None, :]
-    om = 1.0 - np.cos(d)
-    om.reshape(-1, n * n)[:, :: n + 1] = np.inf  # diagonals (strided): sin(0) * 1 = 0
-    clear = om.min(axis=(-2, -1)) >= EPS_SEP
+    d, _, om, clear = _geometry(theta)
     np.maximum(om, EPS_SEP, out=om)  # changes only collided rows; keeps 1 / om finite
-    return np.sum(np.sin(d) * (1.0 - 1.0 / (2.0 * om)), axis=-1), clear
+    return np.sum(np.sin(d) * (1.0 - 1.0 / (2.0 * om)), axis=-1), clear  # diagonals: sin(0) * 1 = 0
 
 
 def gradient(theta) -> np.ndarray:
@@ -91,10 +94,7 @@ def gradient(theta) -> np.ndarray:
     (1 - 1/(2 - 2 cos(theta_j - theta_i))).  The components always sum to
     zero: V is invariant under a common rotation of all angles.
     """
-    g, clear = _gradients(_angles(theta))
-    if not clear:
-        raise AngularCollision(_COLLIDED)
-    return g
+    return _checked(_gradients, theta)[0]
 
 
 def hessian(theta) -> np.ndarray:
@@ -105,10 +105,11 @@ def hessian(theta) -> np.ndarray:
     the off-diagonal entries in its row, so row sums vanish identically and
     (1,...,1) is always in the kernel.
     """
-    _, _, c, om = _pair_geometry(theta)
+    _, c, om = _checked(_geometry, theta)
     h = -c - 1.0 / (2.0 * om)
-    np.fill_diagonal(h, 0.0)
-    np.fill_diagonal(h, -h.sum(axis=1))
+    diag = h.reshape(-1)[:: len(h) + 1]
+    diag[:] = 0.0  # so the row sums see the off-diagonal entries only
+    diag[:] = -h.sum(axis=1)
     return h
 
 

@@ -16,9 +16,10 @@ from .potential import (
     CriticalPointClass,
     _COLLIDED,
     _angles,
+    _checked,
     _classify,
+    _geometry,
     _gradients,
-    _pair_geometry,
     gradient,
     hessian,
     potential,
@@ -82,13 +83,13 @@ def canonicalize(theta) -> np.ndarray:
     N cyclic relabelings and the reflection theta -> -theta it realizes the
     lexicographically smallest gap sequence.  Idempotent.
     """
-    th = _pair_geometry(theta)[0]
-    gaps = _cyclic_gaps(th)
+    _checked(_geometry, theta)  # raises on malformed or colliding angles
+    gaps = _cyclic_gaps(theta)
     best = gaps
     for cand in _symmetry_orbit(gaps):
         if _lex_less(cand, best):
             best = cand
-    out = np.zeros(th.size)
+    out = np.zeros(gaps.size)
     out[1:] = np.cumsum(best[:-1])
     return out
 

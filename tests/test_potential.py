@@ -280,3 +280,27 @@ def test_stacked_gradient_rows_match_gradient(theta):
             with pytest.raises(AngularCollision):
                 gradient(row)
             assert np.all(np.isfinite(g_row))
+
+
+def reference_potential_hessian(row):
+    """V and its Hessian from the plain formulas: one cos matrix, the
+    Hessian's diagonal filled by ``np.fill_diagonal`` after the off-diagonal
+    row sums, and V summed over the upper triangle."""
+    c = np.cos(row[:, None] - row[None, :])
+    om = 1.0 - c
+    np.fill_diagonal(om, 1.0)
+    h = -c - 1.0 / (2.0 * om)
+    np.fill_diagonal(h, 0.0)
+    np.fill_diagonal(h, -h.sum(axis=1))
+    cu = c[np.triu_indices(row.size, 1)]
+    return float(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu))), h
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(angle_stacks())
+def test_potential_and_hessian_match_reference_formulas_bitwise(theta):
+    for row, clear in zip(theta, _gradients(theta)[1]):
+        if clear:
+            v, h = reference_potential_hessian(row)
+            assert np.float64(potential(row)).tobytes() == np.float64(v).tobytes()
+            assert hessian(row).tobytes() == h.tobytes()
