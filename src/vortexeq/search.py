@@ -103,13 +103,16 @@ def symmetry_distance(theta_a, theta_b) -> float:
     return float(np.abs(ga - _symmetry_orbit(gb)).max(axis=1).min())
 
 
-def _pinv_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Newton step restricted to the complement of the rotation direction:
-    # pseudo-inverse of the Hessian with near-zero modes dropped.
-    ev, q = np.linalg.eigh(h)
-    cut = 1e-10 * max(1.0, float(np.abs(ev).max()))
-    inv = np.where(np.abs(ev) > cut, 1.0 / np.where(ev == 0.0, 1.0, ev), 0.0)
-    return -q @ (inv * (q.T @ g))
+def _pinned_step(theta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # Newton step with theta_1 held: H[1:, 1:] s[1:] = -g[1:].  As H 1 = 0 and
+    # sum(g) = 0 this solves H s = -g, so it differs from any other Newton step
+    # only by a common rotation, which V ignores and canonicalize removes.
+    s = np.zeros_like(g)
+    try:
+        s[1:] = np.linalg.solve(hessian(theta)[1:, 1:], -g[1:])
+    except np.linalg.LinAlgError:
+        raise NoConvergence("singular Newton system with theta_1 held") from None
+    return s
 
 
 _ALPHA = np.ldexp(1.0, -np.arange(30))[:, None]  # line-search steps 2**-k, k = 0..29
@@ -183,16 +186,16 @@ def newton_refine(
     """Damped Newton refinement of theta0 to a critical point.
 
     Runs the shared driver ``_newton`` on grad V.  The step solves the
-    Newton system through the Hessian pseudo-inverse on the complement of
-    the rotation direction; the line search on ||grad V||^2 halves it up to
-    29 times.  Convergence means ||grad V||_inf < newton_tol within
-    ``max_iter`` Newton steps.  Raises NoConvergence at the iteration cap
-    or when the line search stalls, and CollisionApproach if the start
-    collides.
+    Newton system with theta_1 held, which removes the rotation direction;
+    the line search on ||grad V||^2 halves it up to 29 times.  Convergence
+    means ||grad V||_inf < newton_tol within ``max_iter`` Newton steps.
+    Raises NoConvergence at the iteration cap, when the line search stalls
+    or when the Newton system is singular, and CollisionApproach if the
+    start collides.
     """
     th, _ = _newton(
         _gradients,
-        lambda t, g: _pinv_step(hessian(t), g),
+        _pinned_step,
         _angles(theta0),
         newton_tol,
         max_iter,

@@ -12,6 +12,7 @@ from vortexeq import (
     canonicalize,
     continue_equilibrium,
     gradient,
+    hessian,
     multistart_search,
     newton_refine,
     ngon,
@@ -45,6 +46,16 @@ def sequential_newton(residual, step, x, tol, max_iter, collision):
     if float(np.abs(f).max()) < tol:
         return x, f
     raise NoConvergence(f"no convergence within {max_iter} iterations")
+
+
+def pinv_step(h, g):
+    """Reference for ``search._pinned_step``: the Newton step restricted to the
+    complement of the rotation direction, through the pseudo-inverse of the
+    Hessian with near-zero modes dropped."""
+    ev, q = np.linalg.eigh(h)
+    cut = 1e-10 * max(1.0, float(np.abs(ev).max()))
+    inv = np.where(np.abs(ev) > cut, 1.0 / np.where(ev == 0.0, 1.0, ev), 0.0)
+    return -q @ (inv * (q.T @ g))
 
 
 @pytest.fixture
@@ -283,3 +294,42 @@ def test_continuation_matches_sequential_line_search(
             np.testing.assert_array_equal(got.r, ref.r)
             np.testing.assert_array_equal(got.theta, ref.theta)
             assert got.residual == ref.residual
+
+
+def test_pinned_step_is_pinv_step_plus_a_rotation():
+    # H 1 = 0 and sum(g) = 0, so holding theta_1 changes the Newton step
+    # only by a common rotation; both steps carry a roundoff of about
+    # kappa * eps, kappa the condition number of H off the rotation
+    rng = np.random.default_rng(7)
+    rows = [sample_wedge(n, rng) for n in range(2, 13) for _ in range(5)]
+    rows.append(ngon(100) + 1e-3 * rng.standard_normal(100))
+    for theta in rows:
+        g, h = gradient(theta), hessian(theta)
+        ev = np.sort(np.abs(np.linalg.eigvalsh(h)))[1:]
+        ref = pinv_step(h, g)
+        step = search._pinned_step(theta, g)
+        assert step[0] == 0.0
+        tol = 1e-10 + 100 * np.finfo(float).eps * ev[-1] / ev[0]
+        assert np.ptp(step - ref) <= tol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_multistart_with_pinv_step_finds_same_families(monkeypatch, n):
+    for seed in (0, 1):
+        got = multistart_search(n, 60, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_pinned_step", lambda t, g: pinv_step(search.hessian(t), g))
+            ref = multistart_search(n, 60, seed=seed)
+        assert len(got.points) == len(ref.points)
+        for p, q in zip(got.points, ref.points):
+            assert p.morse_index == q.morse_index
+            assert symmetry_distance(p.config, q.config) < 1e-9
+
+
+def test_singular_newton_system_is_no_convergence(monkeypatch):
+    monkeypatch.setattr(search, "hessian", lambda t: np.zeros((t.size, t.size)))
+    with pytest.raises(NoConvergence, match="^singular Newton system with theta_1 held$"):
+        newton_refine(np.array([0.0, 1.0, 2.5, 4.0]))
+    catalog = multistart_search(4, 5, seed=0)
+    assert catalog.points == []
+    assert catalog.metadata["failures"] == {"no_convergence": 5, "collision": 0}
