@@ -36,7 +36,7 @@ from .errors import (
     NoConvergence,
     VortexEqError,
 )
-from .potential import CriticalPointClass
+from .potential import CriticalPointClass, hessian, ngon
 from .search import CriticalPoint, multistart_search
 from .spectra import SpectrumReport, eig_symmetric, ngon_spectrum_closed_form
 from .stability import _require_equilibrium, asymptotic_eigenvalues, stability_verdict
@@ -166,13 +166,7 @@ def _scaling_record(family: list[RelativeEquilibrium]) -> dict | None:
 
 def cmd_find(args: argparse.Namespace) -> int:
     catalog = multistart_search(
-        args.n,
-        args.starts,
-        seed=args.seed,
-        delta=args.delta,
-        dedup_tol=args.dedup_tol,
-        newton_tol=args.tol_newton,
-        tol_zero=args.tol_zero,
+        args.n, args.starts, seed=args.seed, newton_tol=args.tol_newton
     )
     payload = _header(_config(args, "json"))
     payload["n"] = catalog.n
@@ -189,8 +183,6 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
     closed = ngon_spectrum_closed_form(args.n)
-    from .potential import hessian, ngon
-
     dense = eig_symmetric(hessian(ngon(args.n))).eigenvalues.real
     order = np.argsort(closed, kind="stable")
     matched = np.empty_like(closed)
@@ -221,7 +213,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
     done: list[RelativeEquilibrium] = []
     failure = None
     try:
-        done = sweep_epsilon(cp, args.eps, releq_tol=args.tol_newton)
+        done = sweep_epsilon(cp, args.eps)
     except NoConvergence as exc:
         done = list(exc.partial or [])
         failure = str(exc)
@@ -250,7 +242,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     verdicts = []
     for rec in data["equilibria"]:
         eq = _equilibrium_from_record(rec)
-        verdict = stability_verdict(eq, tol=args.tol_zero)
+        verdict = stability_verdict(eq)
         eigenvalues = np.asarray(verdict.spectrum.eigenvalues)
         entry = {
             "epsilon": float(eq.epsilon),
@@ -362,8 +354,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < np.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
     return value
 
 
@@ -391,17 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_find = sub.add_parser("find", help="multistart search for critical-point families")
     p_find.add_argument("--n", type=int, required=True, help="number of weak vortices")
     p_find.add_argument("--starts", type=int, default=500)
-    p_find.add_argument("--delta", type=float, default=1e-2,
-                        help="minimum sampled angular gap")
-    p_find.add_argument("--dedup-tol", type=float, default=1e-6)
     p_find.add_argument("--plot-data", action="store_true",
                         help="embed unit-circle point lists per family")
     p_find.add_argument("--seed", type=int, default=0, help="RNG seed for the starts")
     p_find.add_argument("--tol-newton", type=float, default=1e-12,
                         help="Newton gradient sup-norm tolerance")
-    p_find.add_argument("--tol-zero", type=float, default=1e-9,
-                        help="zero Hessian eigenvalue tolerance, times "
-                        "max(1, largest |eigenvalue|)")
     p_find.set_defaults(func=cmd_find)
 
     p_spec = sub.add_parser("ngon-spectrum",
@@ -415,15 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--family", type=int, default=0, help="family id in the catalog")
     p_cont.add_argument("--eps", type=_eps_values, required=True,
                         help="comma-separated nonzero epsilon values")
-    p_cont.add_argument("--tol-newton", type=float, default=1e-12,
-                        help="Newton residual sup-norm tolerance")
     p_cont.set_defaults(func=cmd_continue)
 
     p_stab = sub.add_parser("stability", help="linear stability of continued equilibria")
     p_stab.add_argument("--equilibria", required=True,
                         help="equilibria JSON from continue")
-    p_stab.add_argument("--tol-zero", type=float, default=1e-9,
-                        help="zero eigenvalue tolerance, scaled by sqrt(|eps|)")
     p_stab.set_defaults(func=cmd_stability)
 
     p_sim = sub.add_parser("simulate", help="integrate the full vortex system")
@@ -433,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equilibrium index within the file")
     p_sim.add_argument("--h", type=_positive_float, required=True, help="RK4 step size")
     p_sim.add_argument("--T", type=_positive_float, required=True, help="final time")
-    p_sim.add_argument("--perturb", type=float, default=0.0,
+    p_sim.add_argument("--perturb", type=_nonnegative_float, default=0.0,
                        help="perturbation amplitude (0 = unperturbed)")
     p_sim.add_argument("--seed", type=int, default=0,
                        help="RNG seed for the perturbation")
@@ -455,8 +444,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("find requires --n >= 2")
     if args.command == "ngon-spectrum" and args.n < 3:
         parser.error("ngon-spectrum requires --n >= 3")
-    if args.command == "simulate" and args.perturb < 0.0:
-        parser.error("--perturb must be nonnegative")
     try:
         return args.func(args)
     except VortexEqError as exc:

@@ -35,6 +35,9 @@ _TINY_SEP2 = np.finfo(float).tiny
 # Largest |eps| that continuation accepts; ring seeds get min(this, 1/N^2).
 _EPS_CEILING = 0.05
 
+# Continuation converges once the residual and phase sup-norm is below this.
+_RELEQ_TOL = 1e-12
+
 
 @dataclass
 class Circulations:
@@ -200,7 +203,6 @@ def epsilon_ceiling(cp: CriticalPoint) -> float:
 def continue_equilibrium(
     cp: CriticalPoint,
     epsilon: float,
-    releq_tol: float = 1e-12,
     max_iter: int = 60,
     _warm_start: np.ndarray | None = None,
 ) -> RelativeEquilibrium:
@@ -211,7 +213,7 @@ def continue_equilibrium(
     angles phi.  The shared driver ``search._newton`` takes least-squares
     steps on the closed-form Jacobian and halves them until the squared
     2-norm of residual and phase drops.  Convergence means their sup-norm
-    below ``releq_tol`` within ``max_iter`` Newton steps.
+    below 1e-12 within ``max_iter`` Newton steps.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
     eigenvalue, InvalidEpsilon for eps = 0 or |eps| above the ceiling,
@@ -246,7 +248,7 @@ def continue_equilibrium(
         lambda z: _augmented_system(z, phi, epsilon, 1.0),
         lstsq_step,
         x,
-        releq_tol,
+        _RELEQ_TOL,
         max_iter,
         _COLLIDED,
     )

@@ -25,6 +25,7 @@ from .continuation import (
 )
 from .errors import CollisionAbort, VortexCollision
 from .search import TWO_PI
+from .stability import stability_verdict
 
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
 
@@ -87,12 +88,13 @@ def hamiltonian(config: PlanarConfiguration) -> float:
     """Interaction energy -sum_{i<j} Gamma_i Gamma_j log |q_i - q_j|."""
     pos = config.positions
     g = config.gammas
-    iu = np.triu_indices(pos.shape[0], 1)
-    d = pos[iu[0]] - pos[iu[1]]
+    k = np.arange(g.size)
+    upper = k[:, None] < k  # pairs i < j, row by row
+    d = (pos[:, None] - pos)[upper]
     dist = np.sqrt((d * d).sum(axis=1))
     if dist.min() < _COLLISION_GUARD:
         raise VortexCollision("two vortices are closer than the collision guard")
-    return float(-np.sum(g[iu[0]] * g[iu[1]] * np.log(dist)))
+    return float(-np.sum((g[:, None] * g)[upper] * np.log(dist)))
 
 
 def vorticity_moment(config: PlanarConfiguration) -> float:
@@ -189,8 +191,6 @@ def perturbation_growth(
     (larger rings rotate at a different rate) that masks the exponential
     rates the fit is after.
     """
-    from .stability import stability_verdict
-
     # linearize rejects a start that is not an equilibrium before any step
     predicted = stability_verdict(eq).max_real_part
     if h is None:

@@ -75,7 +75,8 @@ def _checked(kernel, theta):
 def potential(theta) -> float:
     """Evaluate V(theta).  Raises AngularCollision near coincident angles."""
     _, c, _ = _checked(_geometry, theta)
-    cu = c[np.triu_indices(len(c), 1)]
+    k = np.arange(len(c))
+    cu = c[k[:, None] < k]  # the upper triangle, row by row
     return float(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
 
 
@@ -113,27 +114,26 @@ def hessian(theta) -> np.ndarray:
     return h
 
 
-def classify(
-    theta, tol: float = 1e-9
-) -> tuple[CriticalPointClass, SpectrumReport]:
+def classify(theta) -> tuple[CriticalPointClass, SpectrumReport]:
     """Classify a critical point of V by its Hessian spectrum.
 
     A nondegenerate critical point has exactly one zero eigenvalue (the
     rotational symmetry direction).  With that single zero, positive
     semidefinite means LOCAL_MIN, negative semidefinite LOCAL_MAX, and a
-    mixed spectrum SADDLE.  Two or more zeros give DEGENERATE.
+    mixed spectrum SADDLE.  Two or more zeros give DEGENERATE.  An eigenvalue
+    is zero below 1e-9 * max(1, largest |eigenvalue|) in magnitude.
 
     Raises NotCritical when the gradient sup-norm reaches 1e-8.
     """
-    return _classify(theta, gradient(theta), tol)[:2]
+    return _classify(theta, gradient(theta))[:2]
 
 
-def _classify(theta, g: np.ndarray, tol: float):
+def _classify(theta, g: np.ndarray):
     """``classify`` with the gradient given; also returns the Morse index."""
     res = float(np.abs(g).max())
     if res >= _GRAD_TOL:
         raise NotCritical(f"gradient sup-norm {res:.3e} >= {_GRAD_TOL:g}")
-    report = eig_symmetric(hessian(theta), tol=tol)
+    report = eig_symmetric(hessian(theta))
     ev = report.eigenvalues.real
     thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
     morse = (int(np.sum(ev < -thr)), int(report.zero_count), int(np.sum(ev > thr)))

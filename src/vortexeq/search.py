@@ -32,6 +32,12 @@ TWO_PI = 2.0 * np.pi
 # fuzz as equal, so roundoff cannot flip the chosen representative.
 _LEX_FUZZ = 1e-9
 
+# Smallest gap between neighbouring angles in a sampled start.
+_START_GAP = 1e-2
+
+# Converged points closer than this in symmetry distance are one family.
+_DEDUP_TOL = 1e-6
+
 
 @dataclass
 class CriticalPoint:
@@ -160,10 +166,10 @@ def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collision:
     raise NoConvergence(f"no convergence within {max_iter} iterations")
 
 
-def _build_point(theta: np.ndarray, tol_zero: float) -> CriticalPoint:
+def _build_point(theta: np.ndarray) -> CriticalPoint:
     canon = canonicalize(theta)
     g = gradient(canon)
-    cls, report, morse = _classify(canon, g, tol_zero)
+    cls, report, morse = _classify(canon, g)
     gaps = _cyclic_gaps(canon)
     mirrored = float(np.abs(gaps - _symmetry_orbit(gaps)[gaps.size :]).max(axis=1).min())
     return CriticalPoint(
@@ -178,10 +184,7 @@ def _build_point(theta: np.ndarray, tol_zero: float) -> CriticalPoint:
 
 
 def newton_refine(
-    theta0,
-    newton_tol: float = 1e-12,
-    max_iter: int = 200,
-    tol_zero: float = 1e-9,
+    theta0, newton_tol: float = 1e-12, max_iter: int = 200
 ) -> CriticalPoint:
     """Damped Newton refinement of theta0 to a critical point.
 
@@ -201,20 +204,20 @@ def newton_refine(
         max_iter,
         _COLLIDED,
     )
-    return _build_point(th, tol_zero)
+    return _build_point(th)
 
 
-def sample_wedge(n: int, rng: np.random.Generator, delta: float = 1e-2) -> np.ndarray:
+def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one configuration uniformly from the ordered-gap wedge interior.
 
-    Gaps eta_2..eta_N all exceed delta and their sum stays below
+    Gaps eta_2..eta_N all exceed delta = 0.01 and their sum stays below
     2*pi - delta, i.e. theta_1 = 0 < theta_2 < ... < theta_N < 2*pi - delta.
     """
-    span = TWO_PI - n * delta
+    span = TWO_PI - n * _START_GAP
     if span <= 0.0:
-        raise ValueError("delta too large for this n")
+        raise ValueError(f"n = {n} leaves no room for gaps of {_START_GAP:g}")
     parts = rng.dirichlet(np.ones(n))
-    gaps = delta + span * parts[: n - 1]
+    gaps = _START_GAP + span * parts[: n - 1]
     out = np.zeros(n)
     out[1:] = np.cumsum(gaps)
     return out
@@ -224,17 +227,14 @@ def multistart_search(
     n: int,
     n_starts: int,
     seed: int = 0,
-    delta: float = 1e-2,
-    dedup_tol: float = 1e-6,
     newton_tol: float = 1e-12,
-    tol_zero: float = 1e-9,
 ) -> FamilyCatalog:
     """Locate critical-point families from random starts in the gap wedge.
 
     Runs ``n_starts`` Newton refinements from wedge samples drawn with the
     given seed, folds converged points into families by symmetry distance
-    (first representative wins), and returns the catalog sorted by potential
-    value.  Deterministic for a fixed seed.
+    below 1e-6 (first representative wins), and returns the catalog sorted
+    by potential value.  Deterministic for a fixed seed.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("multistart search needs an integer n >= 2")
@@ -243,9 +243,9 @@ def multistart_search(
     failures = {"no_convergence": 0, "collision": 0}
     converged = 0
     for _ in range(int(n_starts)):
-        start = sample_wedge(n, rng, delta)
+        start = sample_wedge(n, rng)
         try:
-            cp = newton_refine(start, newton_tol=newton_tol, tol_zero=tol_zero)
+            cp = newton_refine(start, newton_tol=newton_tol)
         except NoConvergence:
             failures["no_convergence"] += 1
             continue
@@ -254,7 +254,7 @@ def multistart_search(
             continue
         converged += 1
         for known in points:
-            if symmetry_distance(cp.config, known.config) < dedup_tol:
+            if symmetry_distance(cp.config, known.config) < _DEDUP_TOL:
                 break
         else:
             points.append(cp)
@@ -265,10 +265,7 @@ def multistart_search(
         metadata={
             "n_starts": int(n_starts),
             "seed": int(seed),
-            "delta": delta,
-            "dedup_tol": dedup_tol,
             "newton_tol": newton_tol,
-            "tol_zero": tol_zero,
             "n_converged": converged,
             "failures": failures,
         },

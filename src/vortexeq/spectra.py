@@ -17,6 +17,9 @@ from .errors import (
 
 _COND_LIMIT = 1e12
 
+# A symmetric eigenvalue is zero below this times max(1, spectral radius).
+_ZERO_TOL = 1e-9
+
 
 @dataclass
 class SpectrumReport:
@@ -33,17 +36,18 @@ class SpectrumReport:
     tol_used: float
 
 
-def _count_zeros(values: np.ndarray, tol: float) -> int:
+def _count_zeros(values: np.ndarray) -> int:
     mags = np.abs(values)
     radius = mags.max() if mags.size else 0.0
-    return int(np.sum(mags < tol * max(1.0, radius)))
+    return int(np.sum(mags < _ZERO_TOL * max(1.0, radius)))
 
 
-def eig_symmetric(s, tol: float = 1e-9) -> SpectrumReport:
+def eig_symmetric(s) -> SpectrumReport:
     """Full spectrum of a real symmetric matrix, in ascending order.
 
     Symmetry is required within 1e-12 relative sup-norm (NotSymmetric
-    otherwise).
+    otherwise).  Eigenvalues below 1e-9 * max(1, spectral radius) in
+    magnitude count as zeros.
     """
     m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -58,7 +62,7 @@ def eig_symmetric(s, tol: float = 1e-9) -> SpectrumReport:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
     return SpectrumReport(
-        eigenvalues=values, zero_count=_count_zeros(values, tol), tol_used=tol
+        eigenvalues=values, zero_count=_count_zeros(values), tol_used=_ZERO_TOL
     )
 
 

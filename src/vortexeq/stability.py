@@ -35,6 +35,9 @@ from .spectra import SpectrumReport
 # An eigenvalue is imaginary when |Re lambda| <= this times |lambda|.
 _IMAG_REL_TOL = 1e-4
 
+# An eigenvalue is zero when |lambda| < this times sqrt(|eps|).
+_ZERO_TOL = 1e-6
+
 
 class StabilityClass(Enum):
     LINEARLY_STABLE = "stable"
@@ -111,18 +114,18 @@ def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium) -> np.ndarra
     return np.linalg.eigvals(b[2:, 2:])
 
 
-def stability_verdict(eq: RelativeEquilibrium, tol: float = 1e-6) -> StabilityVerdict:
+def stability_verdict(eq: RelativeEquilibrium) -> StabilityVerdict:
     """Classify an equilibrium from the linearization spectrum.
 
     The two structural symmetry eigenvalues count as zeros; further
-    eigenvalues below tol * sqrt(|eps|) in magnitude flag a degenerate
+    eigenvalues below 1e-6 * sqrt(|eps|) in magnitude flag a degenerate
     (Marginal) case.  With exactly two zeros the verdict is LinearlyStable
     iff every remaining eigenvalue is pure imaginary, |Re| < 1e-4 *
     |lambda|.  ``instability_count`` is the number of eigenvalues with real
     part above that relative threshold.
     """
     rest = _structural_deflation(linearize(eq), eq)
-    zero_abs = tol * np.sqrt(abs(eq.epsilon))
+    zero_abs = _ZERO_TOL * np.sqrt(abs(eq.epsilon))
     extra = int(np.sum(np.abs(rest) < zero_abs))
     n_zero = 2 + extra
     nonzero = rest[np.abs(rest) >= zero_abs]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vortexeq import Trajectory
+from vortexeq import NoConvergence, Trajectory, continuation
 from vortexeq.cli import _trajectory_csv, main
 
 
@@ -37,8 +37,17 @@ def equilibria_path(tmp_path_factory, catalog4_path):
     return path
 
 
-# (command, option) pairs where the command does not read the option.
+# (command, option) pairs where the command does not read the option.  The
+# first five were tolerances that are now fixed: the start gap (1e-2), the
+# family dedup distance (1e-6), the Hessian zero threshold (1e-9 times
+# max(1, largest |eigenvalue|)), the continuation residual (1e-12) and the
+# linearization zero threshold (1e-6 sqrt(|eps|)).
 DROPPED_FLAGS = [
+    ("find", "--delta"),
+    ("find", "--dedup-tol"),
+    ("find", "--tol-zero"),
+    ("continue", "--tol-newton"),
+    ("stability", "--tol-zero"),
     ("ngon-spectrum", "--seed"),
     ("ngon-spectrum", "--tol-newton"),
     ("ngon-spectrum", "--tol-zero"),
@@ -51,11 +60,10 @@ DROPPED_FLAGS = [
 ]
 
 CONFIG_KEYS = {
-    "find": {"command", "format", "n", "starts", "seed", "delta", "dedup_tol",
-             "tol_newton", "tol_zero", "plot_data"},
+    "find": {"command", "format", "n", "starts", "seed", "tol_newton", "plot_data"},
     "ngon-spectrum": {"command", "format", "n"},
-    "continue": {"command", "format", "catalog", "family", "eps", "tol_newton"},
-    "stability": {"command", "format", "equilibria", "tol_zero"},
+    "continue": {"command", "format", "catalog", "family", "eps"},
+    "stability": {"command", "format", "equilibria"},
     "simulate": {"command", "format", "equilibria", "index", "h", "T", "perturb",
                  "seed"},
 }
@@ -64,6 +72,7 @@ CONFIG_KEYS = {
 @pytest.fixture(scope="module")
 def valid_argv(catalog4_path, equilibria_path):
     return {
+        "find": ["--n", "2", "--starts", "1"],
         "ngon-spectrum": ["--n", "4"],
         "continue": ["--catalog", str(catalog4_path), "--eps", "1e-3"],
         "stability": ["--equilibria", str(equilibria_path)],
@@ -223,17 +232,25 @@ def test_continue_degenerate_seed(tmp_path, catalog4_path, capsys):
     assert "DegenerateSeed" in err
 
 
-def test_continue_partial_output_on_failure(tmp_path, catalog4_path, capsys):
+def test_continue_partial_output_on_failure(tmp_path, catalog4_path, capsys,
+                                            monkeypatch):
+    solve = continuation.continue_equilibrium
+
+    def fail_second(cp, eps, **kwargs):
+        if eps == 2e-3:
+            raise NoConvergence("stalled on purpose")
+        return solve(cp, eps, **kwargs)
+
+    monkeypatch.setattr(continuation, "continue_equilibrium", fail_second)
     out = tmp_path / "partial.json"
     code, _, err = run(capsys, "continue", "--catalog", str(catalog4_path),
-                       "--family", "0", "--eps", "1e-3,0.049",
-                       "--tol-newton", "1e-15", "--out", str(out))
-    if code == 1:
-        data = json.loads(out.read_text())
-        assert "error" in data
-        assert isinstance(data["equilibria"], list)
-    else:
-        assert code == 0
+                       "--family", "0", "--eps", "1e-3,2e-3,3e-3", "--out", str(out))
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["error"] == "sweep failed at eps = 0.002: stalled on purpose"
+    assert [eq["epsilon"] for eq in data["equilibria"]] == [1e-3]
+    assert data["equilibria"][0]["residual"] < 1e-12
+    assert err == f"error: {data['error']}\n"
 
 
 def test_stability_verdicts(tmp_path, equilibria_path, capsys):
@@ -376,6 +393,21 @@ def test_simulate_usage_errors(equilibria_path):
                            "--h", "0", "--T", "1") == 2
     assert run_usage_error("simulate", "--equilibria", str(equilibria_path),
                            "--h", "0.1", "--T", "-1") == 2
+
+
+# None of these may reach the integrator: an infinite --T overflows the step
+# count, an infinite --h or --perturb writes NaN rows, and a NaN --perturb
+# is skipped by the amplitude test yet written into the JSON config as NaN,
+# which is not JSON.
+@pytest.mark.parametrize("flag,value", [
+    ("--h", "inf"), ("--h", "nan"), ("--T", "inf"), ("--T", "nan"),
+    ("--perturb", "-1e-6"), ("--perturb", "inf"), ("--perturb", "nan"),
+])
+def test_simulate_rejects_non_finite_values(equilibria_path, capsys, flag, value):
+    argv = {"--h": "0.1", "--T": "1", "--perturb": "1e-6", flag: value}
+    assert run_usage_error("simulate", "--equilibria", str(equilibria_path),
+                           *(tok for pair in argv.items() for tok in pair)) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_simulate_bad_index(equilibria_path, capsys):

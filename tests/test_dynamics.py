@@ -17,6 +17,7 @@ from vortexeq import (
     newton_refine,
     ngon,
     perturbation_growth,
+    potential,
     rigidity_error,
     vortex_field,
     vorticity_moment,
@@ -72,6 +73,23 @@ def test_hamiltonian_scaling_law():
     n = 4
     drop = (n * (n - 1) / 2) * np.log(3.0)
     assert hamiltonian(scaled) == pytest.approx(hamiltonian(config) - drop, rel=1e-12)
+
+
+def test_pair_sums_match_the_triu_indices_formula_bitwise():
+    # V and H sum over pairs i < j through an ordered mask; it must keep the
+    # row-major pair order of np.triu_indices, so the sums agree to the bit
+    rng = np.random.default_rng(5)
+    for n in [*range(2, 30), 50, 100]:
+        iu = np.triu_indices(n, 1)
+        theta = rng.uniform(0.0, TWO_PI, n)
+        cu = np.cos(theta[:, None] - theta[None, :])[iu]
+        ref = np.float64(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
+        assert np.float64(potential(theta)).tobytes() == ref.tobytes(), n
+        config = PlanarConfiguration(rng.standard_normal((n, 2)), Circulations(1e-3))
+        pos, g = config.positions, config.gammas
+        d = pos[iu[0]] - pos[iu[1]]
+        ref = np.float64(-np.sum(g[iu[0]] * g[iu[1]] * np.log(np.sqrt((d * d).sum(axis=1)))))
+        assert np.float64(hamiltonian(config)).tobytes() == ref.tobytes(), n
 
 
 def test_hamiltonian_rigid_motion_invariance():

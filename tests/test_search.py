@@ -185,7 +185,7 @@ def test_sample_wedge_respects_gap_floor():
     rng = np.random.default_rng(3)
     for n in (2, 4, 9):
         for _ in range(50):
-            theta = sample_wedge(n, rng, delta=1e-2)
+            theta = sample_wedge(n, rng)
             assert theta.size == n
             assert theta[0] == 0.0
             gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * np.pi]]))
