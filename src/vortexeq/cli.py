@@ -23,6 +23,7 @@ from .continuation import (
     verify_lemma1_scaling,
 )
 from .dynamics import (
+    _MAX_STEPS,
     PlanarConfiguration,
     hamiltonian,
     integrate_rk4,
@@ -36,9 +37,9 @@ from .errors import (
     NoConvergence,
     VortexEqError,
 )
-from .potential import CriticalPointClass, hessian, ngon
-from .search import CriticalPoint, multistart_search
-from .spectra import SpectrumReport, eig_symmetric, ngon_spectrum_closed_form
+from .potential import hessian, ngon
+from .search import CriticalPoint, _build_point, multistart_search
+from .spectra import eig_symmetric, ngon_spectrum_closed_form
 from .stability import _require_equilibrium, asymptotic_eigenvalues, stability_verdict
 
 TOOL_NAME = "vortexeq"
@@ -70,10 +71,7 @@ def _json_text(payload: dict) -> str:
 
 
 def _floats(arr) -> list:
-    values = np.asarray(arr).ravel()
-    if np.iscomplexobj(values):
-        values = values.real
-    return [float(x) for x in values]
+    return [float(x) for x in np.asarray(arr).ravel()]
 
 
 def _complex_pairs(values) -> list:
@@ -115,19 +113,19 @@ def _load_json(path: str) -> dict:
 
 
 def _family_from_record(rec: dict) -> CriticalPoint:
-    """Rebuild a catalog entry without re-solving (keeps synthetic inputs)."""
-    eig = np.asarray(rec["spectrum"], dtype=float)
-    morse = tuple(int(k) for k in rec["morse_index"])
-    spectrum = SpectrumReport(eigenvalues=eig, zero_count=morse[1], tol_used=0.0)
-    return CriticalPoint(
-        config=np.asarray(rec["angles"], dtype=float),
-        cls=CriticalPointClass(rec["class"]),
-        spectrum=spectrum,
-        morse_index=morse,
-        residual=float(rec["residual"]),
-        value=float(rec["value"]),
-        reflection_symmetric=bool(rec.get("reflection_symmetric", False)),
-    )
+    """Rebuild a catalog family from its angles alone, without re-solving.
+
+    Everything else is recomputed, so NotCritical is raised when the angles
+    are not a critical point; a stored Morse index that disagrees with the
+    recomputed one raises ValueError.
+    """
+    cp = _build_point(np.asarray(rec["angles"], dtype=float))
+    if tuple(rec["morse_index"]) != cp.morse_index:
+        raise ValueError(
+            f"stored morse_index {rec['morse_index']} differs from the "
+            f"recomputed {list(cp.morse_index)}"
+        )
+    return cp
 
 
 def _equilibrium_record(eq: RelativeEquilibrium) -> dict:
@@ -183,7 +181,7 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
     closed = ngon_spectrum_closed_form(args.n)
-    dense = eig_symmetric(hessian(ngon(args.n))).eigenvalues.real
+    dense = eig_symmetric(hessian(ngon(args.n))).eigenvalues
     order = np.argsort(closed, kind="stable")
     matched = np.empty_like(closed)
     matched[order] = np.sort(dense)
@@ -209,7 +207,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
     record = families[args.family]
     cp = _family_from_record(record)
     payload = _header(_config(args, "json"))
-    payload["seed_family"] = dict(record, id=args.family)
+    payload["seed_family"] = _family_record(args.family, cp, "plot_data" in record)
     done: list[RelativeEquilibrium] = []
     failure = None
     try:
@@ -444,6 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("find requires --n >= 2")
     if args.command == "ngon-spectrum" and args.n < 3:
         parser.error("ngon-spectrum requires --n >= 3")
+    if args.command == "simulate" and args.T / args.h > _MAX_STEPS:
+        parser.error(f"simulate requires --T / --h <= {_MAX_STEPS}")
     try:
         return args.func(args)
     except VortexEqError as exc:

@@ -13,7 +13,7 @@ and its perturbations grow at the linearized rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .search import TWO_PI
 from .stability import stability_verdict
 
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
+
+# Most RK4 steps in one run; the (steps + 1, M) sample array is allocated up front.
+_MAX_STEPS = 10**6
 
 
 def _complex(positions: np.ndarray) -> np.ndarray:
@@ -70,10 +73,6 @@ class PlanarConfiguration:
 class Trajectory:
     times: np.ndarray
     positions: np.ndarray  # (steps+1, N+1, 2)
-    h: float
-    integrator: str
-    epsilon: float
-    metadata: dict = field(default_factory=dict)
 
 
 def vortex_field(config: PlanarConfiguration) -> np.ndarray:
@@ -106,11 +105,15 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
     """Fixed-step classical RK4 up to t_final, sampling every step.
 
     Aborts with CollisionAbort (carrying the partial trajectory) when any
-    pair comes within ten times the collision guard.
+    pair comes within ten times the collision guard.  Raises ValueError,
+    before any allocation, when t_final / h exceeds 10**6 steps.
     """
     if h <= 0.0 or t_final <= 0.0:
         raise ValueError("need h > 0 and t_final > 0")
-    steps = max(1, int(round(t_final / h)))
+    ratio = float(t_final) / float(h)
+    if not ratio <= _MAX_STEPS:  # false for inf and nan too
+        raise ValueError(f"t_final / h = {ratio:g} exceeds {_MAX_STEPS} steps")
+    steps = max(1, int(round(ratio)))
     gammas = config.gammas
     z = _complex(config.positions)
     out = np.empty((steps + 1, z.size), dtype=complex)
@@ -119,33 +122,20 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
     for i in range(steps + 1):
         # k1 of the next step also gives the abort check for the current state
         k1, sep2 = _biot_savart(z, gammas)
-        if sep2 < _ABORT_SEP**2:
-            partial = Trajectory(
-                times=times[: i + 1],
-                positions=out[: i + 1].view(float).reshape(i + 1, -1, 2).copy(),
-                h=h,
-                integrator="rk4",
-                epsilon=config.circulations.epsilon,
-                metadata={"aborted_at": float(times[i])},
-            )
-            raise CollisionAbort(
-                f"vortices within {_ABORT_SEP:g} at t = {times[i]:g}",
-                trajectory=partial,
-            )
-        if i == steps:
+        aborted = sep2 < _ABORT_SEP**2
+        if aborted or i == steps:
             break
         k2 = _biot_savart(z + 0.5 * h * k1, gammas)[0]
         k3 = _biot_savart(z + 0.5 * h * k2, gammas)[0]
         k4 = _biot_savart(z + h * k3, gammas)[0]
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = z
-    return Trajectory(
-        times=times,
-        positions=out.view(float).reshape(steps + 1, -1, 2),
-        h=h,
-        integrator="rk4",
-        epsilon=config.circulations.epsilon,
-    )
+    traj = Trajectory(times[: i + 1], out[: i + 1].view(float).reshape(i + 1, -1, 2))
+    if aborted:
+        raise CollisionAbort(
+            f"vortices within {_ABORT_SEP:g} at t = {times[i]:g}", trajectory=traj
+        )
+    return traj
 
 
 def rigidity_error(traj: Trajectory) -> float:

@@ -134,7 +134,7 @@ def _classify(theta, g: np.ndarray):
     if res >= _GRAD_TOL:
         raise NotCritical(f"gradient sup-norm {res:.3e} >= {_GRAD_TOL:g}")
     report = eig_symmetric(hessian(theta))
-    ev = report.eigenvalues.real
+    ev = report.eigenvalues
     thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
     morse = (int(np.sum(ev < -thr)), int(report.zero_count), int(np.sum(ev > thr)))
     if report.zero_count != 1:

@@ -25,6 +25,9 @@ _ZERO_TOL = 1e-9
 class SpectrumReport:
     """Eigenvalues sorted by (real, imaginary) part, with a zero count.
 
+    Real for a symmetric matrix (``eig_symmetric``), complex for a
+    linearization (``stability_verdict``).
+
     ``zero_count`` is the number of eigenvalues with |lambda| below
     ``tol_used * max(1, spectral radius)``, except where a caller documents a
     different absolute threshold (the stability verdicts scale it by
@@ -43,7 +46,7 @@ def _count_zeros(values: np.ndarray) -> int:
 
 
 def eig_symmetric(s) -> SpectrumReport:
-    """Full spectrum of a real symmetric matrix, in ascending order.
+    """Full spectrum of a real symmetric matrix, real and in ascending order.
 
     Symmetry is required within 1e-12 relative sup-norm (NotSymmetric
     otherwise).  Eigenvalues below 1e-9 * max(1, spectral radius) in
@@ -58,7 +61,7 @@ def eig_symmetric(s) -> SpectrumReport:
     try:
         # eigh, not eigvalsh: LAPACK takes another path without vectors and
         # the eigenvalues move in the last bits
-        values = np.linalg.eigh(0.5 * (m + m.T))[0].astype(complex)
+        values = np.linalg.eigh(0.5 * (m + m.T))[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
     return SpectrumReport(

@@ -162,7 +162,7 @@ def asymptotic_eigenvalues(cp: CriticalPoint, epsilon: float) -> np.ndarray:
     """
     if cp.morse_index[1] != 1:
         raise DegenerateSeed("asymptotic spectrum needs a nondegenerate seed")
-    ev = np.asarray(cp.spectrum.eigenvalues).real
+    ev = cp.spectrum.eigenvalues
     keep = np.argsort(np.abs(ev))[cp.spectrum.zero_count:]
     zeta = ev[keep]
     out = []

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vortexeq import NoConvergence, Trajectory, continuation
+from vortexeq import NoConvergence, Trajectory, cli, continuation
 from vortexeq.cli import _trajectory_csv, main
 
 
@@ -221,6 +221,8 @@ def test_continue_missing_catalog(capsys):
 
 
 def test_continue_degenerate_seed(tmp_path, catalog4_path, capsys):
+    # a record that claims a degenerate index is rejected: the loader
+    # recomputes (0, 1, 3) from the angles and refuses the mismatch
     data = json.loads(catalog4_path.read_text())
     fam = dict(data["families"][0])
     fam["morse_index"] = [0, 2, 2]
@@ -229,7 +231,63 @@ def test_continue_degenerate_seed(tmp_path, catalog4_path, capsys):
     bad.write_text(json.dumps(data))
     code, _, err = run(capsys, "continue", "--catalog", str(bad), "--eps", "1e-3")
     assert code == 1
-    assert "DegenerateSeed" in err
+    assert "malformed input" in err and "morse_index [0, 2, 2]" in err
+
+
+def _continue_in(directory, monkeypatch, capsys, catalog):
+    # the config echoes the --catalog path, so every run uses the same one
+    directory.mkdir()
+    (directory / "catalog4.json").write_text(json.dumps(catalog))
+    monkeypatch.chdir(directory)
+    code, _, err = run(capsys, "continue", "--catalog", "catalog4.json",
+                       "--family", "1", "--eps", "1e-3,-1e-3", "--out", "eq.json")
+    return code, err, directory / "eq.json"
+
+
+def test_continue_reads_only_angles_and_morse_index(tmp_path, catalog4_path,
+                                                    monkeypatch, capsys):
+    data = json.loads(catalog4_path.read_text())
+    code, _, full = _continue_in(tmp_path / "full", monkeypatch, capsys, data)
+    assert code == 0
+    data["families"] = [{k: fam[k] for k in ("angles", "morse_index")}
+                        for fam in data["families"]]
+    code, _, stripped = _continue_in(tmp_path / "stripped", monkeypatch, capsys, data)
+    assert code == 0
+    assert stripped.read_bytes() == full.read_bytes()
+
+
+def test_continue_rejects_a_non_critical_family(tmp_path, catalog4_path,
+                                                monkeypatch, capsys):
+    # theta_2 moved by 1e-3 leaves every stored field as it was, but the
+    # gradient sup-norm is now 2.3e-3
+    data = json.loads(catalog4_path.read_text())
+    fam = data["families"][1]
+    fam["angles"][1] += 1e-3
+    code, err, out = _continue_in(tmp_path / "moved", monkeypatch, capsys, data)
+    assert code == 1
+    assert "NotCritical" in err
+    assert not out.exists()
+
+
+def test_stability_recomputes_the_seed_spectrum(tmp_path, equilibria_path,
+                                                monkeypatch, capsys):
+    # the asymptotic predictions come from the spectrum recomputed at the
+    # seed's angles, not from the stored one
+    def verdicts(name, data):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "eq.json").write_text(json.dumps(data))
+        monkeypatch.chdir(directory)
+        code, _, _ = run(capsys, "stability", "--equilibria", "eq.json",
+                         "--out", "verdicts.json")
+        assert code == 0
+        return (directory / "verdicts.json").read_bytes()
+
+    data = json.loads(equilibria_path.read_text())
+    untouched = verdicts("untouched", data)
+    seed = data["seed_family"]
+    seed["spectrum"] = [2.0 * v for v in seed["spectrum"]]
+    assert verdicts("edited", data) == untouched
 
 
 def test_continue_partial_output_on_failure(tmp_path, catalog4_path, capsys,
@@ -336,7 +394,7 @@ def test_simulate_rejects_a_non_equilibrium(tmp_path, equilibria_path, capsys):
 def test_trajectory_csv_rows_are_float_reprs():
     values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0 / 3.0]
     positions = np.array(values[:6] + values[1:7]).reshape(2, 3, 2)
-    traj = Trajectory(np.array([0.0, 1e-300]), positions, 1e-300, "rk4", 1e-3)
+    traj = Trajectory(np.array([0.0, 1e-300]), positions)
     lines = _trajectory_csv(traj, {"command": "simulate"}).split("\n")
     rows = [
         ",".join(repr(float(v)) for v in [t, *positions[i].ravel()])
@@ -408,6 +466,18 @@ def test_simulate_rejects_non_finite_values(equilibria_path, capsys, flag, value
     assert run_usage_error("simulate", "--equilibria", str(equilibria_path),
                            *(tok for pair in argv.items() for tok in pair)) == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h,T", [("1e-300", "1e300"), ("1e-7", "1")])
+def test_simulate_rejects_too_many_steps(equilibria_path, capsys, monkeypatch, h, T):
+    # a usage error before the file is read, so nothing is integrated
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_load_json", no_read)
+    assert run_usage_error("simulate", "--equilibria", str(equilibria_path),
+                           "--h", h, "--T", T) == 2
+    assert "--T / --h <= 1000000" in capsys.readouterr().err
 
 
 def test_simulate_bad_index(equilibria_path, capsys):

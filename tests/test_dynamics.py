@@ -1,5 +1,7 @@
 """Direct RK4 integration: field values, conservation, rigidity, growth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from vortexeq import (
     Trajectory,
     VortexCollision,
     continue_equilibrium,
+    dynamics,
     hamiltonian,
     integrate_rk4,
     newton_refine,
@@ -201,11 +204,30 @@ def test_rk4_collision_abort_mid_run():
     with pytest.raises(CollisionAbort) as info:
         integrate_rk4(config, 0.01, 5.0)
     partial = info.value.trajectory
-    assert partial.metadata["aborted_at"] == 0.01 * 115
+    assert partial.times[-1] == 0.01 * 115
     assert partial.times.size == 116
     sep = np.linalg.norm(partial.positions[:, 1] - partial.positions[:, 2], axis=1)
     # the run stops at the first sample within ten times the guard
     assert sep[-1] < 1e-9 <= sep[:-1].min()
+
+
+@pytest.mark.parametrize("h,t_final", [(1e-300, 1e300), (1e-7, 1.0)])
+def test_rk4_step_count_is_bounded(h, t_final, monkeypatch):
+    # rejected before the (steps + 1, M) sample array is allocated
+    config = unit_pair(1e-3)
+
+    def no_steps(*args):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(dynamics, "_biot_savart", no_steps)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds 1000000 steps"):
+            integrate_rk4(config, h, t_final)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_rigidity_error_flags_shear():
@@ -220,7 +242,7 @@ def test_rigidity_error_matches_all_pairs(min3_eq):
     rng = np.random.default_rng(5)
     config = PlanarConfiguration.from_equilibrium(min3_eq)
     trajectories = [
-        Trajectory(np.arange(33.0), rng.standard_normal((33, 7, 2)), 1.0, "rk4", 0.1),
+        Trajectory(np.arange(33.0), rng.standard_normal((33, 7, 2))),
         integrate_rk4(config, 0.05, 2.0),
     ]
     for traj in trajectories:
