@@ -5,7 +5,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .continuation import (
-    Circulations,
     RelativeEquilibrium,
     ScalingReport,
     continue_equilibrium,

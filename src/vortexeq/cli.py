@@ -139,13 +139,19 @@ def _equilibrium_record(eq: RelativeEquilibrium) -> dict:
 
 
 def _equilibrium_from_record(rec: dict) -> RelativeEquilibrium:
-    return RelativeEquilibrium(
-        r=np.asarray(rec["r"], dtype=float),
-        theta=np.asarray(rec["theta"], dtype=float),
-        epsilon=float(rec["epsilon"]),
-        omega=float(rec["omega"]),
-        residual=float(rec["residual"]),
-    )
+    """Rebuild an equilibrium from eps, r and theta; a stored residual is not
+    read.  ValueError unless r and theta are finite 1-d arrays of equal
+    length, eps is finite and nonzero, and a stored omega is 1."""
+    r = np.asarray(rec["r"], dtype=float)
+    theta = np.asarray(rec["theta"], dtype=float)
+    epsilon = float(rec["epsilon"])
+    if r.ndim != 1 or r.shape != theta.shape or not np.isfinite((r, theta)).all():
+        raise ValueError("r and theta must be finite 1-d arrays of equal length")
+    if epsilon == 0.0 or not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite and nonzero, got {epsilon!r}")
+    if rec.get("omega", RelativeEquilibrium.omega) != RelativeEquilibrium.omega:
+        raise ValueError(f"omega must be 1, got {rec['omega']!r}")
+    return RelativeEquilibrium(r=r, theta=theta, epsilon=epsilon)
 
 
 def _scaling_record(family: list[RelativeEquilibrium]) -> dict | None:
@@ -245,7 +251,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         entry = {
             "epsilon": float(eq.epsilon),
             "classification": verdict.classification.value,
-            "n_zero": verdict.n_zero,
+            "n_zero": verdict.spectrum.zero_count,
             "max_real_part": float(verdict.max_real_part),
             "instability_count": verdict.instability_count,
             "spectrum": _complex_pairs(eigenvalues),
@@ -321,14 +327,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report_path = stem + ".report.json"
     report = _header(config)
     report["aborted"] = aborted
-    if traj is not None and traj.times.size > 0:
-        h0 = hamiltonian(base)
-        m0 = vorticity_moment(base)
-        last = PlanarConfiguration(traj.positions[-1], base.circulations)
-        report["rigidity_error"] = float(rigidity_error(traj))
-        report["hamiltonian_drift"] = abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300)
-        report["moment_drift"] = abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300)
-        report["steps"] = int(traj.times.size - 1)
+    h0 = hamiltonian(base)
+    m0 = vorticity_moment(base)
+    last = PlanarConfiguration(traj.positions[-1], base.epsilon)
+    report["rigidity_error"] = float(rigidity_error(traj))
+    report["hamiltonian_drift"] = abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300)
+    report["moment_drift"] = abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300)
+    report["steps"] = int(traj.times.size - 1)
     if growth is not None:
         report["growth"] = {
             "fitted_rate": float(growth.fitted_rate),
@@ -337,7 +342,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "window_points": int(growth.window_points),
             "max_deviation": float(growth.max_deviation),
         }
-    csv_text = _trajectory_csv(traj, config) if traj is not None else ""
+    csv_text = _trajectory_csv(traj, config)
     if csv_path is None:
         sys.stdout.write(csv_text)
         sys.stdout.write(_json_text(report))
@@ -452,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return 1
 

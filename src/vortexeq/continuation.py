@@ -2,16 +2,18 @@
 
 A relative equilibrium of the full (1+N)-vortex problem rotating at rate
 omega satisfies v_j = omega * q_j^perp for every vortex, where v_j is the
-point-vortex velocity field.  The strong vortex is eliminated through the
-center of vorticity, q_0 = -eps * (q_1 + ... + q_N), which makes its own
-equation automatic.  With omega = 1 fixed, each nondegenerate critical point
-of the ring potential continues to a locally unique branch (r(eps),
+point-vortex velocity field.  The scaling r -> s r, omega -> omega / s^2
+maps equilibria to equilibria, so omega = 1 throughout.  The strong vortex
+is eliminated through the center of vorticity, q_0 = -eps * (q_1 + ... +
+q_N), which makes its own equation automatic.  Each nondegenerate critical
+point of the ring potential continues to a locally unique branch (r(eps),
 theta(eps)) once the rotational phase is pinned to the seed angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,30 +41,31 @@ _EPS_CEILING = 0.05
 _RELEQ_TOL = 1e-12
 
 
-@dataclass
-class Circulations:
-    """Circulations (1, eps, ..., eps) of the strong vortex and N weak ones."""
-
-    epsilon: float
-
-    def gammas(self, n_weak: int) -> np.ndarray:
-        return np.concatenate(([1.0], np.full(n_weak, self.epsilon)))
+def _gammas(epsilon: float, n_weak: int) -> np.ndarray:
+    """The circulations (1, eps, ..., eps) of the strong vortex and N weak ones."""
+    return np.concatenate(([1.0], np.full(n_weak, epsilon)))
 
 
 @dataclass
 class RelativeEquilibrium:
-    """A rotating-frame fixed point of the (1+N)-vortex problem."""
+    """A fixed point of the (1+N)-vortex problem in the frame rotating at
+    omega = 1, stored as its radii, angles and eps."""
+
+    omega: ClassVar[float] = 1.0
 
     r: np.ndarray
     theta: np.ndarray
     epsilon: float
-    omega: float
-    residual: float
-    source: CriticalPoint | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.r.size
+
+    @property
+    def residual(self) -> float:
+        """Sup-norm of ``rotating_frame_residual`` at the stored state."""
+        res = rotating_frame_residual(self.r, self.theta, self.epsilon)
+        return float(np.abs(res).max())
 
     def weak_positions(self) -> np.ndarray:
         return np.column_stack(
@@ -108,8 +111,8 @@ def _biot_savart(z: np.ndarray, gammas: np.ndarray):
     return 1j * (dz * (gammas / d2)).sum(axis=-1), sep2
 
 
-def _mismatch(r, theta, epsilon: float, omega: float):
-    """Radial and tangential velocity mismatch (v - omega q^perp) per vortex.
+def _mismatch(r, theta, epsilon: float):
+    """Radial and tangential velocity mismatch (v - q^perp) per vortex.
 
     Returns (a, b, cos(theta), sin(theta), clear) over any stack axes, with
     a_j the radial component, b_j the tangential one and clear False within
@@ -122,17 +125,17 @@ def _mismatch(r, theta, epsilon: float, omega: float):
     z = r * (ct + 1j * st)
     vel, sep2 = _biot_savart(
         np.concatenate((-epsilon * z.sum(axis=-1, keepdims=True), z), axis=-1),
-        Circulations(epsilon).gammas(r.shape[-1]),
+        _gammas(epsilon, r.shape[-1]),
     )
     u, v = vel.real[..., 1:], vel.imag[..., 1:]
     a = ct * u + st * v
-    b = -st * u + ct * v - omega * r
+    b = -st * u + ct * v - r
     return a, b, ct, st, sep2 >= _COLLISION_GUARD**2
 
 
-def _checked_mismatch(r, theta, epsilon: float, omega: float):
+def _checked_mismatch(r, theta, epsilon: float):
     """``_mismatch`` of one configuration; VortexCollision within the guard."""
-    *mismatch, clear = _mismatch(r, theta, epsilon, omega)
+    *mismatch, clear = _mismatch(r, theta, epsilon)
     if not clear:
         raise VortexCollision(_COLLIDED)
     return mismatch
@@ -143,30 +146,30 @@ def _cartesian(a, b, ct, st) -> np.ndarray:
     return np.concatenate((a * ct - b * st, a * st + b * ct), axis=-1)
 
 
-def rotating_frame_residual(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
-    """Cartesian residual v_j - omega q_j^perp for the N weak vortices.
+def rotating_frame_residual(r, theta, epsilon: float) -> np.ndarray:
+    """Cartesian residual v_j - q_j^perp for the N weak vortices.
 
     The strong vortex sits at q_0 = -eps * sum(q_j).  Returns 2N values,
     x-components then y-components; all vanish exactly at a relative
-    equilibrium with rotation rate omega.
+    equilibrium.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if r.shape != theta.shape or r.ndim != 1:
         raise ValueError("r and theta must be 1-d arrays of equal length")
-    return _cartesian(*_checked_mismatch(r, theta, epsilon, omega))
+    return _cartesian(*_checked_mismatch(r, theta, epsilon))
 
 
-def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float, omega: float):
+def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float):
     """Residual and phase rows of a (..., 2N) stack of states, and collision flags."""
     n = phi.size
-    a, b, ct, st, clear = _mismatch(x[..., :n], x[..., n:], epsilon, omega)
+    a, b, ct, st, clear = _mismatch(x[..., :n], x[..., n:], epsilon)
     phase = np.sum(x[..., n:] - phi, axis=-1, keepdims=True)
     return np.concatenate((_cartesian(a, b, ct, st), phase), axis=-1), clear
 
 
-def _mismatch_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
-    """[dM/dr, dM/dtheta] (N x 2N) of the mismatch M_j = (u_j + i v_j) - i omega z_j.
+def _mismatch_jacobian(r, theta, epsilon: float) -> np.ndarray:
+    """[dM/dr, dM/dtheta] (N x 2N) of the mismatch M_j = (u_j + i v_j) - i z_j.
 
     u_j - i v_j = -i sum_k Gamma_k / (z_j - z_k) is holomorphic in the positions,
     with z_0 = -eps sum z_k.  No two vortices may coincide.
@@ -176,15 +179,15 @@ def _mismatch_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
     k = np.arange(z.size)
     diff = z[:, None] - np.concatenate(([-epsilon * z.sum()], z))
     diff[k, k + 1] = 1.0
-    p = -1j * Circulations(epsilon).gammas(z.size) / (diff * diff)
+    p = -1j * _gammas(epsilon, z.size) / (diff * diff)
     p[k, k + 1] = 0.0
     # dW_j/dz_l for W_j = u_j - i v_j, directly and through z_0
     dw = p[:, 1:] - epsilon * p[:, :1]
     dw[k, k] -= p.sum(axis=1)
     d_r = np.conj(dw * e)  # dz_l/dr_l = e^{i theta_l}, dz_l/dtheta_l = i z_l
     jac = np.hstack((d_r, -1j * d_r * r))
-    jac[k, k] -= 1j * omega * e
-    jac[k, k + z.size] += omega * z
+    jac[k, k] -= 1j * e
+    jac[k, k + z.size] += z
     return jac
 
 
@@ -206,7 +209,7 @@ def continue_equilibrium(
     max_iter: int = 60,
     _warm_start: np.ndarray | None = None,
 ) -> RelativeEquilibrium:
-    """Newton-continue a nondegenerate critical point to eps != 0, omega = 1.
+    """Newton-continue a nondegenerate critical point to eps != 0.
 
     Solves the 2N rotating-frame residual equations jointly in (r, theta)
     with the phase constraint sum(theta_j - phi_j) = 0 against the seed
@@ -240,26 +243,19 @@ def continue_equilibrium(
     phase = np.concatenate((np.zeros(n), np.ones(n)))
 
     def lstsq_step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
-        jac = _mismatch_jacobian(z[:n], z[n:], epsilon, 1.0)
+        jac = _mismatch_jacobian(z[:n], z[n:], epsilon)
         jac = np.vstack((jac.real, jac.imag, phase))
         return np.linalg.lstsq(jac, -fz, rcond=None)[0]
 
-    x, fx = _newton(
-        lambda z: _augmented_system(z, phi, epsilon, 1.0),
+    x, _ = _newton(
+        lambda z: _augmented_system(z, phi, epsilon),
         lstsq_step,
         x,
         _RELEQ_TOL,
         max_iter,
         _COLLIDED,
     )
-    return RelativeEquilibrium(
-        r=x[:n],
-        theta=x[n:],
-        epsilon=float(epsilon),
-        omega=1.0,
-        residual=float(np.abs(fx[:-1]).max()),
-        source=cp,
-    )
+    return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=float(epsilon))
 
 
 def sweep_epsilon(

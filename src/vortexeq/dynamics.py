@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import (
+    _COLLIDED,
     _COLLISION_GUARD,
-    Circulations,
     RelativeEquilibrium,
     _biot_savart,
+    _gammas,
 )
 from .errors import CollisionAbort, VortexCollision
 from .search import TWO_PI
-from .stability import stability_verdict
+from .stability import _symmetry_directions, stability_verdict
 
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
 
@@ -40,10 +41,10 @@ def _complex(positions: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PlanarConfiguration:
-    """Positions (strong vortex first) plus the circulation pattern."""
+    """Positions (strong vortex first) and the weak circulation eps."""
 
     positions: np.ndarray
-    circulations: Circulations
+    epsilon: float
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -54,7 +55,7 @@ class PlanarConfiguration:
 
     @classmethod
     def from_equilibrium(cls, eq: RelativeEquilibrium) -> "PlanarConfiguration":
-        return cls(eq.all_positions(), Circulations(eq.epsilon))
+        return cls(eq.all_positions(), eq.epsilon)
 
     @property
     def n_weak(self) -> int:
@@ -62,7 +63,7 @@ class PlanarConfiguration:
 
     @property
     def gammas(self) -> np.ndarray:
-        return self.circulations.gammas(self.n_weak)
+        return _gammas(self.epsilon, self.n_weak)
 
     @property
     def center_of_vorticity(self) -> np.ndarray:
@@ -79,7 +80,7 @@ def vortex_field(config: PlanarConfiguration) -> np.ndarray:
     """Velocities (M, 2) of all vortices; VortexCollision below the guard distance."""
     vel, sep2 = _biot_savart(_complex(config.positions), config.gammas)
     if sep2 < _COLLISION_GUARD**2:
-        raise VortexCollision("two vortices are closer than the collision guard")
+        raise VortexCollision(_COLLIDED)
     return vel.view(float).reshape(-1, 2)
 
 
@@ -92,7 +93,7 @@ def hamiltonian(config: PlanarConfiguration) -> float:
     d = (pos[:, None] - pos)[upper]
     dist = np.sqrt((d * d).sum(axis=1))
     if dist.min() < _COLLISION_GUARD:
-        raise VortexCollision("two vortices are closer than the collision guard")
+        raise VortexCollision(_COLLIDED)
     return float(-np.sum((g[:, None] * g)[upper] * np.log(dist)))
 
 
@@ -191,11 +192,7 @@ def perturbation_growth(
         rng = np.random.default_rng(seed)
         n = eq.r.size
         delta = rng.standard_normal(2 * n)
-        for direction in (
-            np.concatenate([np.zeros(n), np.ones(n)]),
-            np.concatenate([eq.r, np.zeros(n)]),
-        ):
-            unit = direction / np.linalg.norm(direction)
+        for unit in _symmetry_directions(eq.r):
             delta -= (delta @ unit) * unit
         dr, dth = delta[:n], delta[n:]
         ct, st = np.cos(eq.theta), np.sin(eq.theta)
@@ -203,9 +200,7 @@ def perturbation_growth(
             [dr * ct - eq.r * dth * st, dr * st + eq.r * dth * ct]
         )
         pos0[1:] = base[1:] + amplitude * disp / np.linalg.norm(disp)
-    traj = integrate_rk4(
-        PlanarConfiguration(pos0, Circulations(eq.epsilon)), h, t_final
-    )
+    traj = integrate_rk4(PlanarConfiguration(pos0, eq.epsilon), h, t_final)
     rotated = np.exp(1j * eq.omega * traj.times)[:, None] * _complex(base)
     dev = np.linalg.norm(_complex(traj.positions) - rotated, axis=1)
     floor = max(10.0 * amplitude, 1e-300)

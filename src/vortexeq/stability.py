@@ -49,21 +49,20 @@ class StabilityClass(Enum):
 class StabilityVerdict:
     classification: StabilityClass
     spectrum: SpectrumReport
-    n_zero: int
     max_real_part: float
     instability_count: int
 
 
-def reduced_field(r, theta, epsilon: float, omega: float = 1.0) -> np.ndarray:
-    """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - omega)."""
-    a, b = _checked_mismatch(r, theta, epsilon, omega)[:2]
+def reduced_field(r, theta, epsilon: float) -> np.ndarray:
+    """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - 1)."""
+    a, b = _checked_mismatch(r, theta, epsilon)[:2]
     return np.concatenate((a, b / np.asarray(r)))
 
 
 def _require_equilibrium(eq: RelativeEquilibrium) -> None:
     """ValueError when the reduced field at the state is 1e-10 or more in
-    magnitude; the stored ``eq.residual`` is not read."""
-    residual = float(np.abs(reduced_field(eq.r, eq.theta, eq.epsilon, eq.omega)).max())
+    magnitude."""
+    residual = float(np.abs(reduced_field(eq.r, eq.theta, eq.epsilon)).max())
     if residual >= 1e-10:
         raise ValueError(f"equilibrium residual {residual:.3e} >= 1e-10")
 
@@ -75,10 +74,10 @@ def linearize(eq: RelativeEquilibrium) -> np.ndarray:
     first by ``_require_equilibrium``.
     """
     _require_equilibrium(eq)
-    return _reduced_jacobian(eq.r, eq.theta, eq.epsilon, eq.omega)
+    return _reduced_jacobian(eq.r, eq.theta, eq.epsilon)
 
 
-def _reduced_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
+def _reduced_jacobian(r, theta, epsilon: float) -> np.ndarray:
     """Jacobian of ``reduced_field`` at any state, in closed form.
 
     The rows are the mismatch Jacobian rotated into radial and tangential
@@ -86,8 +85,8 @@ def _reduced_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
     """
     n = r.size
     # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
-    a, b, ct, st = _checked_mismatch(r, theta, epsilon, omega)
-    rot = _mismatch_jacobian(r, theta, epsilon, omega)
+    a, b, ct, st = _checked_mismatch(r, theta, epsilon)
+    rot = _mismatch_jacobian(r, theta, epsilon)
     rot *= (ct - 1j * st)[:, None]
     k = np.arange(n)
     rot[k, k + n] -= 1j * (a + 1j * b)
@@ -96,20 +95,24 @@ def _reduced_jacobian(r, theta, epsilon: float, omega: float) -> np.ndarray:
     return jac
 
 
+def _symmetry_directions(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rotation (0, 1..1) and scaling (r, 0) directions in (r, theta) space."""
+    zeros = np.zeros(r.size)
+    w_rot = np.concatenate((zeros, np.ones(r.size)))
+    w_scl = np.concatenate((r, zeros))
+    return w_rot / np.linalg.norm(w_rot), w_scl / np.linalg.norm(w_scl)
+
+
 def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium) -> np.ndarray:
     """Eigenvalues of the linearization less the two-dimensional symmetry block.
 
-    The rotation direction (0, 1..1) and the scaling direction (r, 0) span an
-    invariant subspace on which the linearization is nilpotent.  The reduced
-    field is rotation invariant, so the first is mapped to 0 exactly; the
-    second is mapped into the subspace up to twice the field, which
-    ``linearize`` bounds by 1e-10.
+    The two ``_symmetry_directions`` span an invariant subspace on which the
+    linearization is nilpotent.  The reduced field is rotation invariant, so
+    the rotation direction is mapped to 0 exactly; the scaling direction is
+    mapped into the subspace up to twice the field, which ``linearize``
+    bounds by 1e-10.
     """
-    n = eq.n
-    w_rot = np.concatenate((np.zeros(n), np.ones(n))) / np.sqrt(n)
-    w_scl = np.concatenate((eq.r, np.zeros(n)))
-    w_scl = w_scl / np.linalg.norm(w_scl)
-    q, _ = np.linalg.qr(np.column_stack((w_rot, w_scl)), mode="complete")
+    q, _ = np.linalg.qr(np.column_stack(_symmetry_directions(eq.r)), mode="complete")
     b = q.T @ mat @ q
     return np.linalg.eigvals(b[2:, 2:])
 
@@ -147,7 +150,6 @@ def stability_verdict(eq: RelativeEquilibrium) -> StabilityVerdict:
     return StabilityVerdict(
         classification=cls,
         spectrum=spectrum,
-        n_zero=n_zero,
         max_real_part=float(rest.real.max(initial=0.0)),
         instability_count=int(np.sum(growing)),
     )

@@ -201,7 +201,7 @@ def test_criterion_09_dynamics_validation(ring_eqs, s4_eqs, lemma1_family, min3_
         traj = integrate_rk4(config, period / 2048, period)
         assert rigidity_error(traj) < 1e-6
         h0, m0 = hamiltonian(config), vorticity_moment(config)
-        last = PlanarConfiguration(traj.positions[-1], config.circulations)
+        last = PlanarConfiguration(traj.positions[-1], config.epsilon)
         assert abs(hamiltonian(last) - h0) / abs(h0) < 1e-8
         assert abs(vorticity_moment(last) - m0) / abs(m0) < 1e-8
 

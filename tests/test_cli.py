@@ -391,6 +391,69 @@ def test_simulate_rejects_a_non_equilibrium(tmp_path, equilibria_path, capsys):
     assert not (tmp_path / "run.report.json").exists()
 
 
+def test_equilibria_load_from_epsilon_r_and_theta(tmp_path, equilibria_path,
+                                                  monkeypatch, capsys):
+    # the config echoes --equilibria, so every run uses the same relative path
+    def outputs(name, data):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "eq.json").write_text(json.dumps(data))
+        monkeypatch.chdir(directory)
+        for argv in (["stability", "--out", "verdicts.json"],
+                     ["simulate", "--index", "1", "--h", "0.05", "--T", "3",
+                      "--out", "run"],
+                     ["simulate", "--index", "3", "--h", "0.05", "--T", "3",
+                      "--perturb", "1e-6", "--out", "run-perturbed"]):
+            code, _, _ = run(capsys, argv[0], "--equilibria", "eq.json", *argv[1:])
+            assert code == 0
+        return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "eq.json"}
+
+    data = json.loads(equilibria_path.read_text())
+    full = outputs("full", data)
+    data["equilibria"] = [{k: rec[k] for k in ("epsilon", "r", "theta")}
+                          for rec in data["equilibria"]]
+    assert outputs("stripped", data) == full
+    assert len(full) == 5
+
+
+# One edited field of the second equilibrium, and the words the error names.
+MALFORMED_EQUILIBRIA = {
+    "omega": ({"omega": 2.0}, "omega must be 1"),
+    "scalar_r": ({"r": 5.0}, "r and theta"),
+    "nan_in_r": ({"r": [float("nan"), 1.0, 1.0]}, "r and theta"),
+    "zero_epsilon": ({"epsilon": 0.0}, "epsilon must be finite and nonzero"),
+}
+
+
+@pytest.mark.parametrize("command", ["stability", "simulate"])
+@pytest.mark.parametrize("case", MALFORMED_EQUILIBRIA)
+def test_malformed_equilibria_rejected(tmp_path, equilibria_path, capsys, command, case):
+    edit, words = MALFORMED_EQUILIBRIA[case]
+    data = json.loads(equilibria_path.read_text())
+    data["equilibria"] = [dict(data["equilibria"][1], **edit)]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    extra = ["--h", "0.1", "--T", "1"] if command == "simulate" else []
+    code, _, err = run(capsys, command, "--equilibria", str(bad), *extra,
+                         "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "malformed input" in err and words in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("family", [{"morse_index": 5}, 3], ids=["morse_index", "family"])
+def test_wrongly_typed_catalog_field_rejected(tmp_path, catalog4_path, capsys, family):
+    data = json.loads(catalog4_path.read_text())
+    if isinstance(family, dict):
+        family = dict(data["families"][0], **family)
+    data["families"] = [family]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "continue", "--catalog", str(bad), "--eps", "1e-3")
+    assert code == 1
+    assert "malformed input" in err and "TypeError" in err
+
+
 def test_trajectory_csv_rows_are_float_reprs():
     values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0 / 3.0]
     positions = np.array(values[:6] + values[1:7]).reshape(2, 3, 2)

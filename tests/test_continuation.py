@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexeq import (
-    Circulations,
     CollisionApproach,
     DegenerateSeed,
     InsufficientFamily,
@@ -28,7 +27,12 @@ from vortexeq import (
     verify_lemma1_scaling,
 )
 from vortexeq import continuation
-from vortexeq.continuation import _augmented_system, _mismatch, _mismatch_jacobian
+from vortexeq.continuation import (
+    _augmented_system,
+    _gammas,
+    _mismatch,
+    _mismatch_jacobian,
+)
 from vortexeq.spectra import SpectrumReport
 from vortexeq.search import CriticalPoint
 from vortexeq.potential import CriticalPointClass
@@ -56,7 +60,7 @@ def cs_jacobian(func, x):
     return np.column_stack(cols)
 
 
-def real_form_mismatch(r, theta, epsilon, omega):
+def real_form_mismatch(r, theta, epsilon):
     """Radial and tangential mismatch (a, b) from the pairwise x/y sum.
 
     The library kernel takes positions as complex numbers, which leaves no
@@ -71,16 +75,16 @@ def real_form_mismatch(r, theta, epsilon, omega):
     dy = y[:, None] - y[None, :]
     d2 = dx * dx + dy * dy
     np.fill_diagonal(d2, 1.0)
-    w = Circulations(epsilon).gammas(r.size)[None, :] / d2
+    w = _gammas(epsilon, r.size)[None, :] / d2
     np.fill_diagonal(w, 0.0)
     u, v = -(dy * w).sum(axis=1)[1:], (dx * w).sum(axis=1)[1:]
-    return ct * u + st * v, -st * u + ct * v - omega * r
+    return ct * u + st * v, -st * u + ct * v - r
 
 
-def real_form_reduced(x, epsilon, omega):
+def real_form_reduced(x, epsilon):
     """Reduced field (a, b / r) at x = (r, theta), in real form."""
     n = x.size // 2
-    a, b = real_form_mismatch(x[:n], x[n:], epsilon, omega)
+    a, b = real_form_mismatch(x[:n], x[n:], epsilon)
     return np.concatenate((a, b / x[:n]))
 
 
@@ -99,7 +103,7 @@ def fd_disagreement(eq, fd_step=1e-7):
     n = eq.n
     x0 = np.concatenate((eq.r, eq.theta))
     h = fd_step * max(1.0, float(np.abs(x0).max()))
-    func = lambda z: reduced_field(z[:n], z[n:], eq.epsilon, eq.omega)
+    func = lambda z: reduced_field(z[:n], z[n:], eq.epsilon)
 
     def central(step):
         cols = []
@@ -139,7 +143,7 @@ def make_degenerate_point():
 
 
 def test_circulations_layout():
-    gam = Circulations(1e-3).gammas(4)
+    gam = _gammas(1e-3, 4)
     np.testing.assert_allclose(gam, [1.0, 1e-3, 1e-3, 1e-3, 1e-3])
 
 
@@ -153,7 +157,7 @@ def test_radial_mismatch_tends_to_gradient():
     # on the unit circle the radial defect is eps * grad V + O(eps^2)
     theta = np.array([0.3, 1.1, 2.7])
     eps = 1e-8
-    a, _ = _mismatch(np.ones(3), theta, eps, 1.0)[:2]
+    a, _ = _mismatch(np.ones(3), theta, eps)[:2]
     assert np.abs(a / eps - gradient(theta)).max() < 1e-6
 
 
@@ -161,8 +165,8 @@ def test_cartesian_residual_norm_matches_polar():
     rng = np.random.default_rng(0)
     theta = np.sort(rng.random(4)) * 5.0
     r = 1.0 + 0.05 * rng.standard_normal(4)
-    a, b = _mismatch(r, theta, 1e-2, 0.9)[:2]
-    res = rotating_frame_residual(r, theta, 1e-2, 0.9)
+    a, b = _mismatch(r, theta, 1e-2)[:2]
+    res = rotating_frame_residual(r, theta, 1e-2)
     assert res.size == 8
     assert np.linalg.norm(res) == pytest.approx(
         np.sqrt((a * a + b * b).sum()), rel=1e-12
@@ -176,14 +180,14 @@ def test_newton_jacobian_matches_complex_step(n, eps):
     phi = theta + 0.01
 
     def augmented(z):
-        a, b = real_form_mismatch(z[:n], z[n:], eps, 1.3)
+        a, b = real_form_mismatch(z[:n], z[n:], eps)
         ct, st = np.cos(z[n:]), np.sin(z[n:])
         return np.concatenate((a * ct - b * st, a * st + b * ct, [np.sum(z[n:] - phi)]))
 
     ref = cs_jacobian(augmented, x)
-    assert np.abs(_augmented_system(x, phi, eps, 1.3)[0] - augmented(x)).max() <= 1e-14
+    assert np.abs(_augmented_system(x, phi, eps)[0] - augmented(x)).max() <= 1e-14
     # stacked as in continue_equilibrium: Re M, Im M, then the phase row
-    jac = _mismatch_jacobian(r, theta, eps, 1.3)
+    jac = _mismatch_jacobian(r, theta, eps)
     jac = np.vstack((jac.real, jac.imag, np.concatenate((np.zeros(n), np.ones(n)))))
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -192,11 +196,11 @@ def test_newton_jacobian_matches_complex_step(n, eps):
 def test_real_form_reference_matches_library(n, eps):
     r, theta = off_equilibrium_state(n, seed=n)
     x = np.concatenate((r, theta))
-    ref = np.concatenate(real_form_mismatch(r, theta, eps, 1.3))
-    got = np.concatenate(_mismatch(r, theta, eps, 1.3)[:2])
+    ref = np.concatenate(real_form_mismatch(r, theta, eps))
+    got = np.concatenate(_mismatch(r, theta, eps)[:2])
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-    ref = real_form_reduced(x, eps, 1.3)
-    got = reduced_field(r, theta, eps, 1.3)
+    ref = real_form_reduced(x, eps)
+    got = reduced_field(r, theta, eps)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -231,7 +235,6 @@ def test_continuation_equivariance(min3_point):
     eq1 = continue_equilibrium(rotated, 1e-3)
     np.testing.assert_allclose(eq1.r, eq0.r, atol=1e-13)
     np.testing.assert_allclose(eq1.theta - 0.7, eq0.theta, atol=1e-12)
-    assert eq1.omega == pytest.approx(eq0.omega, abs=1e-13)
 
 
 def test_invalid_epsilon(min3_point):
@@ -294,7 +297,7 @@ def test_residual_comes_from_the_last_newton_evaluation(monkeypatch):
 def test_coincident_vortices_raise_typed_errors(min3_point):
     for dy in (0.0, 1e-160):  # coincident, and 1/d^2 beyond the float range
         with pytest.raises(VortexCollision):
-            PlanarConfiguration([[0.0, 0.0], [1.0, 0.0], [1.0, dy]], Circulations(1e-3))
+            PlanarConfiguration([[0.0, 0.0], [1.0, 0.0], [1.0, dy]], 1e-3)
     with pytest.raises(VortexCollision):
         rotating_frame_residual([1.0, 1.0, 1.0], [0.0, 0.0, 2.0], 1e-3)
     with pytest.raises(CollisionApproach):
@@ -367,15 +370,15 @@ def weak_ring(draw, log10_sep):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(weak_ring(st.floats(-8.0, -1.0)), st.floats(-0.05, 0.05), st.floats(0.5, 1.5))
-def test_residual_matches_pairwise_sum(ring, eps, omega):
+@given(weak_ring(st.floats(-8.0, -1.0)), st.floats(-0.05, 0.05))
+def test_residual_matches_pairwise_sum(ring, eps):
     r, theta = ring
     weak = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
     pos = np.vstack((-eps * weak.sum(axis=0), weak))
-    vel, scale = pairwise_field(pos, Circulations(eps).gammas(r.size))
-    ref = vel[1:] - omega * np.column_stack((-weak[:, 1], weak[:, 0]))
-    res = rotating_frame_residual(r, theta, eps, omega).reshape(2, -1).T
-    tol = 1e-13 * (scale[1:] + omega * r)
+    vel, scale = pairwise_field(pos, _gammas(eps, r.size))
+    ref = vel[1:] - np.column_stack((-weak[:, 1], weak[:, 0]))
+    res = rotating_frame_residual(r, theta, eps).reshape(2, -1).T
+    tol = 1e-13 * (scale[1:] + r)
     assert np.all(np.abs(res - ref).max(axis=1) <= tol)
 
 
@@ -403,11 +406,11 @@ def test_stacked_augmented_system_rows_match_one_row(n, k, seed, eps):
             theta[row, 1] = theta[row, 0]
     x = np.concatenate((r, theta), axis=1)
     phi = rng.uniform(-4.0, 4.0, n)
-    f, clear = _augmented_system(x, phi, eps, 1.0)
+    f, clear = _augmented_system(x, phi, eps)
     assert f.shape == (k, 2 * n + 1) and clear.shape == (k,)
     assert np.all(np.isfinite(f))
     for x_row, f_row, clear_row in zip(x, f, clear):
-        f_one, clear_one = _augmented_system(x_row, phi, eps, 1.0)
+        f_one, clear_one = _augmented_system(x_row, phi, eps)
         assert f_one.tobytes() == f_row.tobytes() and clear_one == clear_row
         if clear_row:
             res = rotating_frame_residual(x_row[:n], x_row[n:], eps)

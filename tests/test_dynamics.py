@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexeq import (
-    Circulations,
     CollisionAbort,
     PlanarConfiguration,
     Trajectory,
@@ -31,7 +30,7 @@ TWO_PI = 2 * np.pi
 
 def unit_pair(eps):
     return PlanarConfiguration(
-        np.array([[0.0, 0.0], [1.0, 0.0]]), Circulations(eps)
+        np.array([[0.0, 0.0], [1.0, 0.0]]), eps
     )
 
 
@@ -44,7 +43,7 @@ def test_field_two_vortex_example():
 def test_field_center_of_vorticity_stationary():
     rng = np.random.default_rng(0)
     pos = rng.standard_normal((5, 2)) * 2.0
-    config = PlanarConfiguration(pos, Circulations(2e-3))
+    config = PlanarConfiguration(pos, 2e-3)
     vel = vortex_field(config)
     assert vel.shape == (5, 2)
     np.testing.assert_allclose(config.gammas @ vel, [0.0, 0.0], atol=1e-14)
@@ -59,11 +58,11 @@ def test_field_rotates_equilibrium(min3_eq):
 
 def test_hamiltonian_unit_distances():
     pair = PlanarConfiguration(
-        np.array([[0.0, 0.0], [1.0, 0.0]]), Circulations(1.0)
+        np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0
     )
     assert hamiltonian(pair) == pytest.approx(0.0, abs=1e-15)
     far = PlanarConfiguration(
-        np.array([[0.0, 0.0], [np.e, 0.0]]), Circulations(1.0)
+        np.array([[0.0, 0.0], [np.e, 0.0]]), 1.0
     )
     assert hamiltonian(far) == pytest.approx(-1.0, abs=1e-14)
 
@@ -71,8 +70,8 @@ def test_hamiltonian_unit_distances():
 def test_hamiltonian_scaling_law():
     rng = np.random.default_rng(1)
     pos = rng.standard_normal((4, 2))
-    config = PlanarConfiguration(pos, Circulations(1.0))
-    scaled = PlanarConfiguration(3.0 * pos, Circulations(1.0))
+    config = PlanarConfiguration(pos, 1.0)
+    scaled = PlanarConfiguration(3.0 * pos, 1.0)
     n = 4
     drop = (n * (n - 1) / 2) * np.log(3.0)
     assert hamiltonian(scaled) == pytest.approx(hamiltonian(config) - drop, rel=1e-12)
@@ -88,7 +87,7 @@ def test_pair_sums_match_the_triu_indices_formula_bitwise():
         cu = np.cos(theta[:, None] - theta[None, :])[iu]
         ref = np.float64(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
         assert np.float64(potential(theta)).tobytes() == ref.tobytes(), n
-        config = PlanarConfiguration(rng.standard_normal((n, 2)), Circulations(1e-3))
+        config = PlanarConfiguration(rng.standard_normal((n, 2)), 1e-3)
         pos, g = config.positions, config.gammas
         d = pos[iu[0]] - pos[iu[1]]
         ref = np.float64(-np.sum(g[iu[0]] * g[iu[1]] * np.log(np.sqrt((d * d).sum(axis=1)))))
@@ -98,18 +97,18 @@ def test_pair_sums_match_the_triu_indices_formula_bitwise():
 def test_hamiltonian_rigid_motion_invariance():
     rng = np.random.default_rng(2)
     pos = rng.standard_normal((4, 2))
-    config = PlanarConfiguration(pos, Circulations(5e-3))
+    config = PlanarConfiguration(pos, 5e-3)
     c, s = np.cos(0.8), np.sin(0.8)
     moved = pos @ np.array([[c, -s], [s, c]]).T + np.array([0.3, -0.7])
     assert hamiltonian(
-        PlanarConfiguration(moved, Circulations(5e-3))
+        PlanarConfiguration(moved, 5e-3)
     ) == pytest.approx(hamiltonian(config), rel=1e-12)
 
 
 def test_configuration_rejects_collision():
     with pytest.raises(VortexCollision):
         PlanarConfiguration(
-            np.array([[0.0, 0.0], [1e-11, 0.0]]), Circulations(1e-3)
+            np.array([[0.0, 0.0], [1e-11, 0.0]]), 1e-3
         )
 
 
@@ -121,12 +120,12 @@ def test_rk4_conservation_one_period(min3_eq):
     assert rigidity_error(traj) < 1e-6
     h0 = hamiltonian(config)
     m0 = vorticity_moment(config)
-    last = PlanarConfiguration(traj.positions[-1], config.circulations)
+    last = PlanarConfiguration(traj.positions[-1], config.epsilon)
     assert abs(hamiltonian(last) - h0) / abs(h0) < 1e-8
     assert abs(vorticity_moment(last) - m0) / abs(m0) < 1e-8
     cov0 = config.center_of_vorticity
     cov1 = PlanarConfiguration(
-        traj.positions[-1], config.circulations
+        traj.positions[-1], config.epsilon
     ).center_of_vorticity
     assert np.abs(cov1 - cov0).max() < 1e-10
 
@@ -188,7 +187,7 @@ def test_rk4_matches_real_form(request, case):
 
 def test_rk4_collision_abort():
     pos = np.array([[0.0, 0.0], [5e-10, 0.0], [1.0, 0.0]])
-    config = PlanarConfiguration(pos, Circulations(1e-3))
+    config = PlanarConfiguration(pos, 1e-3)
     with pytest.raises(CollisionAbort) as info:
         integrate_rk4(config, 1e-3, 1.0)
     partial = info.value.trajectory
@@ -200,7 +199,7 @@ def test_rk4_collision_abort_mid_run():
     # two weak vortices near the unit circle, 5e-10 apart radially and 2e-9
     # tangentially; the strong vortex's shear closes the tangential gap
     pos = np.array([[0.0, 0.0], [1.0, -1e-9], [1.0 + 5e-10, 1e-9], [-1.5, 0.0]])
-    config = PlanarConfiguration(pos, Circulations(1e-20))
+    config = PlanarConfiguration(pos, 1e-20)
     with pytest.raises(CollisionAbort) as info:
         integrate_rk4(config, 0.01, 5.0)
     partial = info.value.trajectory
@@ -233,7 +232,7 @@ def test_rk4_step_count_is_bounded(h, t_final, monkeypatch):
 def test_rigidity_error_flags_shear():
     rng = np.random.default_rng(3)
     pos = rng.standard_normal((4, 2)) * 1.5
-    config = PlanarConfiguration(pos, Circulations(0.5))
+    config = PlanarConfiguration(pos, 0.5)
     traj = integrate_rk4(config, 1e-3, 1.0)
     assert rigidity_error(traj) > 1e-3
 
@@ -325,7 +324,7 @@ def near_pair_positions(draw, log10_sep):
 def test_field_matches_pairwise_sum(case, sign, log10_eps):
     pos, _ = case
     eps = sign * 0.5 * 10.0**log10_eps
-    config = PlanarConfiguration(pos, Circulations(eps))
+    config = PlanarConfiguration(pos, eps)
     ref, scale = pairwise_field(pos, config.gammas)
     err = np.abs(vortex_field(config) - ref).max(axis=1)
     assert np.all(err <= 1e-13 * scale)
@@ -336,4 +335,4 @@ def test_field_matches_pairwise_sum(case, sign, log10_eps):
 def test_configuration_guard_below_threshold(case):
     pos, _ = case
     with pytest.raises(VortexCollision):
-        PlanarConfiguration(pos, Circulations(1e-3))
+        PlanarConfiguration(pos, 1e-3)
