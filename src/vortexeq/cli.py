@@ -40,7 +40,7 @@ from .errors import (
 from .potential import hessian, ngon
 from .search import CriticalPoint, _build_point, multistart_search
 from .spectra import eig_symmetric, ngon_spectrum_closed_form
-from .stability import _require_equilibrium, asymptotic_eigenvalues, stability_verdict
+from .stability import asymptotic_eigenvalues, stability_verdict
 
 TOOL_NAME = "vortexeq"
 
@@ -139,19 +139,12 @@ def _equilibrium_record(eq: RelativeEquilibrium) -> dict:
 
 
 def _equilibrium_from_record(rec: dict) -> RelativeEquilibrium:
-    """Rebuild an equilibrium from eps, r and theta; a stored residual is not
-    read.  ValueError unless r and theta are finite 1-d arrays of equal
-    length, eps is finite and nonzero, and a stored omega is 1."""
-    r = np.asarray(rec["r"], dtype=float)
-    theta = np.asarray(rec["theta"], dtype=float)
-    epsilon = float(rec["epsilon"])
-    if r.ndim != 1 or r.shape != theta.shape or not np.isfinite((r, theta)).all():
-        raise ValueError("r and theta must be finite 1-d arrays of equal length")
-    if epsilon == 0.0 or not np.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite and nonzero, got {epsilon!r}")
+    """Rebuild an equilibrium from eps, r and theta, which the constructor
+    checks; a stored residual is not read.  ValueError unless a stored omega
+    is 1."""
     if rec.get("omega", RelativeEquilibrium.omega) != RelativeEquilibrium.omega:
         raise ValueError(f"omega must be 1, got {rec['omega']!r}")
-    return RelativeEquilibrium(r=r, theta=theta, epsilon=epsilon)
+    return RelativeEquilibrium(r=rec["r"], theta=rec["theta"], epsilon=rec["epsilon"])
 
 
 def _scaling_record(family: list[RelativeEquilibrium]) -> dict | None:
@@ -304,7 +297,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"equilibrium index {args.index} out of range (file has {len(records)})"
         )
     eq = _equilibrium_from_record(records[args.index])
-    base = PlanarConfiguration.from_equilibrium(eq)
     aborted = False
     growth = None
     try:
@@ -314,8 +306,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             traj = growth.trajectory
         else:
-            _require_equilibrium(eq)
-            traj = integrate_rk4(base, args.h, args.T)
+            traj = integrate_rk4(PlanarConfiguration.from_equilibrium(eq), args.h, args.T)
     except CollisionAbort as exc:
         traj = exc.trajectory
         aborted = True
@@ -327,9 +318,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report_path = stem + ".report.json"
     report = _header(config)
     report["aborted"] = aborted
-    h0 = hamiltonian(base)
-    m0 = vorticity_moment(base)
-    last = PlanarConfiguration(traj.positions[-1], base.epsilon)
+    # drifts from the first sample, which is the perturbed start under --perturb
+    first = PlanarConfiguration(traj.positions[0], eq.epsilon)
+    last = PlanarConfiguration(traj.positions[-1], eq.epsilon)
+    h0 = hamiltonian(first)
+    m0 = vorticity_moment(first)
     report["rigidity_error"] = float(rigidity_error(traj))
     report["hamiltonian_drift"] = abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300)
     report["moment_drift"] = abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300)

@@ -49,13 +49,32 @@ def _gammas(epsilon: float, n_weak: int) -> np.ndarray:
 @dataclass
 class RelativeEquilibrium:
     """A fixed point of the (1+N)-vortex problem in the frame rotating at
-    omega = 1, stored as its radii, angles and eps."""
+    omega = 1, stored as its radii, angles and eps.
+
+    Construction, ``dataclasses.replace`` included, raises ValueError unless
+    r and theta are finite 1-d arrays of equal length, eps is finite and
+    nonzero, every radius is positive and the reduced field is below 1e-10.
+    """
 
     omega: ClassVar[float] = 1.0
 
     r: np.ndarray
     theta: np.ndarray
     epsilon: float
+
+    def __post_init__(self):
+        self.r = r = np.asarray(self.r, dtype=float)
+        self.theta = theta = np.asarray(self.theta, dtype=float)
+        self.epsilon = eps = float(self.epsilon)
+        if r.ndim != 1 or r.shape != theta.shape or not np.isfinite((r, theta)).all():
+            raise ValueError("r and theta must be finite 1-d arrays of equal length")
+        if eps == 0.0 or not np.isfinite(eps):
+            raise ValueError(f"epsilon must be finite and nonzero, got {eps!r}")
+        if not (r > 0.0).all():
+            raise ValueError("radii must be positive")
+        residual = float(np.abs(reduced_field(r, theta, eps)).max())
+        if residual >= 1e-10:
+            raise ValueError(f"equilibrium residual {residual:.3e} >= 1e-10")
 
     @property
     def n(self) -> int:
@@ -158,6 +177,12 @@ def rotating_frame_residual(r, theta, epsilon: float) -> np.ndarray:
     if r.shape != theta.shape or r.ndim != 1:
         raise ValueError("r and theta must be 1-d arrays of equal length")
     return _cartesian(*_checked_mismatch(r, theta, epsilon))
+
+
+def reduced_field(r, theta, epsilon: float) -> np.ndarray:
+    """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - 1)."""
+    a, b = _checked_mismatch(r, theta, epsilon)[:2]
+    return np.concatenate((a, b / np.asarray(r)))
 
 
 def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float):

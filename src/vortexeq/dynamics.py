@@ -182,7 +182,6 @@ def perturbation_growth(
     (larger rings rotate at a different rate) that masks the exponential
     rates the fit is after.
     """
-    # linearize rejects a start that is not an equilibrium before any step
     predicted = stability_verdict(eq).max_real_part
     if h is None:
         h = t_final / 4096.0

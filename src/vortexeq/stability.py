@@ -11,7 +11,8 @@ over modes this yields the dichotomy: stable for eps > 0 iff the seed is a
 local minimum, stable for eps < 0 iff it is a local maximum.
 
 The linearization is built in closed form from the Biot-Savart Jacobian of
-``continuation``, at states where the reduced field is below 1e-10.
+``continuation``; a ``RelativeEquilibrium`` cannot be built where the
+reduced field is 1e-10 or more.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from enum import Enum
 
 import numpy as np
 
+# reduced_field is re-bound here: __init__ and perfbench trace stability.reduced_field
 from .continuation import (
     RelativeEquilibrium,
     _checked_mismatch,
     _mismatch_jacobian,
-    continue_equilibrium,
+    reduced_field,
 )
 from .errors import DegenerateSeed
-from .potential import ngon
-from .search import CriticalPoint, newton_refine
+from .search import CriticalPoint
 from .spectra import SpectrumReport
 
 # An eigenvalue is imaginary when |Re lambda| <= this times |lambda|.
@@ -53,27 +54,11 @@ class StabilityVerdict:
     instability_count: int
 
 
-def reduced_field(r, theta, epsilon: float) -> np.ndarray:
-    """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - 1)."""
-    a, b = _checked_mismatch(r, theta, epsilon)[:2]
-    return np.concatenate((a, b / np.asarray(r)))
-
-
-def _require_equilibrium(eq: RelativeEquilibrium) -> None:
-    """ValueError when the reduced field at the state is 1e-10 or more in
-    magnitude."""
-    residual = float(np.abs(reduced_field(eq.r, eq.theta, eq.epsilon)).max())
-    if residual >= 1e-10:
-        raise ValueError(f"equilibrium residual {residual:.3e} >= 1e-10")
-
-
 def linearize(eq: RelativeEquilibrium) -> np.ndarray:
     """Closed-form Jacobian of the reduced field at an equilibrium.
 
-    State ordering is (r_1..r_N, theta_1..theta_N).  The state is checked
-    first by ``_require_equilibrium``.
+    State ordering is (r_1..r_N, theta_1..theta_N).
     """
-    _require_equilibrium(eq)
     return _reduced_jacobian(eq.r, eq.theta, eq.epsilon)
 
 
@@ -109,8 +94,8 @@ def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium) -> np.ndarra
     The two ``_symmetry_directions`` span an invariant subspace on which the
     linearization is nilpotent.  The reduced field is rotation invariant, so
     the rotation direction is mapped to 0 exactly; the scaling direction is
-    mapped into the subspace up to twice the field, which ``linearize``
-    bounds by 1e-10.
+    mapped into the subspace up to twice the field, which
+    ``RelativeEquilibrium`` bounds by 1e-10.
     """
     q, _ = np.linalg.qr(np.column_stack(_symmetry_directions(eq.r)), mode="complete")
     b = q.T @ mat @ q
@@ -177,7 +162,7 @@ def asymptotic_eigenvalues(cp: CriticalPoint, epsilon: float) -> np.ndarray:
 
 
 def cabral_schmidt_check(
-    n: int, epsilon: float, verdict: StabilityVerdict | None = None
+    n: int, epsilon: float, verdict: StabilityVerdict
 ) -> tuple[bool, bool]:
     """Ring stability interval in the strength ratio p = 1/eps.
 
@@ -186,8 +171,8 @@ def cabral_schmidt_check(
         (N^2 - 8N + 8)/16 < p < (N-1)^2 / 4   (N even)
         (N^2 - 8N + 7)/16 < p < (N-1)^2 / 4   (N odd).
     Returns (inside_interval, consistent) where ``consistent`` compares the
-    interval against this toolkit's verdict for the continued ring at eps
-    (computed on demand when not supplied).
+    interval against ``verdict``, this toolkit's verdict for the continued
+    ring at eps.
 
     The interval is stated for N >= 3.  For N = 2 it would claim stability
     for 0 < p < 1/4, where both the linearization and direct integration
@@ -201,8 +186,5 @@ def cabral_schmidt_check(
     lower = (n * n - 8 * n + 8) / 16.0 if n % 2 == 0 else (n * n - 8 * n + 7) / 16.0
     upper = (n - 1) ** 2 / 4.0
     inside = lower < p < upper
-    if verdict is None:
-        seed = newton_refine(ngon(n))
-        verdict = stability_verdict(continue_equilibrium(seed, epsilon))
     stable = verdict.classification is StabilityClass.LINEARLY_STABLE
     return inside, inside == stable

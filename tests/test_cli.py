@@ -422,6 +422,8 @@ MALFORMED_EQUILIBRIA = {
     "scalar_r": ({"r": 5.0}, "r and theta"),
     "nan_in_r": ({"r": [float("nan"), 1.0, 1.0]}, "r and theta"),
     "zero_epsilon": ({"epsilon": 0.0}, "epsilon must be finite and nonzero"),
+    "zero_r": ({"r": [0.0, 1.0, 1.0, 1.0]}, "radii must be positive"),
+    "negative_r": ({"r": [-1.0, 1.0, 1.0, 1.0]}, "radii must be positive"),
 }
 
 
@@ -490,6 +492,19 @@ def test_simulate_report_and_csv(tmp_path, equilibria_path, capsys):
     lines = (tmp_path / "run.csv").read_text().strip().split("\n")
     assert lines[2] == "t,x0,y0,x1,y1,x2,y2,x3,y3,x4,y4"
     assert len(lines) == 3 + report["steps"] + 1
+
+
+def test_perturbed_drifts_are_measured_from_the_perturbed_start(
+    tmp_path, equilibria_path, capsys
+):
+    period = 2.0 * np.pi
+    code, _, _ = run(capsys, "simulate", "--equilibria", str(equilibria_path),
+                     "--h", repr(period / 2048), "--T", repr(period),
+                     "--perturb", "1e-3", "--out", str(tmp_path / "run"))
+    assert code == 0
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    assert report["hamiltonian_drift"] < 1e-10
+    assert report["moment_drift"] < 1e-10
 
 
 def test_simulate_growth_on_unstable_family(tmp_path, catalog4_path, capsys):

@@ -14,6 +14,7 @@ from vortexeq import (
     InvalidEpsilon,
     NoConvergence,
     PlanarConfiguration,
+    RelativeEquilibrium,
     VortexCollision,
     continue_equilibrium,
     epsilon_ceiling,
@@ -23,6 +24,7 @@ from vortexeq import (
     ngon,
     reduced_field,
     rotating_frame_residual,
+    stability_verdict,
     sweep_epsilon,
     verify_lemma1_scaling,
 )
@@ -282,15 +284,55 @@ def test_max_iter_counts_newton_steps(min3_point):
         continue_equilibrium(min3_point, 4e-2, max_iter=3, _warm_start=warm)
 
 
-def test_residual_comes_from_the_last_newton_evaluation(monkeypatch):
+def test_an_equilibrium_is_checked_once_when_built(monkeypatch):
     calls = []
     inner = continuation._mismatch
     monkeypatch.setattr(
         continuation, "_mismatch", lambda *args: calls.append(1) or inner(*args)
     )
     eq = continue_equilibrium(newton_refine(ngon(10)), 1e-3)
-    assert len(calls) == 4
-    assert eq.residual == np.abs(rotating_frame_residual(eq.r, eq.theta, 1e-3)).max()
+    assert len(calls) == 5  # four Newton evaluations, then the construction check
+    stability_verdict(eq)
+    assert len(calls) == 6  # the Jacobian's own evaluation; no second check
+
+
+# One fault each, as a function of a valid equilibrium, and the words of the
+# ValueError it raises.
+BAD_EQUILIBRIA = {
+    "scalar_r": (lambda eq: {"r": 1.0}, "r and theta must be finite 1-d"),
+    "unequal_lengths": (lambda eq: {"r": eq.r[:2]}, "r and theta must be finite 1-d"),
+    "nan_in_theta": (lambda eq: {"theta": eq.theta * [1.0, np.nan, 1.0]},
+                     "r and theta must be finite 1-d"),
+    "zero_radius": (lambda eq: {"r": eq.r * [0.0, 1.0, 1.0]}, "radii must be positive"),
+    "negative_radius": (lambda eq: {"r": eq.r * [-1.0, 1.0, 1.0]},
+                        "radii must be positive"),
+    "zero_epsilon": (lambda eq: {"epsilon": 0.0}, "epsilon must be finite and nonzero"),
+    "infinite_epsilon": (lambda eq: {"epsilon": np.inf},
+                         "epsilon must be finite and nonzero"),
+    "moved_theta": (lambda eq: {"theta": eq.theta + [1e-3, 0.0, 0.0]},
+                    "equilibrium residual .* >= 1e-10"),
+}
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("case", BAD_EQUILIBRIA)
+def test_relative_equilibrium_checks_itself(min3_eq, case, build):
+    edit, words = BAD_EQUILIBRIA[case]
+    fields = {"r": min3_eq.r, "theta": min3_eq.theta, "epsilon": min3_eq.epsilon}
+    with pytest.raises(ValueError, match=words):
+        if build == "constructor":
+            RelativeEquilibrium(**dict(fields, **edit(min3_eq)))
+        else:
+            dataclasses.replace(min3_eq, **edit(min3_eq))
+
+
+def test_relative_equilibrium_converts_its_fields(min3_eq):
+    eq = RelativeEquilibrium(
+        r=list(min3_eq.r), theta=list(min3_eq.theta), epsilon=np.float64(1e-3)
+    )
+    assert eq.r.dtype == eq.theta.dtype == float
+    assert type(eq.epsilon) is float
+    np.testing.assert_array_equal(eq.theta, min3_eq.theta)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
