@@ -52,8 +52,8 @@ class RelativeEquilibrium:
     omega = 1, stored as its radii, angles and eps.
 
     Construction, ``dataclasses.replace`` included, raises ValueError unless
-    r and theta are finite 1-d arrays of equal length, eps is finite and
-    nonzero, every radius is positive and the reduced field is below 1e-10.
+    r and theta are nonempty finite 1-d arrays of equal length, eps is finite
+    and nonzero, every radius is positive and the reduced field is below 1e-10.
     """
 
     omega: ClassVar[float] = 1.0
@@ -68,6 +68,8 @@ class RelativeEquilibrium:
         self.epsilon = eps = float(self.epsilon)
         if r.ndim != 1 or r.shape != theta.shape or not np.isfinite((r, theta)).all():
             raise ValueError("r and theta must be finite 1-d arrays of equal length")
+        if r.size == 0:
+            raise ValueError("r and theta must not be empty")
         if eps == 0.0 or not np.isfinite(eps):
             raise ValueError(f"epsilon must be finite and nonzero, got {eps!r}")
         if not (r > 0.0).all():
@@ -160,11 +162,6 @@ def _checked_mismatch(r, theta, epsilon: float):
     return mismatch
 
 
-def _cartesian(a, b, ct, st) -> np.ndarray:
-    """The mismatch rotated back to x-components then y-components."""
-    return np.concatenate((a * ct - b * st, a * st + b * ct), axis=-1)
-
-
 def rotating_frame_residual(r, theta, epsilon: float) -> np.ndarray:
     """Cartesian residual v_j - q_j^perp for the N weak vortices.
 
@@ -176,7 +173,8 @@ def rotating_frame_residual(r, theta, epsilon: float) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if r.shape != theta.shape or r.ndim != 1:
         raise ValueError("r and theta must be 1-d arrays of equal length")
-    return _cartesian(*_checked_mismatch(r, theta, epsilon))
+    a, b, ct, st = _checked_mismatch(r, theta, epsilon)
+    return np.concatenate((a * ct - b * st, a * st + b * ct))
 
 
 def reduced_field(r, theta, epsilon: float) -> np.ndarray:
@@ -186,39 +184,50 @@ def reduced_field(r, theta, epsilon: float) -> np.ndarray:
 
 
 def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float):
-    """Residual and phase rows of a (..., 2N) stack of states, and collision flags."""
+    """Reduced field and phase row of (..., 2N) states, and collision flags."""
     n = phi.size
-    a, b, ct, st, clear = _mismatch(x[..., :n], x[..., n:], epsilon)
-    phase = np.sum(x[..., n:] - phi, axis=-1, keepdims=True)
-    return np.concatenate((_cartesian(a, b, ct, st), phase), axis=-1), clear
+    r, theta = x[..., :n], x[..., n:]
+    a, b, _, _, clear = _mismatch(r, theta, epsilon)
+    phase = np.sum(theta - phi, axis=-1, keepdims=True)
+    return np.concatenate((a, b / r, phase), axis=-1), clear
 
 
-def _mismatch_jacobian(r, theta, epsilon: float) -> np.ndarray:
-    """[dM/dr, dM/dtheta] (N x 2N) of the mismatch M_j = (u_j + i v_j) - i z_j.
+def _reduced_jacobian(r, theta, epsilon: float, a, b) -> np.ndarray:
+    """Jacobian of ``reduced_field`` at any state, in closed form.
 
-    u_j - i v_j = -i sum_k Gamma_k / (z_j - z_k) is holomorphic in the positions,
-    with z_0 = -eps sum z_k.  No two vortices may coincide.
+    ``a`` and ``b`` are the radial and tangential mismatch at the state.  The
+    mismatch M_j = (u_j + i v_j) - i z_j is differentiated first: the
+    conjugate velocity u_j - i v_j = -i sum_k Gamma_k / (z_j - z_k) is
+    holomorphic in the positions, with z_0 = -eps sum z_k.  Each row is then
+    turned by e^{-i theta_j} into radial and tangential parts, and the
+    tangential rows are divided by r.  No two vortices may coincide.
     """
+    n = r.size
     e = np.exp(1j * theta)
     z = r * e
-    k = np.arange(z.size)
+    k = np.arange(n)
     diff = z[:, None] - np.concatenate(([-epsilon * z.sum()], z))
     diff[k, k + 1] = 1.0
-    p = -1j * _gammas(epsilon, z.size) / (diff * diff)
+    p = -1j * _gammas(epsilon, n) / (diff * diff)
     p[k, k + 1] = 0.0
     # dW_j/dz_l for W_j = u_j - i v_j, directly and through z_0
     dw = p[:, 1:] - epsilon * p[:, :1]
     dw[k, k] -= p.sum(axis=1)
     d_r = np.conj(dw * e)  # dz_l/dr_l = e^{i theta_l}, dz_l/dtheta_l = i z_l
-    jac = np.hstack((d_r, -1j * d_r * r))
-    jac[k, k] -= 1j * e
-    jac[k, k + z.size] += z
+    rot = np.hstack((d_r, -1j * d_r * r))
+    rot[k, k] -= 1j * e
+    rot[k, k + n] += z
+    # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
+    rot *= (np.cos(theta) - 1j * np.sin(theta))[:, None]
+    rot[k, k + n] -= 1j * (a + 1j * b)
+    jac = np.vstack((rot.real, rot.imag / r[:, None]))
+    jac[k + n, k] -= b / r**2
     return jac
 
 
-def _is_ngon(config: np.ndarray, tol: float = 1e-8) -> bool:
+def _is_ngon(config: np.ndarray) -> bool:
     gaps = _cyclic_gaps(config)
-    return bool(np.abs(gaps - TWO_PI / config.size).max() < tol)
+    return bool(np.abs(gaps - TWO_PI / config.size).max() < 1e-8)
 
 
 def epsilon_ceiling(cp: CriticalPoint) -> float:
@@ -236,12 +245,14 @@ def continue_equilibrium(
 ) -> RelativeEquilibrium:
     """Newton-continue a nondegenerate critical point to eps != 0.
 
-    Solves the 2N rotating-frame residual equations jointly in (r, theta)
-    with the phase constraint sum(theta_j - phi_j) = 0 against the seed
-    angles phi.  The shared driver ``search._newton`` takes least-squares
-    steps on the closed-form Jacobian and halves them until the squared
-    2-norm of residual and phase drops.  Convergence means their sup-norm
-    below 1e-12 within ``max_iter`` Newton steps.
+    Solves the 2N equations of the reduced field (a_j, b_j / r_j) jointly in
+    (r, theta) with the phase constraint sum(theta_j - phi_j) = 0 against
+    the seed angles phi.  It is the system that ``linearize`` differentiates,
+    and the Newton step uses the same closed-form ``_reduced_jacobian``.
+    The shared driver ``search._newton`` takes least-squares steps and
+    halves them until the squared 2-norm of field and phase drops.
+    Convergence means their sup-norm below 1e-12 within ``max_iter`` Newton
+    steps.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
     eigenvalue, InvalidEpsilon for eps = 0 or |eps| above the ceiling,
@@ -268,9 +279,9 @@ def continue_equilibrium(
     phase = np.concatenate((np.zeros(n), np.ones(n)))
 
     def lstsq_step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
-        jac = _mismatch_jacobian(z[:n], z[n:], epsilon)
-        jac = np.vstack((jac.real, jac.imag, phase))
-        return np.linalg.lstsq(jac, -fz, rcond=None)[0]
+        r = z[:n]
+        jac = _reduced_jacobian(r, z[n:], epsilon, fz[:n], fz[n:-1] * r)
+        return np.linalg.lstsq(np.vstack((jac, phase)), -fz, rcond=None)[0]
 
     x, _ = _newton(
         lambda z: _augmented_system(z, phi, epsilon),

@@ -10,9 +10,11 @@ For a seed Hessian eigenvalue zeta != 0 the matching pair is asymptotically
 over modes this yields the dichotomy: stable for eps > 0 iff the seed is a
 local minimum, stable for eps < 0 iff it is a local maximum.
 
-The linearization is built in closed form from the Biot-Savart Jacobian of
-``continuation``; a ``RelativeEquilibrium`` cannot be built where the
-reduced field is 1e-10 or more.
+The linearization is ``continuation._reduced_jacobian``, the closed-form
+Jacobian of the reduced field that continuation's Newton step also solves
+with, so the equilibrium and its stability come from one system.  A
+``RelativeEquilibrium`` cannot be built where the reduced field is 1e-10 or
+more.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .continuation import (
     RelativeEquilibrium,
     _checked_mismatch,
-    _mismatch_jacobian,
+    _reduced_jacobian,
     reduced_field,
 )
 from .errors import DegenerateSeed
@@ -59,25 +61,8 @@ def linearize(eq: RelativeEquilibrium) -> np.ndarray:
 
     State ordering is (r_1..r_N, theta_1..theta_N).
     """
-    return _reduced_jacobian(eq.r, eq.theta, eq.epsilon)
-
-
-def _reduced_jacobian(r, theta, epsilon: float) -> np.ndarray:
-    """Jacobian of ``reduced_field`` at any state, in closed form.
-
-    The rows are the mismatch Jacobian rotated into radial and tangential
-    parts, with the tangential rows divided by r.
-    """
-    n = r.size
-    # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
-    a, b, ct, st = _checked_mismatch(r, theta, epsilon)
-    rot = _mismatch_jacobian(r, theta, epsilon)
-    rot *= (ct - 1j * st)[:, None]
-    k = np.arange(n)
-    rot[k, k + n] -= 1j * (a + 1j * b)
-    jac = np.vstack((rot.real, rot.imag / r[:, None]))
-    jac[k + n, k] -= b / r**2
-    return jac
+    a, b = _checked_mismatch(eq.r, eq.theta, eq.epsilon)[:2]
+    return _reduced_jacobian(eq.r, eq.theta, eq.epsilon, a, b)
 
 
 def _symmetry_directions(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -424,6 +424,7 @@ MALFORMED_EQUILIBRIA = {
     "zero_epsilon": ({"epsilon": 0.0}, "epsilon must be finite and nonzero"),
     "zero_r": ({"r": [0.0, 1.0, 1.0, 1.0]}, "radii must be positive"),
     "negative_r": ({"r": [-1.0, 1.0, 1.0, 1.0]}, "radii must be positive"),
+    "empty": ({"r": [], "theta": []}, "r and theta must not be empty"),
 }
 
 

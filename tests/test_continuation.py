@@ -20,12 +20,14 @@ from vortexeq import (
     epsilon_ceiling,
     gradient,
     linearize,
+    multistart_search,
     newton_refine,
     ngon,
     reduced_field,
     rotating_frame_residual,
     stability_verdict,
     sweep_epsilon,
+    symmetry_distance,
     verify_lemma1_scaling,
 )
 from vortexeq import continuation
@@ -33,7 +35,7 @@ from vortexeq.continuation import (
     _augmented_system,
     _gammas,
     _mismatch,
-    _mismatch_jacobian,
+    _reduced_jacobian,
 )
 from vortexeq.spectra import SpectrumReport
 from vortexeq.search import CriticalPoint
@@ -182,15 +184,14 @@ def test_newton_jacobian_matches_complex_step(n, eps):
     phi = theta + 0.01
 
     def augmented(z):
-        a, b = real_form_mismatch(z[:n], z[n:], eps)
-        ct, st = np.cos(z[n:]), np.sin(z[n:])
-        return np.concatenate((a * ct - b * st, a * st + b * ct, [np.sum(z[n:] - phi)]))
+        return np.concatenate((real_form_reduced(z, eps), [np.sum(z[n:] - phi)]))
 
     ref = cs_jacobian(augmented, x)
-    assert np.abs(_augmented_system(x, phi, eps)[0] - augmented(x)).max() <= 1e-14
-    # stacked as in continue_equilibrium: Re M, Im M, then the phase row
-    jac = _mismatch_jacobian(r, theta, eps)
-    jac = np.vstack((jac.real, jac.imag, np.concatenate((np.zeros(n), np.ones(n)))))
+    f = _augmented_system(x, phi, eps)[0]
+    assert np.abs(f - augmented(x)).max() <= 1e-14
+    # as in continue_equilibrium: a and b from the residual, then the phase row
+    jac = _reduced_jacobian(r, theta, eps, f[:n], f[n:-1] * r)
+    jac = np.vstack((jac, np.concatenate((np.zeros(n), np.ones(n)))))
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -284,6 +285,23 @@ def test_max_iter_counts_newton_steps(min3_point):
         continue_equilibrium(min3_point, 4e-2, max_iter=3, _warm_start=warm)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cold_continuation_stays_on_the_seed_branch(n):
+    # every census family, from the default cold start, at +-1e-3 and +-1e-2
+    # within the ceiling; the verdicts are the abstract's: a minimum is stable
+    # iff eps > 0, a maximum iff eps < 0, and every other family is unstable
+    for cp in multistart_search(n, 200, seed=n).points:
+        negative, _, positive = cp.morse_index
+        for eps in (1e-3, -1e-3, 1e-2, -1e-2):
+            if abs(eps) > epsilon_ceiling(cp):
+                continue
+            eq = continue_equilibrium(cp, eps)
+            assert symmetry_distance(eq.theta, cp.config) <= 50 * abs(eps)
+            stable = (negative == 0 and eps > 0) or (positive == 0 and eps < 0)
+            verdict = stability_verdict(eq).classification.value
+            assert verdict == ("stable" if stable else "unstable")
+
+
 def test_an_equilibrium_is_checked_once_when_built(monkeypatch):
     calls = []
     inner = continuation._mismatch
@@ -311,6 +329,7 @@ BAD_EQUILIBRIA = {
                          "epsilon must be finite and nonzero"),
     "moved_theta": (lambda eq: {"theta": eq.theta + [1e-3, 0.0, 0.0]},
                     "equilibrium residual .* >= 1e-10"),
+    "empty": (lambda eq: {"r": [], "theta": []}, "r and theta must not be empty"),
 }
 
 
@@ -455,8 +474,8 @@ def test_stacked_augmented_system_rows_match_one_row(n, k, seed, eps):
         f_one, clear_one = _augmented_system(x_row, phi, eps)
         assert f_one.tobytes() == f_row.tobytes() and clear_one == clear_row
         if clear_row:
-            res = rotating_frame_residual(x_row[:n], x_row[n:], eps)
+            res = reduced_field(x_row[:n], x_row[n:], eps)
             assert res.tobytes() == f_row[:-1].tobytes()
         else:
             with pytest.raises(VortexCollision):
-                rotating_frame_residual(x_row[:n], x_row[n:], eps)
+                reduced_field(x_row[:n], x_row[n:], eps)

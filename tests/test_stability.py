@@ -20,8 +20,7 @@ from vortexeq import (
     reduced_field,
     stability_verdict,
 )
-from vortexeq.continuation import _mismatch
-from vortexeq.stability import _reduced_jacobian
+from vortexeq.continuation import _mismatch, _reduced_jacobian
 from tests.test_continuation import (
     FD_CHECK_TOL,
     JACOBIAN_CASES,
@@ -70,7 +69,7 @@ def test_linearize_matches_complex_step(n, eps):
     assert np.abs(a).max() > 1e-5 and np.abs(b).max() > 1e-2
     x = np.concatenate((r, theta))
     ref = cs_jacobian(lambda z: real_form_reduced(z, eps), x)
-    jac = _reduced_jacobian(r, theta, eps)
+    jac = _reduced_jacobian(r, theta, eps, a, b)
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
