@@ -249,10 +249,11 @@ def continue_equilibrium(
     (r, theta) with the phase constraint sum(theta_j - phi_j) = 0 against
     the seed angles phi.  It is the system that ``linearize`` differentiates,
     and the Newton step uses the same closed-form ``_reduced_jacobian``.
-    The shared driver ``search._newton`` takes least-squares steps and
-    halves them until the squared 2-norm of field and phase drops.
-    Convergence means their sup-norm below 1e-12 within ``max_iter`` Newton
-    steps.
+    The angular impulse identity sum r_j a_j + O(eps) = 0 makes row a_1
+    redundant, so ``search._newton`` takes square LU steps with the phase row
+    in its place, halved until the squared 2-norm of field and phase drops.
+    Convergence means all 2N + 1 below 1e-12 in sup-norm within ``max_iter``
+    steps; theta columns scale like eps, so theta is fixed only to 1e-12/|eps|.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
     eigenvalue, InvalidEpsilon for eps = 0 or |eps| above the ceiling,
@@ -271,21 +272,20 @@ def continue_equilibrium(
 
     phi = cp.config
     n = phi.size
-    x = (
-        np.concatenate((np.ones(n), phi))
-        if _warm_start is None
-        else _warm_start.copy()
-    )
-    phase = np.concatenate((np.zeros(n), np.ones(n)))
+    x = np.concatenate((np.ones(n), phi)) if _warm_start is None else _warm_start.copy()
 
-    def lstsq_step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    def square_step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
+        # Every vortex motion conserves sum Gamma_j |q_j|^2, so at any state
+        # sum r_j a_j + eps Re(conj(sum z_k) sum M_j) = 0 and row a_1 is
+        # redundant: the phase row takes its place in a square LU solve.
         r = z[:n]
         jac = _reduced_jacobian(r, z[n:], epsilon, fz[:n], fz[n:-1] * r)
-        return np.linalg.lstsq(np.vstack((jac, phase)), -fz, rcond=None)[0]
+        jac[0, :n], jac[0, n:] = 0.0, 1.0
+        return np.linalg.solve(jac, -np.concatenate((fz[-1:], fz[1:-1])))
 
     x, _ = _newton(
         lambda z: _augmented_system(z, phi, epsilon),
-        lstsq_step,
+        square_step,
         x,
         _RELEQ_TOL,
         max_iter,

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vortexeq import (
@@ -189,7 +189,8 @@ def test_newton_jacobian_matches_complex_step(n, eps):
     ref = cs_jacobian(augmented, x)
     f = _augmented_system(x, phi, eps)[0]
     assert np.abs(f - augmented(x)).max() <= 1e-14
-    # as in continue_equilibrium: a and b from the residual, then the phase row
+    # a and b from the residual, as continue_equilibrium passes them; the
+    # phase row below
     jac = _reduced_jacobian(r, theta, eps, f[:n], f[n:-1] * r)
     jac = np.vstack((jac, np.concatenate((np.zeros(n), np.ones(n)))))
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -479,3 +480,53 @@ def test_stacked_augmented_system_rows_match_one_row(n, k, seed, eps):
         else:
             with pytest.raises(VortexCollision):
                 reduced_field(x_row[:n], x_row[n:], eps)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(-0.05, 0.05))
+def test_angular_impulse_identity_holds_off_equilibrium(n, seed, eps):
+    # every vortex motion conserves sum Gamma_j |q_j|^2, which a rotation
+    # leaves unchanged; with q_0 = -eps sum z_k its rate at any state is
+    # 2 eps (sum r_j a_j + eps Re(conj(sum z_k) sum M_j))
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.5, 1.5, n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    a, b, ct, st_, clear = _mismatch(r, theta, eps)
+    assume(clear)
+    e = ct + 1j * st_
+    m = (a + 1j * b) * e
+    rate = r @ a + eps * (np.conj((r * e).sum()) * m.sum()).real
+    # a is O(eps) and vanishes at N = 1, so its roundoff is set by the speed
+    # |M_j + i z_j| it is projected from
+    assert abs(rate) <= 1e-13 * np.abs(m + 1j * r * e).max()
+
+
+def dropped_row_check(jac, k):
+    """How far row k of a Jacobian is from the span of the other rows, and the
+    smallest singular value once the phase row replaces it."""
+    n = jac.shape[0] // 2
+    row, rest = jac[k], np.delete(jac, k, axis=0)
+    coef = np.linalg.lstsq(rest.T, row, rcond=None)[0]
+    residual = np.linalg.norm(rest.T @ coef - row) / np.linalg.norm(row)
+    square = jac.copy()
+    square[k, :n], square[k, n:] = 0.0, 1.0
+    return residual, np.linalg.svd(square, compute_uv=False).min()
+
+
+def test_the_square_step_drops_a_redundant_row():
+    # continue_equilibrium solves with row a_1 replaced by the phase row; at
+    # each continued census family the a_1 row is a combination of the others
+    # and the square system is far from singular.  Row b_1 / r_1 fails one of
+    # the two at every N: at the families with sum z_k = 0 it is independent
+    # of the other rows and the square system is singular.
+    b_row_fails = set()
+    for n in range(3, 13):
+        for cp in multistart_search(n, 200, seed=n).points:
+            for eps in (1e-3, -1e-3):
+                jac = linearize(continue_equilibrium(cp, eps))
+                residual, smallest = dropped_row_check(jac, 0)
+                assert residual < 1e-10 and smallest > 1e-2 * abs(eps), (n, eps)
+                residual, smallest = dropped_row_check(jac, n)
+                if residual >= 1e-10 or smallest <= 1e-2 * abs(eps):
+                    b_row_fails.add(n)
+    assert b_row_fails == set(range(3, 13))

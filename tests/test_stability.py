@@ -21,6 +21,7 @@ from vortexeq import (
     stability_verdict,
 )
 from vortexeq.continuation import _mismatch, _reduced_jacobian
+from vortexeq.stability import _IMAG_REL_TOL
 from tests.test_continuation import (
     FD_CHECK_TOL,
     JACOBIAN_CASES,
@@ -206,6 +207,88 @@ def test_ring_instability_counts():
     assert plus.instability_count == 2
     minus = stability_verdict(continue_equilibrium(point, -1e-3))
     assert minus.instability_count == 7
+
+
+def ring_fourier_blocks(n, eps):
+    """Closed-form 2 x 2 blocks of the ring linearization, one per mode p.
+
+    At the ring r_j = R = sqrt(1 + eps (N - 1) / 2), theta_j = 2 pi j / N
+    the linearization in (r_j, theta_j) is block-circulant, so a perturbation
+    (rho, tau) e^{2 pi i p j / N} sees the block
+
+        [[eps S_p / R^2,                        eps (W_p / 2 - C_p) / R],
+         [(eps (W_p / 2 - C_p) / R^2 - 2) / R,  -eps S_p / R^2        ]].
+
+    The weak vortices enter through W_p, a sum over m = 1..N-1 of
+    (1 - cos(p psi_m)) / (1 - cos psi_m) with psi_m = 2 pi m / N, which is
+    p (N - p).  The strong vortex at -eps sum z_k enters through cos psi and
+    sin psi, whose transforms C_p and S_p vanish except at p = 1 and N - 1.
+    Returns the (N, 2, 2) blocks.
+    """
+    r2 = 1.0 + eps * (n - 1) / 2.0
+    r = np.sqrt(r2)
+    p = np.arange(n)
+    psi = 2.0 * np.pi * np.arange(1, n) / n
+    weak = ((1.0 - np.cos(p[:, None] * psi)) / (1.0 - np.cos(psi))).sum(axis=1)
+    cos_hat = 0.5 * n * ((p == 1).astype(float) + (p == n - 1))
+    sin_hat = -0.5j * n * ((p == 1).astype(float) - (p == n - 1))
+    blocks = np.empty((n, 2, 2), dtype=complex)
+    blocks[:, 0, 0] = eps * sin_hat / r2
+    blocks[:, 0, 1] = eps * (0.5 * weak - cos_hat) / r
+    blocks[:, 1, 0] = (eps * (0.5 * weak - cos_hat) / r2 - 2.0) / r
+    blocks[:, 1, 1] = -eps * sin_hat / r2
+    return blocks
+
+
+def continued_ring(n, eps):
+    return continue_equilibrium(newton_refine(ngon(n)), eps)
+
+
+@pytest.mark.parametrize("n, eps", [(10, 1e-3), (10, -1e-3), (100, 1e-4), (100, -1e-4)])
+def test_ring_linearization_is_block_circulant(n, eps):
+    jac = linearize(continued_ring(n, eps))
+    j = np.arange(n)[:, None]
+    for rows in (slice(0, n), slice(n, 2 * n)):
+        for cols in (slice(0, n), slice(n, 2 * n)):
+            block = jac[rows, cols]
+            # row j shifted left by j is row 0
+            assert np.abs(block[j, (j + j.T) % n] - block[0]).max() <= 1e-12
+    # the Fourier transform of the first rows gives the closed-form blocks
+    first = jac[[0, n]].reshape(2, 2, n)
+    numeric = n * np.fft.ifft(first, axis=-1).transpose(2, 0, 1)
+    assert np.abs(numeric - ring_fourier_blocks(n, eps)).max() <= 1e-12
+
+
+# Every ring up to N = 30, then every seventh up to N = 100: the dense
+# eigensolve costs N^3, and all of N = 3..100 would take about 1.5 s.
+ORACLE_RING_SIZES = [*range(3, 31), *range(31, 100, 7), 100]
+
+
+def test_ring_fourier_blocks_give_the_verdict_spectrum():
+    for n in ORACLE_RING_SIZES:
+        point = newton_refine(ngon(n))
+        for eps in (min(1e-3, 1.0 / n**2), -min(1e-3, 1.0 / n**2)):
+            verdict = stability_verdict(continue_equilibrium(point, eps))
+            found = verdict.spectrum.eigenvalues
+            # the two structural zeros, which the block of mode 0 holds
+            found = found[np.argsort(np.abs(found))[2:]]
+            oracle = list(np.linalg.eigvals(ring_fourier_blocks(n, eps)[1:]).ravel())
+            for lam in found:
+                k = int(np.argmin(np.abs(np.subtract(oracle, lam))))
+                assert abs(oracle[k] - lam) <= 1e-10 * abs(oracle[k]), (n, eps)
+                oracle.pop(k)
+
+
+def test_ring_fourier_blocks_give_criterion_10_counts():
+    # N = 10: one real pair per growing mode, modes 1 and 9 at eps = +1e-3
+    # and modes 2..8 at eps = -1e-3, so 2 and 7 growing eigenvalues
+    for eps, modes in ((1e-3, [1, 9]), (-1e-3, list(range(2, 9)))):
+        lam = np.linalg.eigvals(ring_fourier_blocks(10, eps))
+        growing = lam.real > _IMAG_REL_TOL * np.abs(lam)
+        assert list(np.flatnonzero(growing.any(axis=1))) == modes
+        assert growing.sum() == len(modes)
+        verdict = stability_verdict(continued_ring(10, eps))
+        assert verdict.instability_count == len(modes)
 
 
 def test_cabral_schmidt_with_supplied_verdict():
