@@ -281,7 +281,7 @@ def _trajectory_csv(traj, config: dict) -> str:
         "# config=" + json.dumps(config, sort_keys=True),
         ",".join(cols),
     ]
-    flat = traj.positions.reshape(traj.times.size, 2 * n_pts)
+    flat = traj.positions.view(float)  # x0, y0, x1, y1, ... per row
     # one row at a time: a whole-trajectory tolist() holds every float at once
     for t, row in zip(traj.times.tolist(), flat):
         lines.append(",".join(map(repr, [t] + row.tolist())))
@@ -369,8 +369,8 @@ def _eps_values(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not values:
         raise argparse.ArgumentTypeError("empty epsilon list")
-    if any(v == 0.0 for v in values):
-        raise argparse.ArgumentTypeError("epsilon values must be nonzero")
+    if not all(0.0 < abs(v) < np.inf for v in values):  # false for nan too
+        raise argparse.ArgumentTypeError("epsilon values must be finite and nonzero")
     return values
 
 
@@ -436,8 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         i = argv.index("--eps")
         argv[i : i + 2] = [f"--eps={argv[i + 1]}"]
     args = parser.parse_args(argv)
-    if args.command == "find" and args.n < 2:
-        parser.error("find requires --n >= 2")
+    if args.command == "find" and (args.n < 2 or args.starts < 1):
+        parser.error("find requires --n >= 2 and --starts >= 1")
     if args.command == "ngon-spectrum" and args.n < 3:
         parser.error("ngon-spectrum requires --n >= 3")
     if args.command == "simulate" and args.T / args.h > _MAX_STEPS:

@@ -41,9 +41,9 @@ _EPS_CEILING = 0.05
 _RELEQ_TOL = 1e-12
 
 
-def _gammas(epsilon: float, n_weak: int) -> np.ndarray:
+def _gammas(epsilon: float, n: int) -> np.ndarray:
     """The circulations (1, eps, ..., eps) of the strong vortex and N weak ones."""
-    return np.concatenate(([1.0], np.full(n_weak, epsilon)))
+    return np.concatenate(([1.0], np.full(n, epsilon)))
 
 
 @dataclass
@@ -88,18 +88,9 @@ class RelativeEquilibrium:
         res = rotating_frame_residual(self.r, self.theta, self.epsilon)
         return float(np.abs(res).max())
 
-    def weak_positions(self) -> np.ndarray:
-        return np.column_stack(
-            (self.r * np.cos(self.theta), self.r * np.sin(self.theta))
-        )
-
-    def strong_position(self) -> np.ndarray:
-        return -self.epsilon * self.weak_positions().sum(axis=0)
-
-    def all_positions(self) -> np.ndarray:
-        """Positions with the strong vortex first."""
-        weak = self.weak_positions()
-        return np.vstack((self.strong_position(), weak))
+    def positions(self) -> np.ndarray:
+        """Complex positions x + iy (N+1,) from ``_positions``, strong vortex first."""
+        return _positions(self.r, self.theta, self.epsilon)[0]
 
 
 @dataclass
@@ -132,22 +123,27 @@ def _biot_savart(z: np.ndarray, gammas: np.ndarray):
     return 1j * (dz * (gammas / d2)).sum(axis=-1), sep2
 
 
+def _positions(r, theta, epsilon: float):
+    """Complex positions z = x + iy of all vortices, and cos, sin(theta).
+
+    The strong vortex comes first, at z_0 = -eps * sum(z_j), which keeps the
+    center of vorticity at the origin; any stack axes lead.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    z = r * (ct + 1j * st)
+    return np.concatenate((-epsilon * z.sum(axis=-1, keepdims=True), z), axis=-1), ct, st
+
+
 def _mismatch(r, theta, epsilon: float):
     """Radial and tangential velocity mismatch (v - q^perp) per vortex.
 
     Returns (a, b, cos(theta), sin(theta), clear) over any stack axes, with
     a_j the radial component, b_j the tangential one and clear False within
-    the collision guard.  The strong vortex sits at z_0 = -eps * sum(z_j),
-    which keeps the center of vorticity at the origin.
+    the collision guard.  The vortices sit where ``_positions`` puts them.
     """
     r = np.asarray(r)
-    theta = np.asarray(theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    z = r * (ct + 1j * st)
-    vel, sep2 = _biot_savart(
-        np.concatenate((-epsilon * z.sum(axis=-1, keepdims=True), z), axis=-1),
-        _gammas(epsilon, r.shape[-1]),
-    )
+    z, ct, st = _positions(r, np.asarray(theta), epsilon)
+    vel, sep2 = _biot_savart(z, _gammas(epsilon, r.shape[-1]))
     u, v = vel.real[..., 1:], vel.imag[..., 1:]
     a = ct * u + st * v
     b = -st * u + ct * v - r
@@ -256,19 +252,17 @@ def continue_equilibrium(
     steps; theta columns scale like eps, so theta is fixed only to 1e-12/|eps|.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
-    eigenvalue, InvalidEpsilon for eps = 0 or |eps| above the ceiling,
+    eigenvalue, InvalidEpsilon unless 0 < |eps| <= the ceiling,
     NoConvergence when the line search stalls or the cap is reached, and
     CollisionApproach if the start has two vortices within the guard.
     """
-    if epsilon == 0.0 or not np.isfinite(epsilon):
-        raise InvalidEpsilon("continuation needs a finite nonzero eps")
     if cp.morse_index[1] != 1:
         raise DegenerateSeed(
             f"seed has {cp.morse_index[1]} zero eigenvalues; need exactly 1"
         )
     ceiling = epsilon_ceiling(cp)
-    if abs(epsilon) > ceiling:
-        raise InvalidEpsilon(f"|eps| = {abs(epsilon):g} exceeds ceiling {ceiling:g}")
+    if not 0.0 < abs(epsilon) <= ceiling:  # false for nan too
+        raise InvalidEpsilon(f"eps = {epsilon:g} outside 0 < |eps| <= {ceiling:g}")
 
     phi = cp.config
     n = phi.size
@@ -301,11 +295,14 @@ def sweep_epsilon(
 
     Returns one equilibrium per entry.  On the first failure a NoConvergence
     is raised whose ``partial`` attribute carries the equilibria found so
-    far.  An eps of exactly zero anywhere in the list is rejected up front.
+    far.  Every eps is checked before the first solve: InvalidEpsilon unless
+    each is finite, nonzero and within ``epsilon_ceiling``.
     """
     eps_values = [float(e) for e in eps_list]
-    if any(e == 0.0 for e in eps_values):
-        raise InvalidEpsilon("sweep list must not contain eps = 0")
+    ceiling = epsilon_ceiling(cp)
+    for eps in eps_values:
+        if not 0.0 < abs(eps) <= ceiling:  # false for nan too
+            raise InvalidEpsilon(f"eps = {eps:g} outside 0 < |eps| <= {ceiling:g}")
     results: list[RelativeEquilibrium] = []
     warm = None
     for eps in eps_values:
@@ -336,7 +333,7 @@ def verify_lemma1_scaling(family: list[RelativeEquilibrium]) -> ScalingReport:
         raise InsufficientFamily("family members must share the sign of eps")
     if np.unique(np.abs(eps)).size < 3:
         raise InsufficientFamily("need at least 3 distinct |eps| magnitudes")
-    q0 = np.array([np.linalg.norm(eq.strong_position()) for eq in family])
+    q0 = np.array([abs(eq.positions()[0]) for eq in family])
     rad = np.array([np.abs(eq.r**2 - 1.0).max() for eq in family])
     q0_ratios = q0 / np.abs(eps)
     radius_ratios = rad / np.abs(eps)

@@ -1,14 +1,14 @@
 """Direct integration of the planar point-vortex equations.
 
-The full system moves every vortex with the field induced by the others,
+Each vortex, at complex position z = x + iy, moves in the field of the others,
 
-    dq_j/dt = sum_{i != j} Gamma_i (q_j - q_i)^perp / |q_j - q_i|^2,
+    dz_j/dt = i sum_{k != j} Gamma_k (z_j - z_k) / |z_j - z_k|^2,
 
-with (x, y)^perp = (-x_2, x_1) applied componentwise.  Integration uses
-fixed-step classical RK4 and serves as an end-to-end check on continued
-equilibria: an exact relative equilibrium rotates rigidly, conserves the
-interaction Hamiltonian, the center of vorticity, and the vorticity moment,
-and its perturbations grow at the linearized rate.
+the strong vortex first.  Integration uses fixed-step classical RK4 and
+serves as an end-to-end check on continued equilibria: an exact relative
+equilibrium rotates rigidly, conserves the interaction Hamiltonian, the
+center of vorticity, and the vorticity moment, and its perturbations grow
+at the linearized rate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import (
-    _COLLIDED,
     _COLLISION_GUARD,
     RelativeEquilibrium,
     _biot_savart,
@@ -34,36 +33,29 @@ _ABORT_SEP = 10.0 * _COLLISION_GUARD
 _MAX_STEPS = 10**6
 
 
-def _complex(positions: np.ndarray) -> np.ndarray:
-    """Positions (..., M, 2) as complex x + iy (..., M), a view when contiguous."""
-    return np.ascontiguousarray(positions).view(complex)[..., 0]
-
-
 @dataclass
 class PlanarConfiguration:
-    """Positions (strong vortex first) and the weak circulation eps."""
+    """Complex positions x + iy (N+1,), strong vortex first, and the weak
+    circulation eps; ValueError unless the positions are finite and 1-d,
+    VortexCollision when two are within the collision guard."""
 
     positions: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
-            raise ValueError("positions must be an (N+1, 2) array")
-        if _biot_savart(_complex(self.positions), self.gammas)[1] < _COLLISION_GUARD**2:
+        self.positions = z = np.asarray(self.positions, dtype=complex)
+        if z.ndim != 1 or not np.isfinite(z).all():
+            raise ValueError("positions must be a finite 1-d array of x + iy")
+        if _biot_savart(z, self.gammas)[1] < _COLLISION_GUARD**2:
             raise VortexCollision("two vortices coincide in the initial data")
 
     @classmethod
     def from_equilibrium(cls, eq: RelativeEquilibrium) -> "PlanarConfiguration":
-        return cls(eq.all_positions(), eq.epsilon)
-
-    @property
-    def n_weak(self) -> int:
-        return self.positions.shape[0] - 1
+        return cls(eq.positions(), eq.epsilon)
 
     @property
     def gammas(self) -> np.ndarray:
-        return _gammas(self.epsilon, self.n_weak)
+        return _gammas(self.epsilon, self.positions.size - 1)
 
     @property
     def center_of_vorticity(self) -> np.ndarray:
@@ -73,33 +65,28 @@ class PlanarConfiguration:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    positions: np.ndarray  # (steps+1, N+1, 2)
+    positions: np.ndarray  # (steps+1, N+1) complex
 
 
 def vortex_field(config: PlanarConfiguration) -> np.ndarray:
-    """Velocities (M, 2) of all vortices; VortexCollision below the guard distance."""
-    vel, sep2 = _biot_savart(_complex(config.positions), config.gammas)
-    if sep2 < _COLLISION_GUARD**2:
-        raise VortexCollision(_COLLIDED)
-    return vel.view(float).reshape(-1, 2)
+    """Complex velocities u + iv of all vortices."""
+    return _biot_savart(config.positions, config.gammas)[0]
 
 
 def hamiltonian(config: PlanarConfiguration) -> float:
     """Interaction energy -sum_{i<j} Gamma_i Gamma_j log |q_i - q_j|."""
-    pos = config.positions
-    g = config.gammas
+    z, g = config.positions, config.gammas
     k = np.arange(g.size)
     upper = k[:, None] < k  # pairs i < j, row by row
-    d = (pos[:, None] - pos)[upper]
-    dist = np.sqrt((d * d).sum(axis=1))
-    if dist.min() < _COLLISION_GUARD:
-        raise VortexCollision(_COLLIDED)
+    d = (z[:, None] - z)[upper]
+    dist = np.sqrt(d.real * d.real + d.imag * d.imag)
     return float(-np.sum((g[:, None] * g)[upper] * np.log(dist)))
 
 
 def vorticity_moment(config: PlanarConfiguration) -> float:
     """Conserved moment sum_i Gamma_i |q_i|^2."""
-    return float(config.gammas @ (config.positions**2).sum(axis=1))
+    z = config.positions
+    return float(config.gammas @ (z.real * z.real + z.imag * z.imag))
 
 
 def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Trajectory:
@@ -116,7 +103,7 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
         raise ValueError(f"t_final / h = {ratio:g} exceeds {_MAX_STEPS} steps")
     steps = max(1, int(round(ratio)))
     gammas = config.gammas
-    z = _complex(config.positions)
+    z = config.positions
     out = np.empty((steps + 1, z.size), dtype=complex)
     out[0] = z
     times = h * np.arange(steps + 1)
@@ -131,7 +118,7 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
         k4 = _biot_savart(z + h * k3, gammas)[0]
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = z
-    traj = Trajectory(times[: i + 1], out[: i + 1].view(float).reshape(i + 1, -1, 2))
+    traj = Trajectory(times[: i + 1], out[: i + 1])
     if aborted:
         raise CollisionAbort(
             f"vortices within {_ABORT_SEP:g} at t = {times[i]:g}", trajectory=traj
@@ -144,7 +131,7 @@ def rigidity_error(traj: Trajectory) -> float:
     p, worst = traj.positions, 0.0
     for i in range(p.shape[1] - 1):  # one row of pairs: O(steps * M) memory
         d = p[:, i : i + 1] - p[:, i + 1 :]
-        dist = np.sqrt((d * d).sum(axis=2))
+        dist = np.sqrt(d.real * d.real + d.imag * d.imag)
         worst = max(worst, float(np.abs(dist - dist[0]).max()))
     return worst
 
@@ -180,28 +167,27 @@ def perturbation_growth(
     the uniform radius change.  Those two directions span the symmetry zero
     modes of the linearization; exciting them only adds a secular phase drift
     (larger rings rotate at a different rate) that masks the exponential
-    rates the fit is after.
+    rates the fit is after.  An N = 1 equilibrium has no other direction, so
+    a nonzero amplitude raises ValueError there.
     """
     predicted = stability_verdict(eq).max_real_part
     if h is None:
         h = t_final / 4096.0
-    base = eq.all_positions()
-    pos0 = base.copy()
+    base = eq.positions()
+    z0 = base.copy()
     if amplitude != 0.0:
+        n = eq.n
+        if n == 1:
+            raise ValueError("N = 1 has no perturbation direction off the symmetry modes")
         rng = np.random.default_rng(seed)
-        n = eq.r.size
         delta = rng.standard_normal(2 * n)
         for unit in _symmetry_directions(eq.r):
             delta -= (delta @ unit) * unit
-        dr, dth = delta[:n], delta[n:]
-        ct, st = np.cos(eq.theta), np.sin(eq.theta)
-        disp = np.column_stack(
-            [dr * ct - eq.r * dth * st, dr * st + eq.r * dth * ct]
-        )
-        pos0[1:] = base[1:] + amplitude * disp / np.linalg.norm(disp)
-    traj = integrate_rk4(PlanarConfiguration(pos0, eq.epsilon), h, t_final)
-    rotated = np.exp(1j * eq.omega * traj.times)[:, None] * _complex(base)
-    dev = np.linalg.norm(_complex(traj.positions) - rotated, axis=1)
+        disp = (delta[:n] + 1j * eq.r * delta[n:]) * np.exp(1j * eq.theta)
+        z0[1:] += amplitude * disp / np.linalg.norm(disp)
+    traj = integrate_rk4(PlanarConfiguration(z0, eq.epsilon), h, t_final)
+    rotated = np.exp(1j * eq.omega * traj.times)[:, None] * base
+    dev = np.linalg.norm(traj.positions - rotated, axis=1)
     floor = max(10.0 * amplitude, 1e-300)
     mask = (dev >= floor) & (dev <= 1e-2)
     if mask.sum() < 8:

@@ -205,7 +205,7 @@ def test_criterion_09_dynamics_validation(ring_eqs, s4_eqs, lemma1_family, min3_
         assert abs(hamiltonian(last) - h0) / abs(h0) < 1e-8
         assert abs(vorticity_moment(last) - m0) / abs(m0) < 1e-8
 
-    base = min3_eq.all_positions()
+    base = min3_eq.positions().view(float).reshape(-1, 2)
     config = PlanarConfiguration.from_equilibrium(min3_eq)
 
     def final_position_error(steps):
@@ -213,7 +213,7 @@ def test_criterion_09_dynamics_validation(ring_eqs, s4_eqs, lemma1_family, min3_
         angle = min3_eq.omega * traj.times[-1]
         c, s = np.cos(angle), np.sin(angle)
         exact = base @ np.array([[c, -s], [s, c]]).T
-        return np.abs(traj.positions[-1] - exact).max()
+        return np.abs(traj.positions[-1].view(float).reshape(-1, 2) - exact).max()
 
     order = np.log2(final_position_error(256) / final_position_error(512))
     assert 3.7 <= order <= 4.3

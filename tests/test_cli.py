@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vortexeq import NoConvergence, Trajectory, cli, continuation
+from vortexeq import NoConvergence, RelativeEquilibrium, Trajectory, cli, continuation
 from vortexeq.cli import _trajectory_csv, main
 
 
@@ -159,6 +159,8 @@ def test_find_plot_data(tmp_path, capsys):
 
 def test_find_usage_errors():
     assert run_usage_error("find", "--n", "1") == 2
+    assert run_usage_error("find", "--n", "3", "--starts", "-4") == 2
+    assert run_usage_error("find", "--n", "3", "--starts", "0") == 2
     assert run_usage_error("find") == 2
     assert run_usage_error("find", "--n", "4", "--format", "csv") == 2
 
@@ -211,6 +213,24 @@ def test_continue_usage_errors(catalog4_path):
                            "--eps", "1e-3,0") == 2
     assert run_usage_error("continue", "--catalog", str(catalog4_path),
                            "--eps", "") == 2
+    for eps in ("1e-3,nan", "1e-3,inf", "-inf"):
+        assert run_usage_error("continue", "--catalog", str(catalog4_path),
+                               "--eps", eps) == 2
+
+
+def test_continue_checks_every_eps_before_solving(tmp_path, catalog4_path, capsys,
+                                                  monkeypatch):
+    # eps = 0.2 is above the ceiling: the run stops before eps = 1e-3 is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a continuation ran")
+
+    monkeypatch.setattr(continuation, "continue_equilibrium", no_solve)
+    out = tmp_path / "eq.json"
+    code, _, err = run(capsys, "continue", "--catalog", str(catalog4_path),
+                       "--eps", "1e-3,0.2", "--out", str(out))
+    assert code == 1
+    assert "InvalidEpsilon: eps = 0.2 outside 0 < |eps| <= 0.05" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_continue_missing_catalog(capsys):
@@ -459,11 +479,11 @@ def test_wrongly_typed_catalog_field_rejected(tmp_path, catalog4_path, capsys, f
 
 def test_trajectory_csv_rows_are_float_reprs():
     values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0 / 3.0]
-    positions = np.array(values[:6] + values[1:7]).reshape(2, 3, 2)
+    positions = np.array(values[:6] + values[1:7]).view(complex).reshape(2, 3)
     traj = Trajectory(np.array([0.0, 1e-300]), positions)
     lines = _trajectory_csv(traj, {"command": "simulate"}).split("\n")
     rows = [
-        ",".join(repr(float(v)) for v in [t, *positions[i].ravel()])
+        ",".join(repr(float(v)) for v in [t, *positions[i].view(float)])
         for i, t in enumerate(traj.times)
     ]
     assert lines[3:] == rows + [""]
@@ -493,6 +513,49 @@ def test_simulate_report_and_csv(tmp_path, equilibria_path, capsys):
     lines = (tmp_path / "run.csv").read_text().strip().split("\n")
     assert lines[2] == "t,x0,y0,x1,y1,x2,y2,x3,y3,x4,y4"
     assert len(lines) == 3 + report["steps"] + 1
+
+
+def test_simulate_starts_where_continuation_solved(tmp_path, equilibria_path,
+                                                    capsys, monkeypatch):
+    # the first CSV row is eq.positions() to the bit, and the strong vortex
+    # sits at the -eps * sum(z_j) that continuation's mismatch was solved at
+    rec = json.loads(equilibria_path.read_text())["equilibria"][1]
+    eq = RelativeEquilibrium(r=rec["r"], theta=rec["theta"], epsilon=rec["epsilon"])
+    z = eq.positions()
+    for perturb in ("0", "1e-6"):
+        out = tmp_path / f"run{perturb}"
+        code, _, _ = run(capsys, "simulate", "--equilibria", str(equilibria_path),
+                         "--index", "1", "--h", "0.1", "--T", "0.2",
+                         "--perturb", perturb, "--out", str(out))
+        assert code == 0
+        row = (tmp_path / f"run{perturb}.csv").read_text().split("\n")[3].split(",")
+        first = np.array([float(v) for v in row[1:]])
+        assert first[:2].tobytes() == z[:1].view(float).tobytes()
+        if perturb == "0":
+            assert first.tobytes() == z.view(float).tobytes()
+    solved = []
+    kernel = continuation._biot_savart
+    monkeypatch.setattr(continuation, "_biot_savart",
+                        lambda zs, gammas: solved.append(zs) or kernel(zs, gammas))
+    continuation._mismatch(eq.r, eq.theta, eq.epsilon)
+    assert z.tobytes() == solved[0].tobytes()
+
+
+def test_simulate_perturb_needs_two_weak_vortices(tmp_path, capsys):
+    # one weak vortex has no direction left once the rotation and scaling
+    # modes are projected out; the run stops before it divides 0 by 0
+    eps = 1e-2
+    eq_path = tmp_path / "one.json"
+    eq_path.write_text(json.dumps({"equilibria": [
+        {"epsilon": eps, "r": [1.0 / np.sqrt(1.0 + eps)], "theta": [0.0]}]}))
+    argv = ["simulate", "--equilibria", str(eq_path), "--h", "0.1", "--T", "1"]
+    code, _, err = run(capsys, *argv, "--perturb", "1e-6", "--out", str(tmp_path / "p"))
+    assert code == 1
+    assert "N = 1 has no perturbation direction" in err
+    assert list(tmp_path.iterdir()) == [eq_path]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert "nan" not in (tmp_path / "run.csv").read_text().lower()
 
 
 def test_perturbed_drifts_are_measured_from_the_perturbed_start(

@@ -228,8 +228,8 @@ def test_ring_radius_law():
 def test_pair_triangle_stays_equilateral():
     point = newton_refine(np.array([0.0, np.pi / 3]))
     eq = continue_equilibrium(point, 1e-2)
-    pos = eq.all_positions()
-    d = [np.linalg.norm(pos[i] - pos[j]) for i in range(3) for j in range(i + 1, 3)]
+    pos = eq.positions()
+    d = [abs(pos[i] - pos[j]) for i in range(3) for j in range(i + 1, 3)]
     assert max(d) - min(d) < 1e-12
 
 
@@ -359,7 +359,7 @@ def test_relative_equilibrium_converts_its_fields(min3_eq):
 def test_coincident_vortices_raise_typed_errors(min3_point):
     for dy in (0.0, 1e-160):  # coincident, and 1/d^2 beyond the float range
         with pytest.raises(VortexCollision):
-            PlanarConfiguration([[0.0, 0.0], [1.0, 0.0], [1.0, dy]], 1e-3)
+            PlanarConfiguration([0j, 1.0 + 0j, complex(1.0, dy)], 1e-3)
     with pytest.raises(VortexCollision):
         rotating_frame_residual([1.0, 1.0, 1.0], [0.0, 0.0, 2.0], 1e-3)
     with pytest.raises(CollisionApproach):
@@ -381,6 +381,16 @@ def test_sweep_rejects_zero(min3_point):
         sweep_epsilon(min3_point, [1e-3, 0.0])
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf, 0.2, -0.2])
+def test_sweep_checks_every_eps_before_the_first_solve(min3_point, monkeypatch, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a continuation ran")
+
+    monkeypatch.setattr(continuation, "continue_equilibrium", no_solve)
+    with pytest.raises(InvalidEpsilon, match=r"outside 0 < \|eps\| <= 0\.05"):
+        sweep_epsilon(min3_point, [1e-3, bad])
+
+
 def test_lemma1_ratios_bounded(min3_point):
     family = sweep_epsilon(min3_point, [1e-2, 1e-3, 1e-4])
     report = verify_lemma1_scaling(family)
@@ -396,7 +406,7 @@ def test_lemma1_ring_exact():
     report = verify_lemma1_scaling(family)
     # strong vortex stays pinned at the origin for the ring family
     for eq in family:
-        assert np.linalg.norm(eq.strong_position()) < 1e-12
+        assert abs(eq.positions()[0]) < 1e-12
     np.testing.assert_allclose(report.radius_ratios, 2.0, atol=1e-8)
 
 
@@ -412,10 +422,11 @@ def test_lemma1_requires_enough_members(min3_point):
 
 
 def test_positions_layout(min3_eq):
-    pos = min3_eq.all_positions()
-    assert pos.shape == (4, 2)
-    np.testing.assert_allclose(pos[0], min3_eq.strong_position(), atol=0)
-    np.testing.assert_allclose(pos[1:], min3_eq.weak_positions(), atol=0)
+    pos = min3_eq.positions()
+    assert pos.shape == (4,) and pos.dtype == complex
+    r, theta = min3_eq.r, min3_eq.theta
+    np.testing.assert_allclose(pos[0], -min3_eq.epsilon * pos[1:].sum(), atol=0)
+    np.testing.assert_allclose(pos[1:], r * np.cos(theta) + 1j * r * np.sin(theta), atol=0)
 
 
 @st.composite

@@ -29,47 +29,42 @@ TWO_PI = 2 * np.pi
 
 
 def unit_pair(eps):
-    return PlanarConfiguration(
-        np.array([[0.0, 0.0], [1.0, 0.0]]), eps
-    )
+    return PlanarConfiguration(np.array([0j, 1.0 + 0j]), eps)
 
 
 def test_field_two_vortex_example():
-    vel = vortex_field(unit_pair(1e-3))
+    vel = vortex_field(unit_pair(1e-3)).view(float).reshape(-1, 2)
     np.testing.assert_allclose(vel[0], [0.0, -1e-3], atol=1e-16)
     np.testing.assert_allclose(vel[1], [0.0, 1.0], atol=1e-16)
 
 
 def test_field_center_of_vorticity_stationary():
     rng = np.random.default_rng(0)
-    pos = rng.standard_normal((5, 2)) * 2.0
+    pos = (rng.standard_normal((5, 2)) * 2.0).view(complex).ravel()
     config = PlanarConfiguration(pos, 2e-3)
     vel = vortex_field(config)
-    assert vel.shape == (5, 2)
+    assert vel.shape == (5,)
+    vel = vel.view(float).reshape(-1, 2)
     np.testing.assert_allclose(config.gammas @ vel, [0.0, 0.0], atol=1e-14)
 
 
 def test_field_rotates_equilibrium(min3_eq):
     config = PlanarConfiguration.from_equilibrium(min3_eq)
     vel = vortex_field(config)
-    perp = np.column_stack([-config.positions[:, 1], config.positions[:, 0]])
-    assert np.abs(vel - min3_eq.omega * perp).max() < 1e-12
+    perp = 1j * config.positions
+    assert np.abs((vel - min3_eq.omega * perp).view(float)).max() < 1e-12
 
 
 def test_hamiltonian_unit_distances():
-    pair = PlanarConfiguration(
-        np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0
-    )
+    pair = PlanarConfiguration(np.array([0j, 1.0 + 0j]), 1.0)
     assert hamiltonian(pair) == pytest.approx(0.0, abs=1e-15)
-    far = PlanarConfiguration(
-        np.array([[0.0, 0.0], [np.e, 0.0]]), 1.0
-    )
+    far = PlanarConfiguration(np.array([0j, np.e + 0j]), 1.0)
     assert hamiltonian(far) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_hamiltonian_scaling_law():
     rng = np.random.default_rng(1)
-    pos = rng.standard_normal((4, 2))
+    pos = rng.standard_normal((4, 2)).view(complex).ravel()
     config = PlanarConfiguration(pos, 1.0)
     scaled = PlanarConfiguration(3.0 * pos, 1.0)
     n = 4
@@ -87,8 +82,9 @@ def test_pair_sums_match_the_triu_indices_formula_bitwise():
         cu = np.cos(theta[:, None] - theta[None, :])[iu]
         ref = np.float64(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
         assert np.float64(potential(theta)).tobytes() == ref.tobytes(), n
-        config = PlanarConfiguration(rng.standard_normal((n, 2)), 1e-3)
-        pos, g = config.positions, config.gammas
+        pairs = rng.standard_normal((n, 2))
+        config = PlanarConfiguration(pairs.view(complex).ravel(), 1e-3)
+        pos, g = config.positions.view(float).reshape(-1, 2), config.gammas
         d = pos[iu[0]] - pos[iu[1]]
         ref = np.float64(-np.sum(g[iu[0]] * g[iu[1]] * np.log(np.sqrt((d * d).sum(axis=1)))))
         assert np.float64(hamiltonian(config)).tobytes() == ref.tobytes(), n
@@ -96,10 +92,9 @@ def test_pair_sums_match_the_triu_indices_formula_bitwise():
 
 def test_hamiltonian_rigid_motion_invariance():
     rng = np.random.default_rng(2)
-    pos = rng.standard_normal((4, 2))
+    pos = rng.standard_normal((4, 2)).view(complex).ravel()
     config = PlanarConfiguration(pos, 5e-3)
-    c, s = np.cos(0.8), np.sin(0.8)
-    moved = pos @ np.array([[c, -s], [s, c]]).T + np.array([0.3, -0.7])
+    moved = pos * np.exp(0.8j) + (0.3 - 0.7j)
     assert hamiltonian(
         PlanarConfiguration(moved, 5e-3)
     ) == pytest.approx(hamiltonian(config), rel=1e-12)
@@ -107,9 +102,16 @@ def test_hamiltonian_rigid_motion_invariance():
 
 def test_configuration_rejects_collision():
     with pytest.raises(VortexCollision):
-        PlanarConfiguration(
-            np.array([[0.0, 0.0], [1e-11, 0.0]]), 1e-3
-        )
+        PlanarConfiguration(np.array([0j, 1e-11 + 0j]), 1e-3)
+
+
+@pytest.mark.parametrize("positions", [
+    [0j, 1.0, np.nan], [0j, 1.0, complex(1.0, np.inf)], [[0.0, 0.0], [1.0, 0.0]],
+], ids=["nan", "inf", "real_pairs"])
+def test_configuration_rejects_non_finite_or_real_pairs(positions):
+    # positions are one finite complex x + iy per vortex, never (M, 2) pairs
+    with pytest.raises(ValueError, match="finite 1-d array"):
+        PlanarConfiguration(np.array(positions), 1e-3)
 
 
 def test_rk4_conservation_one_period(min3_eq):
@@ -131,7 +133,7 @@ def test_rk4_conservation_one_period(min3_eq):
 
 
 def test_rk4_convergence_order(min3_eq):
-    base = min3_eq.all_positions()
+    base = min3_eq.positions().view(float).reshape(-1, 2)
     config = PlanarConfiguration.from_equilibrium(min3_eq)
 
     def final_error(steps):
@@ -139,7 +141,7 @@ def test_rk4_convergence_order(min3_eq):
         angle = min3_eq.omega * traj.times[-1]
         c, s = np.cos(angle), np.sin(angle)
         exact = base @ np.array([[c, -s], [s, c]]).T
-        return np.abs(traj.positions[-1] - exact).max()
+        return np.abs(traj.positions[-1].view(float).reshape(-1, 2) - exact).max()
 
     def rigidity(steps):
         return rigidity_error(integrate_rk4(config, TWO_PI / steps, TWO_PI))
@@ -180,13 +182,14 @@ def test_rk4_matches_real_form(request, case):
         eq = request.getfixturevalue(case)
     config = PlanarConfiguration.from_equilibrium(eq)
     traj = integrate_rk4(config, TWO_PI / 512, TWO_PI)
-    ref = real_form_rk4(config.positions, config.gammas, TWO_PI / 512, 512)
-    assert traj.positions.shape == ref.shape
-    assert np.abs(traj.positions - ref).max() <= 1e-13
+    pos = config.positions.view(float).reshape(-1, 2)
+    ref = real_form_rk4(pos, config.gammas, TWO_PI / 512, 512)
+    assert traj.positions.shape + (2,) == ref.shape
+    assert np.abs(traj.positions.view(float).reshape(ref.shape) - ref).max() <= 1e-13
 
 
 def test_rk4_collision_abort():
-    pos = np.array([[0.0, 0.0], [5e-10, 0.0], [1.0, 0.0]])
+    pos = np.array([0j, 5e-10 + 0j, 1.0 + 0j])
     config = PlanarConfiguration(pos, 1e-3)
     with pytest.raises(CollisionAbort) as info:
         integrate_rk4(config, 1e-3, 1.0)
@@ -198,14 +201,14 @@ def test_rk4_collision_abort():
 def test_rk4_collision_abort_mid_run():
     # two weak vortices near the unit circle, 5e-10 apart radially and 2e-9
     # tangentially; the strong vortex's shear closes the tangential gap
-    pos = np.array([[0.0, 0.0], [1.0, -1e-9], [1.0 + 5e-10, 1e-9], [-1.5, 0.0]])
+    pos = np.array([0j, 1.0 - 1e-9j, 1.0 + 5e-10 + 1e-9j, -1.5 + 0j])
     config = PlanarConfiguration(pos, 1e-20)
     with pytest.raises(CollisionAbort) as info:
         integrate_rk4(config, 0.01, 5.0)
     partial = info.value.trajectory
     assert partial.times[-1] == 0.01 * 115
     assert partial.times.size == 116
-    sep = np.linalg.norm(partial.positions[:, 1] - partial.positions[:, 2], axis=1)
+    sep = np.abs(partial.positions[:, 1] - partial.positions[:, 2])
     # the run stops at the first sample within ten times the guard
     assert sep[-1] < 1e-9 <= sep[:-1].min()
 
@@ -231,7 +234,7 @@ def test_rk4_step_count_is_bounded(h, t_final, monkeypatch):
 
 def test_rigidity_error_flags_shear():
     rng = np.random.default_rng(3)
-    pos = rng.standard_normal((4, 2)) * 1.5
+    pos = (rng.standard_normal((4, 2)) * 1.5).view(complex).ravel()
     config = PlanarConfiguration(pos, 0.5)
     traj = integrate_rk4(config, 1e-3, 1.0)
     assert rigidity_error(traj) > 1e-3
@@ -240,12 +243,13 @@ def test_rigidity_error_flags_shear():
 def test_rigidity_error_matches_all_pairs(min3_eq):
     rng = np.random.default_rng(5)
     config = PlanarConfiguration.from_equilibrium(min3_eq)
+    pairs = rng.standard_normal((33, 7, 2))
     trajectories = [
-        Trajectory(np.arange(33.0), rng.standard_normal((33, 7, 2))),
+        Trajectory(np.arange(33.0), pairs.view(complex)[..., 0]),
         integrate_rk4(config, 0.05, 2.0),
     ]
     for traj in trajectories:
-        pos = traj.positions
+        pos = traj.positions.view(float).reshape(*traj.positions.shape, 2)
         iu = np.triu_indices(pos.shape[1], 1)
         d = pos[:, iu[0], :] - pos[:, iu[1], :]
         dist = np.sqrt((d * d).sum(axis=2))
@@ -259,11 +263,13 @@ def test_growth_unstable_pair_matches_prediction(collinear_eq):
     assert report.predicted_rate == pytest.approx(target, rel=0.01)
     assert report.window_points > 100
     # the deviation from the rigidly rotating start, one sample at a time
-    traj, base = report.trajectory, collinear_eq.all_positions()
+    traj = report.trajectory
+    pos = traj.positions.view(float).reshape(*traj.positions.shape, 2)
+    base = collinear_eq.positions().view(float).reshape(-1, 2)
     dev = np.empty(traj.times.size)
     for i, t in enumerate(traj.times):
         c, s = np.cos(collinear_eq.omega * t), np.sin(collinear_eq.omega * t)
-        dev[i] = np.linalg.norm(traj.positions[i] - base @ np.array([[c, -s], [s, c]]).T)
+        dev[i] = np.linalg.norm(pos[i] - base @ np.array([[c, -s], [s, c]]).T)
     assert report.max_deviation == pytest.approx(dev.max(), rel=1e-12)
     window = (dev >= 10.0 * report.amplitude) & (dev <= 1e-2)
     assert report.window_points == np.count_nonzero(window)
@@ -324,9 +330,9 @@ def near_pair_positions(draw, log10_sep):
 def test_field_matches_pairwise_sum(case, sign, log10_eps):
     pos, _ = case
     eps = sign * 0.5 * 10.0**log10_eps
-    config = PlanarConfiguration(pos, eps)
+    config = PlanarConfiguration(pos.view(complex).ravel(), eps)
     ref, scale = pairwise_field(pos, config.gammas)
-    err = np.abs(vortex_field(config) - ref).max(axis=1)
+    err = np.abs(vortex_field(config).view(float).reshape(-1, 2) - ref).max(axis=1)
     assert np.all(err <= 1e-13 * scale)
 
 
@@ -335,4 +341,4 @@ def test_field_matches_pairwise_sum(case, sign, log10_eps):
 def test_configuration_guard_below_threshold(case):
     pos, _ = case
     with pytest.raises(VortexCollision):
-        PlanarConfiguration(pos, 1e-3)
+        PlanarConfiguration(pos.view(complex).ravel(), 1e-3)
