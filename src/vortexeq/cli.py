@@ -38,7 +38,7 @@ from .errors import (
     VortexEqError,
 )
 from .potential import hessian, ngon
-from .search import CriticalPoint, _build_point, multistart_search
+from .search import CriticalPoint, multistart_search
 from .spectra import eig_symmetric, ngon_spectrum_closed_form
 from .stability import asymptotic_eigenvalues, stability_verdict
 
@@ -119,7 +119,7 @@ def _family_from_record(rec: dict) -> CriticalPoint:
     are not a critical point; a stored Morse index that disagrees with the
     recomputed one raises ValueError.
     """
-    cp = _build_point(np.asarray(rec["angles"], dtype=float))
+    cp = CriticalPoint(rec["angles"])
     if tuple(rec["morse_index"]) != cp.morse_index:
         raise ValueError(
             f"stored morse_index {rec['morse_index']} differs from the "

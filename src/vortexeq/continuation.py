@@ -40,6 +40,9 @@ _EPS_CEILING = 0.05
 # Continuation converges once the residual and phase sup-norm is below this.
 _RELEQ_TOL = 1e-12
 
+# Most Newton steps that one continuation takes.
+_RELEQ_MAX_ITER = 60
+
 
 def _gammas(epsilon: float, n: int) -> np.ndarray:
     """The circulations (1, eps, ..., eps) of the strong vortex and N weak ones."""
@@ -234,10 +237,7 @@ def epsilon_ceiling(cp: CriticalPoint) -> float:
 
 
 def continue_equilibrium(
-    cp: CriticalPoint,
-    epsilon: float,
-    max_iter: int = 60,
-    _warm_start: np.ndarray | None = None,
+    cp: CriticalPoint, epsilon: float, _warm_start: np.ndarray | None = None
 ) -> RelativeEquilibrium:
     """Newton-continue a nondegenerate critical point to eps != 0.
 
@@ -248,8 +248,8 @@ def continue_equilibrium(
     The angular impulse identity sum r_j a_j + O(eps) = 0 makes row a_1
     redundant, so ``search._newton`` takes square LU steps with the phase row
     in its place, halved until the squared 2-norm of field and phase drops.
-    Convergence means all 2N + 1 below 1e-12 in sup-norm within ``max_iter``
-    steps; theta columns scale like eps, so theta is fixed only to 1e-12/|eps|.
+    Convergence means all 2N + 1 below 1e-12 in sup-norm within 60 steps;
+    theta columns scale like eps, so theta is fixed only to 1e-12/|eps|.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
     eigenvalue, InvalidEpsilon unless 0 < |eps| <= the ceiling,
@@ -282,15 +282,13 @@ def continue_equilibrium(
         square_step,
         x,
         _RELEQ_TOL,
-        max_iter,
+        _RELEQ_MAX_ITER,
         _COLLIDED,
     )
     return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=float(epsilon))
 
 
-def sweep_epsilon(
-    cp: CriticalPoint, eps_list, **kwargs
-) -> list[RelativeEquilibrium]:
+def sweep_epsilon(cp: CriticalPoint, eps_list) -> list[RelativeEquilibrium]:
     """Continue one seed across several eps values, warm-starting in order.
 
     Returns one equilibrium per entry.  On the first failure a NoConvergence
@@ -307,7 +305,7 @@ def sweep_epsilon(
     warm = None
     for eps in eps_values:
         try:
-            eq = continue_equilibrium(cp, eps, _warm_start=warm, **kwargs)
+            eq = continue_equilibrium(cp, eps, _warm_start=warm)
         except (NoConvergence, CollisionApproach) as exc:
             raise NoConvergence(
                 f"sweep failed at eps = {eps:g}: {exc}", partial=results

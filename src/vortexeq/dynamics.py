@@ -23,7 +23,7 @@ from .continuation import (
     _biot_savart,
     _gammas,
 )
-from .errors import CollisionAbort, VortexCollision
+from .errors import CollisionAbort, InvalidN, VortexCollision
 from .search import TWO_PI
 from .stability import _symmetry_directions, stability_verdict
 
@@ -168,7 +168,7 @@ def perturbation_growth(
     modes of the linearization; exciting them only adds a secular phase drift
     (larger rings rotate at a different rate) that masks the exponential
     rates the fit is after.  An N = 1 equilibrium has no other direction, so
-    a nonzero amplitude raises ValueError there.
+    a nonzero amplitude raises InvalidN there.
     """
     predicted = stability_verdict(eq).max_real_part
     if h is None:
@@ -178,7 +178,7 @@ def perturbation_growth(
     if amplitude != 0.0:
         n = eq.n
         if n == 1:
-            raise ValueError("N = 1 has no perturbation direction off the symmetry modes")
+            raise InvalidN("N = 1 has no perturbation direction off the symmetry modes")
         rng = np.random.default_rng(seed)
         delta = rng.standard_normal(2 * n)
         for unit in _symmetry_directions(eq.r):

@@ -38,18 +38,37 @@ _START_GAP = 1e-2
 # Converged points closer than this in symmetry distance are one family.
 _DEDUP_TOL = 1e-6
 
+# Most Newton steps that newton_refine takes.
+_NEWTON_MAX_ITER = 200
+
 
 @dataclass
 class CriticalPoint:
-    """A critical point of the ring potential in canonical form."""
+    """A critical point of the ring potential, built from its angles alone.
+
+    Construction, ``dataclasses.replace`` included, canonicalizes ``config``
+    and computes the other fields from it.  It raises ValueError unless the
+    angles are a finite 1-d array of at least two, AngularCollision when two
+    collide and NotCritical when the gradient sup-norm reaches 1e-8.
+    """
 
     config: np.ndarray
-    cls: CriticalPointClass
-    spectrum: SpectrumReport
-    morse_index: tuple[int, int, int]  # (negative, zero, positive)
-    residual: float
-    value: float
-    reflection_symmetric: bool
+    cls: CriticalPointClass = field(init=False)
+    spectrum: SpectrumReport = field(init=False)
+    morse_index: tuple[int, int, int] = field(init=False)  # (negative, zero, positive)
+    residual: float = field(init=False)
+    value: float = field(init=False)
+    reflection_symmetric: bool = field(init=False)
+
+    def __post_init__(self):
+        self.config = canon = canonicalize(self.config)
+        g = gradient(canon)
+        self.cls, self.spectrum, self.morse_index = _classify(canon, g)
+        gaps = _cyclic_gaps(canon)
+        mirrored = float(np.abs(gaps - _symmetry_orbit(gaps)[gaps.size :]).max(axis=1).min())
+        self.residual = float(np.abs(g).max())
+        self.value = potential(canon)
+        self.reflection_symmetric = mirrored < 1e-8
 
 
 @dataclass
@@ -166,32 +185,13 @@ def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collision:
     raise NoConvergence(f"no convergence within {max_iter} iterations")
 
 
-def _build_point(theta: np.ndarray) -> CriticalPoint:
-    canon = canonicalize(theta)
-    g = gradient(canon)
-    cls, report, morse = _classify(canon, g)
-    gaps = _cyclic_gaps(canon)
-    mirrored = float(np.abs(gaps - _symmetry_orbit(gaps)[gaps.size :]).max(axis=1).min())
-    return CriticalPoint(
-        config=canon,
-        cls=cls,
-        spectrum=report,
-        morse_index=morse,
-        residual=float(np.abs(g).max()),
-        value=potential(canon),
-        reflection_symmetric=mirrored < 1e-8,
-    )
-
-
-def newton_refine(
-    theta0, newton_tol: float = 1e-12, max_iter: int = 200
-) -> CriticalPoint:
+def newton_refine(theta0, newton_tol: float = 1e-12) -> CriticalPoint:
     """Damped Newton refinement of theta0 to a critical point.
 
     Runs the shared driver ``_newton`` on grad V.  The step solves the
     Newton system with theta_1 held, which removes the rotation direction;
     the line search on ||grad V||^2 halves it up to 29 times.  Convergence
-    means ||grad V||_inf < newton_tol within ``max_iter`` Newton steps.
+    means ||grad V||_inf < newton_tol within 200 Newton steps.
     Raises NoConvergence at the iteration cap, when the line search stalls
     or when the Newton system is singular, and CollisionApproach if the
     start collides.
@@ -201,10 +201,10 @@ def newton_refine(
         _pinned_step,
         _angles(theta0),
         newton_tol,
-        max_iter,
+        _NEWTON_MAX_ITER,
         _COLLIDED,
     )
-    return _build_point(th)
+    return CriticalPoint(th)
 
 
 def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:

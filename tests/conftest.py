@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from vortexeq import continue_equilibrium, multistart_search, newton_refine, ngon
+from vortexeq import (
+    CriticalPoint,
+    continue_equilibrium,
+    multistart_search,
+    newton_refine,
+    ngon,
+    spectra,
+)
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +46,15 @@ def min3_point(catalog3):
 @pytest.fixture(scope="session")
 def ring_points():
     return {n: newton_refine(ngon(n)) for n in (4, 5, 10)}
+
+
+@pytest.fixture(scope="session")
+def degenerate_point():
+    # the N = 3 ring's Hessian spectrum is {-1/2, -1/2, 0}; with every
+    # |eigenvalue| below max(1, 1/2) counted as zero, all three are zeros
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_ZERO_TOL", 1.0)
+        return CriticalPoint(ngon(3))
 
 
 @pytest.fixture(scope="session")

@@ -551,7 +551,8 @@ def test_simulate_perturb_needs_two_weak_vortices(tmp_path, capsys):
     argv = ["simulate", "--equilibria", str(eq_path), "--h", "0.1", "--T", "1"]
     code, _, err = run(capsys, *argv, "--perturb", "1e-6", "--out", str(tmp_path / "p"))
     assert code == 1
-    assert "N = 1 has no perturbation direction" in err
+    assert "error: InvalidN: N = 1 has no perturbation direction" in err
+    assert "malformed input" not in err
     assert list(tmp_path.iterdir()) == [eq_path]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "run"))
     assert code == 0

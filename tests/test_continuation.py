@@ -37,7 +37,6 @@ from vortexeq.continuation import (
     _mismatch,
     _reduced_jacobian,
 )
-from vortexeq.spectra import SpectrumReport
 from vortexeq.search import CriticalPoint
 from vortexeq.potential import CriticalPointClass
 from tests.test_dynamics import pairwise_field
@@ -132,20 +131,6 @@ def off_equilibrium_state(n, seed):
     return r, theta
 
 
-def make_degenerate_point():
-    eig = np.array([0.0, 0.0, 1.0])
-    spectrum = SpectrumReport(eig, zero_count=2, tol_used=1e-9)
-    return CriticalPoint(
-        config=np.array([0.0, 2.0, 4.0]),
-        cls=CriticalPointClass.DEGENERATE,
-        spectrum=spectrum,
-        morse_index=(0, 2, 1),
-        residual=0.0,
-        value=0.0,
-        reflection_symmetric=False,
-    )
-
-
 def test_circulations_layout():
     gam = _gammas(1e-3, 4)
     np.testing.assert_allclose(gam, [1.0, 1e-3, 1e-3, 1e-3, 1e-3])
@@ -233,12 +218,20 @@ def test_pair_triangle_stays_equilateral():
     assert max(d) - min(d) < 1e-12
 
 
-def test_continuation_equivariance(min3_point):
-    eq0 = continue_equilibrium(min3_point, 1e-3)
-    rotated = dataclasses.replace(min3_point, config=min3_point.config + 0.7)
-    eq1 = continue_equilibrium(rotated, 1e-3)
-    np.testing.assert_allclose(eq1.r, eq0.r, atol=1e-13)
-    np.testing.assert_allclose(eq1.theta - 0.7, eq0.theta, atol=1e-12)
+def test_continuation_equivariance():
+    # a seed is canonical once built, so a rotated, a relabelled and a
+    # reflected copy of each family are the same seed and continue to the
+    # same equilibrium
+    for n in range(3, 7):
+        for cp in multistart_search(n, 200, seed=n).points:
+            eq = continue_equilibrium(cp, 1e-3)
+            phi = cp.config
+            for copy in (phi + 0.7, np.roll(phi, 1), -phi):
+                twin = CriticalPoint(copy)
+                assert np.abs(twin.config - phi).max() <= 1e-11, (n, copy)
+                eq_twin = continue_equilibrium(twin, 1e-3)
+                assert np.abs(eq_twin.r - eq.r).max() <= 1e-11, (n, copy)
+                assert np.abs(eq_twin.theta - eq.theta).max() <= 1e-11, (n, copy)
 
 
 def test_invalid_epsilon(min3_point):
@@ -257,9 +250,11 @@ def test_ring_epsilon_ceiling():
     assert epsilon_ceiling(point3) == pytest.approx(0.05, abs=1e-15)
 
 
-def test_degenerate_seed_rejected():
+def test_degenerate_seed_rejected(degenerate_point):
+    assert degenerate_point.cls is CriticalPointClass.DEGENERATE
+    assert degenerate_point.morse_index == (0, 3, 0)
     with pytest.raises(DegenerateSeed):
-        continue_equilibrium(make_degenerate_point(), 1e-3)
+        continue_equilibrium(degenerate_point, 1e-3)
 
 
 def test_sweep_warm_start(min3_point):
@@ -268,22 +263,25 @@ def test_sweep_warm_start(min3_point):
     assert all(eq.residual < 1e-12 for eq in family)
 
 
-def test_sweep_partial_on_failure(min3_point):
+def test_sweep_partial_on_failure(min3_point, monkeypatch):
     # the cold step to 1e-4 takes 2 Newton steps, the jump to 4e-2 takes 4
+    monkeypatch.setattr(continuation, "_RELEQ_MAX_ITER", 3)
     with pytest.raises(NoConvergence) as info:
-        sweep_epsilon(min3_point, [1e-4, 4e-2], max_iter=3)
+        sweep_epsilon(min3_point, [1e-4, 4e-2])
     partial = info.value.partial
     assert len(partial) == 1
     assert partial[0].epsilon == 1e-4
 
 
-def test_max_iter_counts_newton_steps(min3_point):
+def test_max_iter_counts_newton_steps(min3_point, monkeypatch):
     eq = continue_equilibrium(min3_point, 1e-4)
     warm = np.concatenate((eq.r, eq.theta))
-    jumped = continue_equilibrium(min3_point, 4e-2, max_iter=4, _warm_start=warm)
+    monkeypatch.setattr(continuation, "_RELEQ_MAX_ITER", 4)
+    jumped = continue_equilibrium(min3_point, 4e-2, _warm_start=warm)
     assert jumped.residual < 1e-12
+    monkeypatch.setattr(continuation, "_RELEQ_MAX_ITER", 3)
     with pytest.raises(NoConvergence):
-        continue_equilibrium(min3_point, 4e-2, max_iter=3, _warm_start=warm)
+        continue_equilibrium(min3_point, 4e-2, _warm_start=warm)
 
 
 @pytest.mark.parametrize("n", range(3, 13))

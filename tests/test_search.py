@@ -1,14 +1,18 @@
 """Canonical forms, symmetry quotient, Newton refinement, multistart search."""
 
+import dataclasses
 import importlib
 
 import numpy as np
 import pytest
 
 from vortexeq import (
+    AngularCollision,
     CollisionApproach,
+    CriticalPoint,
     CriticalPointClass,
     NoConvergence,
+    NotCritical,
     canonicalize,
     continue_equilibrium,
     gradient,
@@ -166,9 +170,11 @@ def test_newton_refine_quarter_arc_values():
     )
 
 
-def test_newton_refine_reports_no_convergence():
-    with pytest.raises(NoConvergence, match="^no convergence within 1 iterations$"):
-        newton_refine(np.array([0.0, 1.0, 2.0, 4.0]), max_iter=1)
+def test_newton_refine_reports_no_convergence(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="^no convergence within 1 iterations$"):
+            newton_refine(np.array([0.0, 1.0, 2.0, 4.0]))
     # a local minimum of ||grad V||^2: every trial of some step fails
     stall = "^line search stalled before reaching tolerance$"
     with pytest.raises(NoConvergence, match=stall):
@@ -179,6 +185,30 @@ def test_newton_refine_rejects_colliding_start():
     message = r"^two angles closer than the collision guard \(1-cos < 1e-10\)$"
     with pytest.raises(CollisionApproach, match=message):
         newton_refine(np.array([0.0, 1e-9]))
+
+
+def test_critical_point_is_built_from_its_angles_alone():
+    assert [f.name for f in dataclasses.fields(CriticalPoint) if f.init] == ["config"]
+
+
+# One fault each, as three angles, with the error and words it raises.
+BAD_CRITICAL_POINTS = {
+    "not_critical": ([0.0, 1.0, 2.5], NotCritical, "gradient sup-norm"),
+    "collision": ([0.0, 1e-11, 2.0], AngularCollision, "collision guard"),
+    "nan": ([0.0, np.nan, 2.0], ValueError, "angles must be finite"),
+    "two_d": ([[0.0, 2.0, 4.0]], ValueError, "expected a 1-d array"),
+}
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("case", BAD_CRITICAL_POINTS)
+def test_critical_point_checks_itself(min3_point, case, build):
+    angles, error, words = BAD_CRITICAL_POINTS[case]
+    with pytest.raises(error, match=words):
+        if build == "constructor":
+            CriticalPoint(angles)
+        else:
+            dataclasses.replace(min3_point, config=angles)
 
 
 def test_sample_wedge_respects_gap_floor():

@@ -27,7 +27,6 @@ from tests.test_continuation import (
     JACOBIAN_CASES,
     cs_jacobian,
     fd_disagreement,
-    make_degenerate_point,
     off_equilibrium_state,
     real_form_reduced,
 )
@@ -149,9 +148,9 @@ def test_asymptotic_sqrt_scaling(min3_point):
     assert hi / lo == pytest.approx(np.sqrt(10), rel=1e-12)
 
 
-def test_asymptotic_rejects_degenerate():
+def test_asymptotic_rejects_degenerate(degenerate_point):
     with pytest.raises(DegenerateSeed):
-        asymptotic_eigenvalues(make_degenerate_point(), 1e-3)
+        asymptotic_eigenvalues(degenerate_point, 1e-3)
 
 
 def test_skew_pairing_triangle(triangle_eq):
