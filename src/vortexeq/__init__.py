@@ -27,16 +27,13 @@ from .dynamics import (
 from .errors import (
     AngularCollision,
     CollisionAbort,
-    CollisionApproach,
     ConvergenceFailure,
     DegenerateSeed,
-    DimensionMismatch,
     InsufficientFamily,
     InvalidEpsilon,
     InvalidN,
     NoConvergence,
     NotCritical,
-    NotSymmetric,
     SingularBlock,
     VortexCollision,
     VortexEqError,

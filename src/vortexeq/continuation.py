@@ -18,7 +18,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
-    CollisionApproach,
     DegenerateSeed,
     InsufficientFamily,
     InvalidEpsilon,
@@ -253,8 +252,9 @@ def continue_equilibrium(
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
     eigenvalue, InvalidEpsilon unless 0 < |eps| <= the ceiling,
-    NoConvergence when the line search stalls or the cap is reached, and
-    CollisionApproach if the start has two vortices within the guard.
+    VortexCollision if the start has two vortices within the guard, and
+    NoConvergence when the line search stalls, the Newton system is
+    singular or the cap is reached.
     """
     if cp.morse_index[1] != 1:
         raise DegenerateSeed(
@@ -275,7 +275,10 @@ def continue_equilibrium(
         r = z[:n]
         jac = _reduced_jacobian(r, z[n:], epsilon, fz[:n], fz[n:-1] * r)
         jac[0, :n], jac[0, n:] = 0.0, 1.0
-        return np.linalg.solve(jac, -np.concatenate((fz[-1:], fz[1:-1])))
+        try:
+            return np.linalg.solve(jac, -np.concatenate((fz[-1:], fz[1:-1])))
+        except np.linalg.LinAlgError:
+            raise NoConvergence("singular Newton system in continuation") from None
 
     x, _ = _newton(
         lambda z: _augmented_system(z, phi, epsilon),
@@ -283,7 +286,7 @@ def continue_equilibrium(
         x,
         _RELEQ_TOL,
         _RELEQ_MAX_ITER,
-        _COLLIDED,
+        VortexCollision(_COLLIDED),
     )
     return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=float(epsilon))
 
@@ -306,7 +309,7 @@ def sweep_epsilon(cp: CriticalPoint, eps_list) -> list[RelativeEquilibrium]:
     for eps in eps_values:
         try:
             eq = continue_equilibrium(cp, eps, _warm_start=warm)
-        except (NoConvergence, CollisionApproach) as exc:
+        except (NoConvergence, VortexCollision) as exc:
             raise NoConvergence(
                 f"sweep failed at eps = {eps:g}: {exc}", partial=results
             ) from exc

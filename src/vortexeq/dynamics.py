@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import (
+    _COLLIDED,
     _COLLISION_GUARD,
     RelativeEquilibrium,
     _biot_savart,
@@ -47,7 +48,7 @@ class PlanarConfiguration:
         if z.ndim != 1 or not np.isfinite(z).all():
             raise ValueError("positions must be a finite 1-d array of x + iy")
         if _biot_savart(z, self.gammas)[1] < _COLLISION_GUARD**2:
-            raise VortexCollision("two vortices coincide in the initial data")
+            raise VortexCollision(_COLLIDED)
 
     @classmethod
     def from_equilibrium(cls, eq: RelativeEquilibrium) -> "PlanarConfiguration":

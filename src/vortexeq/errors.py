@@ -19,10 +19,6 @@ class NotCritical(VortexEqError):
     """Configuration fails the criticality (zero-gradient) precondition."""
 
 
-class NotSymmetric(VortexEqError):
-    """Matrix handed to the symmetric eigensolver is not symmetric."""
-
-
 class ConvergenceFailure(VortexEqError):
     """Eigenvalue iteration failed to converge."""
 
@@ -31,12 +27,11 @@ class SingularBlock(VortexEqError):
     """Block matrix factor is singular or too ill-conditioned to invert."""
 
 
-class DimensionMismatch(VortexEqError):
-    """Vector or matrix dimensions are inconsistent."""
-
-
 class NoConvergence(VortexEqError):
-    """Newton iteration hit its cap without meeting the tolerance.
+    """A solver stopped short of its tolerance.
+
+    Newton hit its iteration cap, its line search stalled or its Newton
+    system was singular, or a sweep failed at one of its eps values.
 
     ``partial`` optionally carries results accumulated before the failure.
     """
@@ -44,10 +39,6 @@ class NoConvergence(VortexEqError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class CollisionApproach(VortexEqError):
-    """Search iterate drifted into a near-collision of two angles."""
 
 
 class DegenerateSeed(VortexEqError):

@@ -134,16 +134,17 @@ def _classify(theta, g: np.ndarray):
     if res >= _GRAD_TOL:
         raise NotCritical(f"gradient sup-norm {res:.3e} >= {_GRAD_TOL:g}")
     report = eig_symmetric(hessian(theta))
-    ev = report.eigenvalues
-    thr = report.tol_used * max(1.0, float(np.abs(ev).max()))
-    morse = (int(np.sum(ev < -thr)), int(report.zero_count), int(np.sum(ev > thr)))
-    if report.zero_count != 1:
-        return CriticalPointClass.DEGENERATE, report, morse
-    if np.all(ev > -thr):
-        return CriticalPointClass.LOCAL_MIN, report, morse
-    if np.all(ev < thr):
-        return CriticalPointClass.LOCAL_MAX, report, morse
-    return CriticalPointClass.SADDLE, report, morse
+    ev, thr = report.eigenvalues, report.tol_used
+    neg, zero, pos = morse = (int(np.sum(ev < -thr)), report.zero_count, int(np.sum(ev > thr)))
+    if zero != 1:
+        cls = CriticalPointClass.DEGENERATE
+    elif neg == 0:
+        cls = CriticalPointClass.LOCAL_MIN
+    elif pos == 0:
+        cls = CriticalPointClass.LOCAL_MAX
+    else:
+        cls = CriticalPointClass.SADDLE
+    return cls, report, morse
 
 
 def ngon(n: int) -> np.ndarray:

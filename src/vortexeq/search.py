@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AngularCollision, CollisionApproach, NoConvergence
+from .errors import AngularCollision, InvalidN, NoConvergence
 from .potential import (
     CriticalPointClass,
     _COLLIDED,
@@ -162,20 +162,21 @@ def _backtrack(residual, x: np.ndarray, s: np.ndarray, f0: float):
     raise NoConvergence("line search stalled before reaching tolerance")
 
 
-def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collision: str):
+def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: Exception):
     """Damped Newton solve of residual(x) = 0, shared by search and continuation.
 
     ``residual`` maps points (..., n), with or without a stack axis, to
     their residuals (..., m) and flags (...) that are False where a point
     collides.  ``step(x, f)`` is the full Newton step at x; ``_backtrack``
-    halves it until ||f||_2^2 drops.  Returns (x, f) once ||f||_inf < tol,
-    within at most ``max_iter`` steps.  Raises CollisionApproach(collision)
-    if x collides and NoConvergence when the line search stalls or the cap
-    is reached.
+    halves it until ||f||_2^2 drops and never accepts a colliding trial.
+    Returns (x, f) once ||f||_inf < tol, within at most ``max_iter`` steps.
+    Raises ``collided``, the caller's collision error for its geometry, if
+    x collides, and NoConvergence when the line search stalls or the cap is
+    reached.
     """
     f, clear = residual(x)
     if not clear:
-        raise CollisionApproach(collision)
+        raise collided
     for _ in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f
@@ -192,9 +193,9 @@ def newton_refine(theta0, newton_tol: float = 1e-12) -> CriticalPoint:
     Newton system with theta_1 held, which removes the rotation direction;
     the line search on ||grad V||^2 halves it up to 29 times.  Convergence
     means ||grad V||_inf < newton_tol within 200 Newton steps.
-    Raises NoConvergence at the iteration cap, when the line search stalls
-    or when the Newton system is singular, and CollisionApproach if the
-    start collides.
+    Raises ValueError on malformed angles, AngularCollision if two start
+    angles collide, and NoConvergence at the iteration cap, when the line
+    search stalls or when the Newton system is singular.
     """
     th, _ = _newton(
         _gradients,
@@ -202,7 +203,7 @@ def newton_refine(theta0, newton_tol: float = 1e-12) -> CriticalPoint:
         _angles(theta0),
         newton_tol,
         _NEWTON_MAX_ITER,
-        _COLLIDED,
+        AngularCollision(_COLLIDED),
     )
     return CriticalPoint(th)
 
@@ -215,7 +216,7 @@ def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     span = TWO_PI - n * _START_GAP
     if span <= 0.0:
-        raise ValueError(f"n = {n} leaves no room for gaps of {_START_GAP:g}")
+        raise InvalidN(f"n = {n} leaves no room for gaps of {_START_GAP:g}")
     parts = rng.dirichlet(np.ones(n))
     gaps = _START_GAP + span * parts[: n - 1]
     out = np.zeros(n)
@@ -237,7 +238,7 @@ def multistart_search(
     by potential value.  Deterministic for a fixed seed.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError("multistart search needs an integer n >= 2")
+        raise InvalidN("multistart search needs an integer n >= 2")
     rng = np.random.default_rng(seed)
     points: list[CriticalPoint] = []
     failures = {"no_convergence": 0, "collision": 0}
@@ -249,7 +250,7 @@ def multistart_search(
         except NoConvergence:
             failures["no_convergence"] += 1
             continue
-        except (CollisionApproach, AngularCollision):
+        except AngularCollision:
             failures["collision"] += 1
             continue
         converged += 1

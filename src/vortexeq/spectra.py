@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    InvalidN,
-    NotSymmetric,
-    SingularBlock,
-)
+from .errors import ConvergenceFailure, InvalidN, SingularBlock
 
 _COND_LIMIT = 1e12
 
@@ -28,10 +22,8 @@ class SpectrumReport:
     Real for a symmetric matrix (``eig_symmetric``), complex for a
     linearization (``stability_verdict``).
 
-    ``zero_count`` is the number of eigenvalues with |lambda| below
-    ``tol_used * max(1, spectral radius)``, except where a caller documents a
-    different absolute threshold (the stability verdicts scale it by
-    sqrt(|eps|)).
+    ``zero_count`` is the number of eigenvalues with |lambda| below the
+    absolute threshold ``tol_used``.
     """
 
     eigenvalues: np.ndarray
@@ -39,34 +31,28 @@ class SpectrumReport:
     tol_used: float
 
 
-def _count_zeros(values: np.ndarray) -> int:
-    mags = np.abs(values)
-    radius = mags.max() if mags.size else 0.0
-    return int(np.sum(mags < _ZERO_TOL * max(1.0, radius)))
-
-
 def eig_symmetric(s) -> SpectrumReport:
     """Full spectrum of a real symmetric matrix, real and in ascending order.
 
-    Symmetry is required within 1e-12 relative sup-norm (NotSymmetric
-    otherwise).  Eigenvalues below 1e-9 * max(1, spectral radius) in
-    magnitude count as zeros.
+    Raises ValueError unless the matrix is square and symmetric within 1e-12
+    relative sup-norm.  Eigenvalues below ``tol_used`` = 1e-9 * max(1,
+    spectral radius) in magnitude count as zeros.
     """
     m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
+        raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > 1e-12 * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
+        raise ValueError("matrix is not symmetric within 1e-12 relative")
     try:
         # eigh, not eigvalsh: LAPACK takes another path without vectors and
         # the eigenvalues move in the last bits
         values = np.linalg.eigh(0.5 * (m + m.T))[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
-    return SpectrumReport(
-        eigenvalues=values, zero_count=_count_zeros(values), tol_used=_ZERO_TOL
-    )
+    mags = np.abs(values)
+    tol = _ZERO_TOL * max(1.0, float(mags.max()))
+    return SpectrumReport(eigenvalues=values, zero_count=int(np.sum(mags < tol)), tol_used=tol)
 
 
 def ngon_spectrum_closed_form(n: int) -> np.ndarray:
@@ -107,12 +93,12 @@ def block_determinant(a, b, c, d) -> tuple[float, float, float]:
              det(D) * det(A - B D^-1 C)).
 
     Raises SingularBlock when A or D has condition number above 1e12, and
-    DimensionMismatch for inconsistent shapes.
+    ValueError for inconsistent shapes.
     """
     a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
     shapes = {x.shape for x in (a, b, c, d)}
     if len(shapes) != 1 or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("blocks must share one square shape")
+        raise ValueError("blocks must share one square shape")
     for name, blk in (("A", a), ("D", d)):
         if np.linalg.cond(blk) > _COND_LIMIT:
             raise SingularBlock(f"block {name} condition number exceeds {_COND_LIMIT:g}")

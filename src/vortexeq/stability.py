@@ -31,7 +31,7 @@ from .continuation import (
     _reduced_jacobian,
     reduced_field,
 )
-from .errors import DegenerateSeed
+from .errors import DegenerateSeed, InvalidEpsilon, InvalidN
 from .search import CriticalPoint
 from .spectra import SpectrumReport
 
@@ -161,12 +161,12 @@ def cabral_schmidt_check(
 
     The interval is stated for N >= 3.  For N = 2 it would claim stability
     for 0 < p < 1/4, where both the linearization and direct integration
-    show growth, so n < 3 raises ValueError.
+    show growth, so n < 3 raises InvalidN; eps = 0 raises InvalidEpsilon.
     """
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise InvalidN("need n >= 3")
     if epsilon == 0.0:
-        raise ValueError("need eps != 0")
+        raise InvalidEpsilon("need eps != 0")
     p = 1.0 / epsilon
     lower = (n * n - 8 * n + 8) / 16.0 if n % 2 == 0 else (n * n - 8 * n + 7) / 16.0
     upper = (n - 1) ** 2 / 4.0

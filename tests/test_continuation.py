@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vortexeq import (
-    CollisionApproach,
     DegenerateSeed,
     InsufficientFamily,
     InvalidEpsilon,
@@ -273,6 +272,17 @@ def test_sweep_partial_on_failure(min3_point, monkeypatch):
     assert partial[0].epsilon == 1e-4
 
 
+def test_singular_continuation_step_is_no_convergence(min3_point, monkeypatch):
+    monkeypatch.setattr(
+        continuation, "_reduced_jacobian", lambda r, *_: np.zeros((2 * r.size, 2 * r.size))
+    )
+    with pytest.raises(NoConvergence, match="^singular Newton system in continuation$"):
+        continue_equilibrium(min3_point, 1e-4)
+    with pytest.raises(NoConvergence, match="^sweep failed at eps = 0.0001: singular") as info:
+        sweep_epsilon(min3_point, [1e-4])
+    assert info.value.partial == []
+
+
 def test_max_iter_counts_newton_steps(min3_point, monkeypatch):
     eq = continue_equilibrium(min3_point, 1e-4)
     warm = np.concatenate((eq.r, eq.theta))
@@ -360,7 +370,7 @@ def test_coincident_vortices_raise_typed_errors(min3_point):
             PlanarConfiguration([0j, 1.0 + 0j, complex(1.0, dy)], 1e-3)
     with pytest.raises(VortexCollision):
         rotating_frame_residual([1.0, 1.0, 1.0], [0.0, 0.0, 2.0], 1e-3)
-    with pytest.raises(CollisionApproach):
+    with pytest.raises(VortexCollision):
         continue_equilibrium(
             min3_point, 1e-3, _warm_start=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0])
         )
@@ -368,7 +378,7 @@ def test_coincident_vortices_raise_typed_errors(min3_point):
 
 def test_colliding_warm_start_message(min3_point):
     message = "^two vortices are closer than the collision guard$"
-    with pytest.raises(CollisionApproach, match=message):
+    with pytest.raises(VortexCollision, match=message):
         continue_equilibrium(
             min3_point, 1e-3, _warm_start=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0])
         )

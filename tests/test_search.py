@@ -8,9 +8,9 @@ import pytest
 
 from vortexeq import (
     AngularCollision,
-    CollisionApproach,
     CriticalPoint,
     CriticalPointClass,
+    InvalidN,
     NoConvergence,
     NotCritical,
     canonicalize,
@@ -26,12 +26,12 @@ from vortexeq import (
 from vortexeq import continuation, search
 
 
-def sequential_newton(residual, step, x, tol, max_iter, collision):
+def sequential_newton(residual, step, x, tol, max_iter, collided):
     """Reference for ``search._newton``: the same damped Newton solve with the
     line search run one trial point at a time, alpha = 1, 1/2, ..., 2**-29."""
     f, clear = residual(x)
     if not clear:
-        raise CollisionApproach(collision)
+        raise collided
     for _ in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f
@@ -183,7 +183,7 @@ def test_newton_refine_reports_no_convergence(monkeypatch):
 
 def test_newton_refine_rejects_colliding_start():
     message = r"^two angles closer than the collision guard \(1-cos < 1e-10\)$"
-    with pytest.raises(CollisionApproach, match=message):
+    with pytest.raises(AngularCollision, match=message):
         newton_refine(np.array([0.0, 1e-9]))
 
 
@@ -221,6 +221,14 @@ def test_sample_wedge_respects_gap_floor():
             gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * np.pi]]))
             assert gaps.min() >= 1e-2 - 1e-12
             assert gaps.sum() == pytest.approx(2 * np.pi, abs=1e-12)
+
+
+def test_vortex_counts_out_of_range_raise_invalid_n():
+    with pytest.raises(InvalidN, match="^multistart search needs an integer n >= 2$"):
+        multistart_search(1, 10)
+    # 629 gaps of 0.01 exceed 2 pi
+    with pytest.raises(InvalidN, match="^n = 629 leaves no room for gaps of 0.01$"):
+        sample_wedge(629, np.random.default_rng(0))
 
 
 def test_multistart_finds_three_families_n3(catalog3):
@@ -287,10 +295,12 @@ def test_line_search_skips_collided_trials():
         return np.array([-3.0])
 
     for newton in (search._newton, sequential_newton):
-        x, f = newton(residual, step, np.array([1.0]), 0.7, 1, "collided")
+        collided = AngularCollision("collided")
+        x, f = newton(residual, step, np.array([1.0]), 0.7, 1, collided)
         assert x.tolist() == f.tolist() == [0.625]
-        with pytest.raises(CollisionApproach, match="^collided$"):
-            newton(residual, step, np.array([0.0]), 0.7, 1, "collided")
+        with pytest.raises(AngularCollision, match="^collided$") as raised:
+            newton(residual, step, np.array([0.0]), 0.7, 1, collided)
+        assert raised.value is collided
 
 
 # N = 15, 20 and 30 split the 25-row stack: at most 4096 // N^2 rows per call.

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from vortexeq import (
-    DimensionMismatch,
     InvalidN,
-    NotSymmetric,
     SingularBlock,
     block_determinant,
     eig_symmetric,
@@ -34,8 +32,17 @@ def test_eig_symmetric_sorted_and_orthonormal():
 
 
 def test_eig_symmetric_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ValueError, match="^matrix is not symmetric within 1e-12 relative$"):
         eig_symmetric([[0.0, 1.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="^expected a square matrix$"):
+        eig_symmetric(np.zeros((2, 3)))
+
+
+def test_eig_symmetric_reports_the_absolute_zero_threshold():
+    # spectral radius 1e3: 5e-8 is below 1e-9 * 1e3 and counts as the one zero
+    report = eig_symmetric(np.diag([1e3, 5e-8, -2.0]))
+    assert report.tol_used == pytest.approx(1e-6, rel=1e-12)
+    assert report.zero_count == 1 == np.sum(np.abs(report.eigenvalues) < report.tol_used)
 
 
 def test_ring_closed_form_small_cases():
@@ -104,5 +111,5 @@ def test_block_determinant_singular_block():
 
 
 def test_block_determinant_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^blocks must share one square shape$"):
         block_determinant(np.eye(2), np.eye(3), np.eye(2), np.eye(2))

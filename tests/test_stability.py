@@ -8,6 +8,8 @@ import pytest
 
 from vortexeq import (
     DegenerateSeed,
+    InvalidEpsilon,
+    InvalidN,
     RelativeEquilibrium,
     StabilityClass,
     asymptotic_eigenvalues,
@@ -329,5 +331,11 @@ def test_cabral_schmidt_rejects_pair():
     # at N = 2 the interval would call p = 0.2 stable; the ring is unstable
     verdict = stability_verdict(closed_form_ring(2, 5.0))
     assert verdict.instability_count == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidN, match="^need n >= 3$"):
         cabral_schmidt_check(2, 5.0, verdict)
+
+
+def test_cabral_schmidt_rejects_zero_eps():
+    verdict = stability_verdict(closed_form_ring(4, 1e-3))
+    with pytest.raises(InvalidEpsilon, match="^need eps != 0$"):
+        cabral_schmidt_check(4, 0.0, verdict)
