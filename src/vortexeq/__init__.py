@@ -27,7 +27,6 @@ from .dynamics import (
 from .errors import (
     AngularCollision,
     CollisionAbort,
-    ConvergenceFailure,
     DegenerateSeed,
     InsufficientFamily,
     InvalidEpsilon,

@@ -7,7 +7,7 @@ maps equilibria to equilibria, so omega = 1 throughout.  The strong vortex
 is eliminated through the center of vorticity, q_0 = -eps * (q_1 + ... +
 q_N), which makes its own equation automatic.  Each nondegenerate critical
 point of the ring potential continues to a locally unique branch (r(eps),
-theta(eps)) once the rotational phase is pinned to the seed angles.
+theta(eps)) once the rotation is fixed by holding theta_1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     NoConvergence,
     VortexCollision,
 )
-from .search import TWO_PI, CriticalPoint, _cyclic_gaps, _newton
+from .search import TWO_PI, CriticalPoint, _cyclic_gaps, _newton, _pinned_step
 
 # Smallest distance allowed between two vortices.
 _COLLISION_GUARD = 1e-10
@@ -36,7 +36,7 @@ _TINY_SEP2 = np.finfo(float).tiny
 # Largest |eps| that continuation accepts; ring seeds get min(this, 1/N^2).
 _EPS_CEILING = 0.05
 
-# Continuation converges once the residual and phase sup-norm is below this.
+# Continuation converges once the reduced field's sup-norm is below this.
 _RELEQ_TOL = 1e-12
 
 # Most Newton steps that one continuation takes.
@@ -68,13 +68,11 @@ class RelativeEquilibrium:
         self.r = r = np.asarray(self.r, dtype=float)
         self.theta = theta = np.asarray(self.theta, dtype=float)
         self.epsilon = eps = float(self.epsilon)
-        if r.ndim != 1 or r.shape != theta.shape or not np.isfinite((r, theta)).all():
-            raise ValueError("r and theta must be finite 1-d arrays of equal length")
         if r.size == 0:
             raise ValueError("r and theta must not be empty")
         if eps == 0.0 or not np.isfinite(eps):
             raise ValueError(f"epsilon must be finite and nonzero, got {eps!r}")
-        if not (r > 0.0).all():
+        if (r <= 0.0).any():  # a nan radius is left to reduced_field's check
             raise ValueError("radii must be positive")
         residual = float(np.abs(reduced_field(r, theta, eps)).max())
         if residual >= 1e-10:
@@ -153,7 +151,14 @@ def _mismatch(r, theta, epsilon: float):
 
 
 def _checked_mismatch(r, theta, epsilon: float):
-    """``_mismatch`` of one configuration; VortexCollision within the guard."""
+    """``_mismatch`` of one configuration: ValueError unless r and theta are
+    finite 1-d arrays of equal length and eps is finite, VortexCollision
+    within the guard."""
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    if r.ndim != 1 or r.shape != theta.shape or not np.isfinite((r, theta)).all():
+        raise ValueError("r and theta must be finite 1-d arrays of equal length")
+    if not np.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     *mismatch, clear = _mismatch(r, theta, epsilon)
     if not clear:
         raise VortexCollision(_COLLIDED)
@@ -167,10 +172,6 @@ def rotating_frame_residual(r, theta, epsilon: float) -> np.ndarray:
     x-components then y-components; all vanish exactly at a relative
     equilibrium.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if r.shape != theta.shape or r.ndim != 1:
-        raise ValueError("r and theta must be 1-d arrays of equal length")
     a, b, ct, st = _checked_mismatch(r, theta, epsilon)
     return np.concatenate((a * ct - b * st, a * st + b * ct))
 
@@ -181,13 +182,11 @@ def reduced_field(r, theta, epsilon: float) -> np.ndarray:
     return np.concatenate((a, b / np.asarray(r)))
 
 
-def _augmented_system(x: np.ndarray, phi: np.ndarray, epsilon: float):
-    """Reduced field and phase row of (..., 2N) states, and collision flags."""
-    n = phi.size
-    r, theta = x[..., :n], x[..., n:]
-    a, b, _, _, clear = _mismatch(r, theta, epsilon)
-    phase = np.sum(theta - phi, axis=-1, keepdims=True)
-    return np.concatenate((a, b / r, phase), axis=-1), clear
+def _augmented_system(x: np.ndarray, epsilon: float):
+    """Reduced field of (..., 2N) states (r, theta), and collision flags."""
+    n = x.shape[-1] // 2
+    a, b, _, _, clear = _mismatch(x[..., :n], x[..., n:], epsilon)
+    return np.concatenate((a, b / x[..., :n]), axis=-1), clear
 
 
 def _reduced_jacobian(r, theta, epsilon: float, a, b) -> np.ndarray:
@@ -241,13 +240,13 @@ def continue_equilibrium(
     """Newton-continue a nondegenerate critical point to eps != 0.
 
     Solves the 2N equations of the reduced field (a_j, b_j / r_j) jointly in
-    (r, theta) with the phase constraint sum(theta_j - phi_j) = 0 against
-    the seed angles phi.  It is the system that ``linearize`` differentiates,
-    and the Newton step uses the same closed-form ``_reduced_jacobian``.
-    The angular impulse identity sum r_j a_j + O(eps) = 0 makes row a_1
-    redundant, so ``search._newton`` takes square LU steps with the phase row
-    in its place, halved until the squared 2-norm of field and phase drops.
-    Convergence means all 2N + 1 below 1e-12 in sup-norm within 60 steps;
+    (r, theta) with theta_1 held at its start value, the seed's or that of
+    ``_warm_start``.  It is the system that ``linearize`` differentiates, and
+    the Newton step uses the same closed-form ``_reduced_jacobian``.  The
+    angular impulse identity sum r_j a_j + O(eps) = 0 makes row a_1
+    redundant, so ``search._newton`` takes square LU steps without row a_1
+    and column theta_1, halved until the squared 2-norm of the field drops.
+    Convergence means all 2N below 1e-12 in sup-norm within 60 steps;
     theta columns scale like eps, so theta is fixed only to 1e-12/|eps|.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
@@ -264,25 +263,20 @@ def continue_equilibrium(
     if not 0.0 < abs(epsilon) <= ceiling:  # false for nan too
         raise InvalidEpsilon(f"eps = {epsilon:g} outside 0 < |eps| <= {ceiling:g}")
 
-    phi = cp.config
-    n = phi.size
-    x = np.concatenate((np.ones(n), phi)) if _warm_start is None else _warm_start.copy()
+    n = cp.config.size
+    x = np.concatenate((np.ones(n), cp.config)) if _warm_start is None else _warm_start.copy()
+    # Every vortex motion conserves sum Gamma_j |q_j|^2, so at any state
+    # sum r_j a_j + eps Re(conj(sum z_k) sum M_j) = 0: row a_1 is redundant,
+    # and _pinned_step drops it and holds theta_1, unknown n.
+    keep = np.arange(2 * n) != n
 
-    def square_step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
-        # Every vortex motion conserves sum Gamma_j |q_j|^2, so at any state
-        # sum r_j a_j + eps Re(conj(sum z_k) sum M_j) = 0 and row a_1 is
-        # redundant: the phase row takes its place in a square LU solve.
-        r = z[:n]
-        jac = _reduced_jacobian(r, z[n:], epsilon, fz[:n], fz[n:-1] * r)
-        jac[0, :n], jac[0, n:] = 0.0, 1.0
-        try:
-            return np.linalg.solve(jac, -np.concatenate((fz[-1:], fz[1:-1])))
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular Newton system in continuation") from None
+    def step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
+        jac = _reduced_jacobian(z[:n], z[n:], epsilon, fz[:n], fz[n:] * z[:n])
+        return _pinned_step(jac, fz, keep)
 
     x, _ = _newton(
-        lambda z: _augmented_system(z, phi, epsilon),
-        square_step,
+        lambda z: _augmented_system(z, epsilon),
+        step,
         x,
         _RELEQ_TOL,
         _RELEQ_MAX_ITER,

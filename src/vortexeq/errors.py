@@ -19,10 +19,6 @@ class NotCritical(VortexEqError):
     """Configuration fails the criticality (zero-gradient) precondition."""
 
 
-class ConvergenceFailure(VortexEqError):
-    """Eigenvalue iteration failed to converge."""
-
-
 class SingularBlock(VortexEqError):
     """Block matrix factor is singular or too ill-conditioned to invert."""
 
@@ -31,7 +27,8 @@ class NoConvergence(VortexEqError):
     """A solver stopped short of its tolerance.
 
     Newton hit its iteration cap, its line search stalled or its Newton
-    system was singular, or a sweep failed at one of its eps values.
+    system was singular, a sweep failed at one of its eps values, or
+    LAPACK's symmetric eigensolver did not converge.
 
     ``partial`` optionally carries results accumulated before the failure.
     """

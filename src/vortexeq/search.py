@@ -128,13 +128,13 @@ def symmetry_distance(theta_a, theta_b) -> float:
     return float(np.abs(ga - _symmetry_orbit(gb)).max(axis=1).min())
 
 
-def _pinned_step(theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Newton step with theta_1 held: H[1:, 1:] s[1:] = -g[1:].  As H 1 = 0 and
-    # sum(g) = 0 this solves H s = -g, so it differs from any other Newton step
-    # only by a common rotation, which V ignores and canonicalize removes.
-    s = np.zeros_like(g)
+def _pinned_step(jac: np.ndarray, f: np.ndarray, keep) -> np.ndarray:
+    # Newton step of search and continuation: jac[1:, keep] s[keep] = -f[1:].
+    # Equation 0 is redundant in both (sum(f) = 0 in the search), and the one
+    # angle outside keep is held, which fixes the common rotation.
+    s = np.zeros_like(f)
     try:
-        s[1:] = np.linalg.solve(hessian(theta)[1:, 1:], -g[1:])
+        s[keep] = np.linalg.solve(jac[1:, keep], -f[1:])
     except np.linalg.LinAlgError:
         raise NoConvergence("singular Newton system with theta_1 held") from None
     return s
@@ -199,7 +199,7 @@ def newton_refine(theta0, newton_tol: float = 1e-12) -> CriticalPoint:
     """
     th, _ = _newton(
         _gradients,
-        _pinned_step,
+        lambda t, g: _pinned_step(hessian(t), g, slice(1, None)),
         _angles(theta0),
         newton_tol,
         _NEWTON_MAX_ITER,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidN, SingularBlock
+from .errors import InvalidN, NoConvergence, SingularBlock
 
 _COND_LIMIT = 1e12
 
@@ -35,8 +35,8 @@ def eig_symmetric(s) -> SpectrumReport:
     """Full spectrum of a real symmetric matrix, real and in ascending order.
 
     Raises ValueError unless the matrix is square and symmetric within 1e-12
-    relative sup-norm.  Eigenvalues below ``tol_used`` = 1e-9 * max(1,
-    spectral radius) in magnitude count as zeros.
+    relative sup-norm, NoConvergence if LAPACK does not converge.  Eigenvalues
+    of magnitude below ``tol_used`` = 1e-9 * max(1, spectral radius) are zeros.
     """
     m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -48,8 +48,8 @@ def eig_symmetric(s) -> SpectrumReport:
         # eigh, not eigvalsh: LAPACK takes another path without vectors and
         # the eigenvalues move in the last bits
         values = np.linalg.eigh(0.5 * (m + m.T))[0]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     mags = np.abs(values)
     tol = _ZERO_TOL * max(1.0, float(mags.max()))
     return SpectrumReport(eigenvalues=values, zero_count=int(np.sum(mags < tol)), tol_used=tol)

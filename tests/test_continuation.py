@@ -165,18 +165,11 @@ def test_cartesian_residual_norm_matches_polar():
 def test_newton_jacobian_matches_complex_step(n, eps):
     r, theta = off_equilibrium_state(n, seed=n)
     x = np.concatenate((r, theta))
-    phi = theta + 0.01
-
-    def augmented(z):
-        return np.concatenate((real_form_reduced(z, eps), [np.sum(z[n:] - phi)]))
-
-    ref = cs_jacobian(augmented, x)
-    f = _augmented_system(x, phi, eps)[0]
-    assert np.abs(f - augmented(x)).max() <= 1e-14
-    # a and b from the residual, as continue_equilibrium passes them; the
-    # phase row below
-    jac = _reduced_jacobian(r, theta, eps, f[:n], f[n:-1] * r)
-    jac = np.vstack((jac, np.concatenate((np.zeros(n), np.ones(n)))))
+    ref = cs_jacobian(lambda z: real_form_reduced(z, eps), x)
+    f = _augmented_system(x, eps)[0]
+    assert np.abs(f - real_form_reduced(x, eps)).max() <= 1e-14
+    # a and b from the residual, as continue_equilibrium passes them
+    jac = _reduced_jacobian(r, theta, eps, f[:n], f[n:] * r)
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -276,7 +269,7 @@ def test_singular_continuation_step_is_no_convergence(min3_point, monkeypatch):
     monkeypatch.setattr(
         continuation, "_reduced_jacobian", lambda r, *_: np.zeros((2 * r.size, 2 * r.size))
     )
-    with pytest.raises(NoConvergence, match="^singular Newton system in continuation$"):
+    with pytest.raises(NoConvergence, match="^singular Newton system with theta_1 held$"):
         continue_equilibrium(min3_point, 1e-4)
     with pytest.raises(NoConvergence, match="^sweep failed at eps = 0.0001: singular") as info:
         sweep_epsilon(min3_point, [1e-4])
@@ -309,6 +302,20 @@ def test_cold_continuation_stays_on_the_seed_branch(n):
             stable = (negative == 0 and eps > 0) or (positive == 0 and eps < 0)
             verdict = stability_verdict(eq).classification.value
             assert verdict == ("stable" if stable else "unstable")
+
+
+def test_continuation_holds_theta_1():
+    # every census family and the N = 25, 50, 100 rings: theta_1 keeps the
+    # seed's first angle to the bit, and a warm start keeps its own
+    seeds = [cp for n in range(2, 13) for cp in multistart_search(n, 200, seed=n).points]
+    seeds += [newton_refine(ngon(n)) for n in (25, 50, 100)]
+    for cp in seeds:
+        eps = min(1e-3, epsilon_ceiling(cp))
+        for sign in (1.0, -1.0):
+            assert continue_equilibrium(cp, sign * eps).theta[0] == cp.config[0]
+    eq = continue_equilibrium(seeds[0], 1e-3)
+    warm = np.concatenate((eq.r, eq.theta + 0.25))
+    assert continue_equilibrium(seeds[0], 2e-3, _warm_start=warm).theta[0] == warm[eq.n]
 
 
 def test_an_equilibrium_is_checked_once_when_built(monkeypatch):
@@ -486,16 +493,15 @@ def test_stacked_augmented_system_rows_match_one_row(n, k, seed, eps):
             r[row, 1] = r[row, 0] + rng.choice([0.0, 1e-160, 1e-12])
             theta[row, 1] = theta[row, 0]
     x = np.concatenate((r, theta), axis=1)
-    phi = rng.uniform(-4.0, 4.0, n)
-    f, clear = _augmented_system(x, phi, eps)
-    assert f.shape == (k, 2 * n + 1) and clear.shape == (k,)
+    f, clear = _augmented_system(x, eps)
+    assert f.shape == (k, 2 * n) and clear.shape == (k,)
     assert np.all(np.isfinite(f))
     for x_row, f_row, clear_row in zip(x, f, clear):
-        f_one, clear_one = _augmented_system(x_row, phi, eps)
+        f_one, clear_one = _augmented_system(x_row, eps)
         assert f_one.tobytes() == f_row.tobytes() and clear_one == clear_row
         if clear_row:
             res = reduced_field(x_row[:n], x_row[n:], eps)
-            assert res.tobytes() == f_row[:-1].tobytes()
+            assert res.tobytes() == f_row.tobytes()
         else:
             with pytest.raises(VortexCollision):
                 reduced_field(x_row[:n], x_row[n:], eps)
@@ -522,18 +528,17 @@ def test_angular_impulse_identity_holds_off_equilibrium(n, seed, eps):
 
 def dropped_row_check(jac, k):
     """How far row k of a Jacobian is from the span of the other rows, and the
-    smallest singular value once the phase row replaces it."""
+    smallest singular value once row k and the theta_1 column are removed."""
     n = jac.shape[0] // 2
     row, rest = jac[k], np.delete(jac, k, axis=0)
     coef = np.linalg.lstsq(rest.T, row, rcond=None)[0]
     residual = np.linalg.norm(rest.T @ coef - row) / np.linalg.norm(row)
-    square = jac.copy()
-    square[k, :n], square[k, n:] = 0.0, 1.0
+    square = np.delete(rest, n, axis=1)
     return residual, np.linalg.svd(square, compute_uv=False).min()
 
 
 def test_the_square_step_drops_a_redundant_row():
-    # continue_equilibrium solves with row a_1 replaced by the phase row; at
+    # continue_equilibrium solves with row a_1 and column theta_1 removed; at
     # each continued census family the a_1 row is a combination of the others
     # and the square system is far from singular.  Row b_1 / r_1 fails one of
     # the two at every N: at the families with sum z_k = 0 it is independent

@@ -51,5 +51,28 @@ def test_colliding_vortices_raise_vortex_collision_everywhere(min3_point):
     assert messages == {"two vortices are closer than the collision guard"}
 
 
-def test_eleven_error_classes():
-    assert len(VortexEqError.__subclasses__()) == 11
+def test_ten_error_classes():
+    assert len(VortexEqError.__subclasses__()) == 10
+
+
+# One malformed input each for the public field functions, and the words of
+# the ValueError it raises; eps = 0 stays a valid field.
+BAD_FIELD_INPUTS = {
+    "nan_r": ((np.array([np.nan, 1.0, 1.0]), np.array([0.0, 2.0, 4.0]), 1e-3),
+              "r and theta must be finite 1-d"),
+    "nan_eps": ((np.ones(3), np.array([0.0, 2.0, 4.0]), np.nan), "epsilon must be finite"),
+    "inf_theta": ((np.ones(3), np.array([0.0, np.inf, 4.0]), 1e-3),
+                  "r and theta must be finite 1-d"),
+    "unequal_lengths": ((np.ones(3), np.array([0.0, 2.0]), 1e-3),
+                        "r and theta must be finite 1-d"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fn", [reduced_field, rotating_frame_residual])
+@pytest.mark.parametrize("case", BAD_FIELD_INPUTS)
+def test_field_functions_reject_malformed_input(fn, case):
+    args, words = BAD_FIELD_INPUTS[case]
+    with pytest.raises(ValueError, match=words):
+        fn(*args)
+    assert np.abs(fn(np.ones(3), np.array([0.0, 2.0, 4.0]), 0.0)).max() == 0.0

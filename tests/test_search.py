@@ -347,7 +347,7 @@ def test_pinned_step_is_pinv_step_plus_a_rotation():
         g, h = gradient(theta), hessian(theta)
         ev = np.sort(np.abs(np.linalg.eigvalsh(h)))[1:]
         ref = pinv_step(h, g)
-        step = search._pinned_step(theta, g)
+        step = search._pinned_step(h, g, slice(1, None))
         assert step[0] == 0.0
         tol = 1e-10 + 100 * np.finfo(float).eps * ev[-1] / ev[0]
         assert np.ptp(step - ref) <= tol * np.linalg.norm(ref)
@@ -358,7 +358,7 @@ def test_multistart_with_pinv_step_finds_same_families(monkeypatch, n):
     for seed in (0, 1):
         got = multistart_search(n, 60, seed=seed)
         with monkeypatch.context() as m:
-            m.setattr(search, "_pinned_step", lambda t, g: pinv_step(search.hessian(t), g))
+            m.setattr(search, "_pinned_step", lambda h, g, keep: pinv_step(h, g))
             ref = multistart_search(n, 60, seed=seed)
         assert len(got.points) == len(ref.points)
         for p, q in zip(got.points, ref.points):

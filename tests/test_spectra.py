@@ -5,6 +5,7 @@ import pytest
 
 from vortexeq import (
     InvalidN,
+    NoConvergence,
     SingularBlock,
     block_determinant,
     eig_symmetric,
@@ -36,6 +37,15 @@ def test_eig_symmetric_rejects_asymmetric():
         eig_symmetric([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError, match="^expected a square matrix$"):
         eig_symmetric(np.zeros((2, 3)))
+
+
+def test_eig_symmetric_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="^Eigenvalues did not converge$"):
+        eig_symmetric(np.eye(2))
 
 
 def test_eig_symmetric_reports_the_absolute_zero_threshold():
