@@ -335,13 +335,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "window_points": int(growth.window_points),
             "max_deviation": float(growth.max_deviation),
         }
-    csv_text = _trajectory_csv(traj, config)
-    if csv_path is None:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(_json_text(report))
-    else:
-        _emit(csv_text, csv_path)
-        _emit(_json_text(report), report_path)
+    _emit(_trajectory_csv(traj, config), csv_path)
+    _emit(_json_text(report), report_path)
     if aborted:
         print("error: integration aborted on close approach", file=sys.stderr)
         return 1

@@ -234,37 +234,22 @@ def epsilon_ceiling(cp: CriticalPoint) -> float:
     return _EPS_CEILING
 
 
-def continue_equilibrium(
-    cp: CriticalPoint, epsilon: float, _warm_start: np.ndarray | None = None
-) -> RelativeEquilibrium:
-    """Newton-continue a nondegenerate critical point to eps != 0.
-
-    Solves the 2N equations of the reduced field (a_j, b_j / r_j) jointly in
-    (r, theta) with theta_1 held at its start value, the seed's or that of
-    ``_warm_start``.  It is the system that ``linearize`` differentiates, and
-    the Newton step uses the same closed-form ``_reduced_jacobian``.  The
-    angular impulse identity sum r_j a_j + O(eps) = 0 makes row a_1
-    redundant, so ``search._newton`` takes square LU steps without row a_1
-    and column theta_1, halved until the squared 2-norm of the field drops.
-    Convergence means all 2N below 1e-12 in sup-norm within 60 steps;
-    theta columns scale like eps, so theta is fixed only to 1e-12/|eps|.
-
-    Raises DegenerateSeed unless the seed has exactly one zero Hessian
-    eigenvalue, InvalidEpsilon unless 0 < |eps| <= the ceiling,
-    VortexCollision if the start has two vortices within the guard, and
-    NoConvergence when the line search stalls, the Newton system is
-    singular or the cap is reached.
-    """
+def _checked_epsilons(cp: CriticalPoint, eps_list) -> list[float]:
+    """The eps as floats; DegenerateSeed unless the seed has one zero Hessian
+    eigenvalue, then InvalidEpsilon unless each 0 < |eps| <= the ceiling."""
     if cp.morse_index[1] != 1:
-        raise DegenerateSeed(
-            f"seed has {cp.morse_index[1]} zero eigenvalues; need exactly 1"
-        )
+        raise DegenerateSeed(f"seed has {cp.morse_index[1]} zero eigenvalues; need exactly 1")
     ceiling = epsilon_ceiling(cp)
-    if not 0.0 < abs(epsilon) <= ceiling:  # false for nan too
-        raise InvalidEpsilon(f"eps = {epsilon:g} outside 0 < |eps| <= {ceiling:g}")
+    eps_values = [float(e) for e in eps_list]
+    for eps in eps_values:
+        if not 0.0 < abs(eps) <= ceiling:  # false for nan too
+            raise InvalidEpsilon(f"eps = {eps:g} outside 0 < |eps| <= {ceiling:g}")
+    return eps_values
 
+
+def _solve(cp: CriticalPoint, epsilon: float, x0: np.ndarray) -> RelativeEquilibrium:
+    """Newton solve of the reduced field at eps from the state x0 = (r, theta)."""
     n = cp.config.size
-    x = np.concatenate((np.ones(n), cp.config)) if _warm_start is None else _warm_start.copy()
     # Every vortex motion conserves sum Gamma_j |q_j|^2, so at any state
     # sum r_j a_j + eps Re(conj(sum z_k) sum M_j) = 0: row a_1 is redundant,
     # and _pinned_step drops it and holds theta_1, unknown n.
@@ -274,41 +259,57 @@ def continue_equilibrium(
         jac = _reduced_jacobian(z[:n], z[n:], epsilon, fz[:n], fz[n:] * z[:n])
         return _pinned_step(jac, fz, keep)
 
-    x, _ = _newton(
-        lambda z: _augmented_system(z, epsilon),
-        step,
-        x,
-        _RELEQ_TOL,
-        _RELEQ_MAX_ITER,
-        VortexCollision(_COLLIDED),
-    )
-    return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=float(epsilon))
+    x, _ = _newton(lambda z: _augmented_system(z, epsilon), step, x0,
+                   _RELEQ_TOL, _RELEQ_MAX_ITER, VortexCollision(_COLLIDED))
+    return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=epsilon)
+
+
+def continue_equilibrium(cp: CriticalPoint, epsilon: float) -> RelativeEquilibrium:
+    """Newton-continue a nondegenerate critical point to eps != 0.
+
+    Starts from the seed, r = 1 and the seed angles, and solves the 2N
+    equations of the reduced field (a_j, b_j / r_j) jointly in (r, theta)
+    with theta_1 held at the seed's first angle.  It is the system that
+    ``linearize`` differentiates, and the Newton step uses the same
+    closed-form ``_reduced_jacobian``.  The angular impulse identity
+    sum r_j a_j + O(eps) = 0 makes row a_1 redundant, so ``search._newton``
+    takes square LU steps without row a_1 and column theta_1, halved until
+    the squared 2-norm of the field drops.  Convergence means all 2N below
+    1e-12 in sup-norm within 60 steps; theta columns scale like eps, so
+    theta is fixed only to 1e-12/|eps|.
+
+    Raises DegenerateSeed unless the seed has exactly one zero Hessian
+    eigenvalue, InvalidEpsilon unless 0 < |eps| <= the ceiling,
+    VortexCollision if the start has two vortices within the guard, and
+    NoConvergence when the line search stalls, the Newton system is
+    singular or the cap is reached.
+    """
+    (eps,) = _checked_epsilons(cp, [epsilon])
+    return _solve(cp, eps, np.concatenate((np.ones(cp.config.size), cp.config)))
 
 
 def sweep_epsilon(cp: CriticalPoint, eps_list) -> list[RelativeEquilibrium]:
-    """Continue one seed across several eps values, warm-starting in order.
+    """Continue one seed across several eps values, each from its nearest start.
 
-    Returns one equilibrium per entry.  On the first failure a NoConvergence
-    is raised whose ``partial`` attribute carries the equilibria found so
-    far.  Every eps is checked before the first solve: InvalidEpsilon unless
-    each is finite, nonzero and within ``epsilon_ceiling``.
+    The whole list is checked first, as ``continue_equilibrium`` checks one
+    eps.  Each eps then starts from the equilibrium solved at the eps nearest
+    to it when that is closer than the seed's eps = 0, else from the seed
+    (ties go to the seed).  So a list of decades gives each record exactly
+    ``continue_equilibrium``, and fine increasing steps walk out along the
+    branch.  Returns one equilibrium per entry; on the first failure a
+    NoConvergence is raised whose ``partial`` carries those found so far.
     """
-    eps_values = [float(e) for e in eps_list]
-    ceiling = epsilon_ceiling(cp)
-    for eps in eps_values:
-        if not 0.0 < abs(eps) <= ceiling:  # false for nan too
-            raise InvalidEpsilon(f"eps = {eps:g} outside 0 < |eps| <= {ceiling:g}")
+    starts = {0.0: (np.ones(cp.config.size), cp.config)}  # the seed first wins ties
     results: list[RelativeEquilibrium] = []
-    warm = None
-    for eps in eps_values:
+    for eps in _checked_epsilons(cp, eps_list):
+        start = starts[min(starts, key=lambda e: abs(eps - e))]
         try:
-            eq = continue_equilibrium(cp, eps, _warm_start=warm)
+            results.append(_solve(cp, eps, np.concatenate(start)))
         except (NoConvergence, VortexCollision) as exc:
             raise NoConvergence(
                 f"sweep failed at eps = {eps:g}: {exc}", partial=results
             ) from exc
-        results.append(eq)
-        warm = np.concatenate((eq.r, eq.theta))
+        starts[eps] = (results[-1].r, results[-1].theta)
     return results
 
 

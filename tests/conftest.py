@@ -29,6 +29,12 @@ def catalog4():
 
 
 @pytest.fixture(scope="session")
+def census_catalogs():
+    # the catalog of every N = 2..12 that the census tests walk, built once
+    return {n: multistart_search(n, 200, seed=n) for n in range(2, 13)}
+
+
+@pytest.fixture(scope="session")
 def triangle_point():
     return newton_refine(np.array([0.0, np.pi / 3]))
 

@@ -224,7 +224,7 @@ def test_continue_checks_every_eps_before_solving(tmp_path, catalog4_path, capsy
     def no_solve(*args, **kwargs):
         raise AssertionError("a continuation ran")
 
-    monkeypatch.setattr(continuation, "continue_equilibrium", no_solve)
+    monkeypatch.setattr(continuation, "_solve", no_solve)
     out = tmp_path / "eq.json"
     code, _, err = run(capsys, "continue", "--catalog", str(catalog4_path),
                        "--eps", "1e-3,0.2", "--out", str(out))
@@ -312,14 +312,14 @@ def test_stability_recomputes_the_seed_spectrum(tmp_path, equilibria_path,
 
 def test_continue_partial_output_on_failure(tmp_path, catalog4_path, capsys,
                                             monkeypatch):
-    solve = continuation.continue_equilibrium
+    solve = continuation._solve
 
-    def fail_second(cp, eps, **kwargs):
+    def fail_second(cp, eps, x0):
         if eps == 2e-3:
             raise NoConvergence("stalled on purpose")
-        return solve(cp, eps, **kwargs)
+        return solve(cp, eps, x0)
 
-    monkeypatch.setattr(continuation, "continue_equilibrium", fail_second)
+    monkeypatch.setattr(continuation, "_solve", fail_second)
     out = tmp_path / "partial.json"
     code, _, err = run(capsys, "continue", "--catalog", str(catalog4_path),
                        "--family", "0", "--eps", "1e-3,2e-3,3e-3", "--out", str(out))
@@ -513,6 +513,18 @@ def test_simulate_report_and_csv(tmp_path, equilibria_path, capsys):
     lines = (tmp_path / "run.csv").read_text().strip().split("\n")
     assert lines[2] == "t,x0,y0,x1,y1,x2,y2,x3,y3,x4,y4"
     assert len(lines) == 3 + report["steps"] + 1
+
+
+def test_simulate_without_out_prints_the_csv_then_the_report(tmp_path, equilibria_path,
+                                                             capsys):
+    argv = ["simulate", "--equilibria", str(equilibria_path), "--index", "1",
+            "--h", "0.1", "--T", "0.3", "--perturb", "1e-6"]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    files = (tmp_path / "run.csv").read_text() + (tmp_path / "run.report.json").read_text()
+    assert out == files
 
 
 def test_simulate_starts_where_continuation_solved(tmp_path, equilibria_path,

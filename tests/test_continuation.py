@@ -19,7 +19,6 @@ from vortexeq import (
     epsilon_ceiling,
     gradient,
     linearize,
-    multistart_search,
     newton_refine,
     ngon,
     reduced_field,
@@ -210,12 +209,12 @@ def test_pair_triangle_stays_equilateral():
     assert max(d) - min(d) < 1e-12
 
 
-def test_continuation_equivariance():
+def test_continuation_equivariance(census_catalogs):
     # a seed is canonical once built, so a rotated, a relabelled and a
     # reflected copy of each family are the same seed and continue to the
     # same equilibrium
     for n in range(3, 7):
-        for cp in multistart_search(n, 200, seed=n).points:
+        for cp in census_catalogs[n].points:
             eq = continue_equilibrium(cp, 1e-3)
             phi = cp.config
             for copy in (phi + 0.7, np.roll(phi, 1), -phi):
@@ -255,6 +254,40 @@ def test_sweep_warm_start(min3_point):
     assert all(eq.residual < 1e-12 for eq in family)
 
 
+def test_sweep_toward_zero_stays_on_the_seed_branch(census_catalogs):
+    # the N = 9 index-1 family swept in from the ceiling: once the seed at
+    # eps = 0 is nearer than every solved eps, the solve starts from the seed
+    cp = census_catalogs[9].points[1]
+    assert cp.morse_index == (1, 1, 7)
+    eps_list = [-0.05, -0.03, -0.01, -1e-3, -1e-4]
+    family = sweep_epsilon(cp, eps_list)
+    assert [eq.epsilon for eq in family] == eps_list
+    for eq in family:
+        assert symmetry_distance(eq.theta, cp.config) <= 50 * abs(eq.epsilon), eq.epsilon
+
+
+def test_a_decade_sweep_gives_each_record_its_cold_continuation(census_catalogs):
+    # 5e-4 is as near the seed's eps = 0 as 1e-3, and ties go to the seed
+    cp = census_catalogs[9].points[1]
+    swept = sweep_epsilon(cp, [1e-2, 1e-3, 5e-4])
+    for eq in swept[1:]:
+        cold = continue_equilibrium(cp, eq.epsilon)
+        np.testing.assert_array_equal(eq.r, cold.r)
+        np.testing.assert_array_equal(eq.theta, cold.theta)
+
+
+def test_fine_increasing_steps_keep_their_warm_starts(min3_point):
+    # 2e-3 is nearer 1e-3 than 0, and 3e-3 nearer 2e-3: each starts warm
+    family = sweep_epsilon(min3_point, [1e-3, 2e-3, 3e-3])
+    chain = [continue_equilibrium(min3_point, 1e-3)]
+    for eps in (2e-3, 3e-3):
+        warm = np.concatenate((chain[-1].r, chain[-1].theta))
+        chain.append(continuation._solve(min3_point, eps, warm))
+    for eq, expected in zip(family, chain, strict=True):
+        np.testing.assert_array_equal(eq.r, expected.r)
+        np.testing.assert_array_equal(eq.theta, expected.theta)
+
+
 def test_sweep_partial_on_failure(min3_point, monkeypatch):
     # the cold step to 1e-4 takes 2 Newton steps, the jump to 4e-2 takes 4
     monkeypatch.setattr(continuation, "_RELEQ_MAX_ITER", 3)
@@ -280,19 +313,19 @@ def test_max_iter_counts_newton_steps(min3_point, monkeypatch):
     eq = continue_equilibrium(min3_point, 1e-4)
     warm = np.concatenate((eq.r, eq.theta))
     monkeypatch.setattr(continuation, "_RELEQ_MAX_ITER", 4)
-    jumped = continue_equilibrium(min3_point, 4e-2, _warm_start=warm)
+    jumped = continuation._solve(min3_point, 4e-2, warm)
     assert jumped.residual < 1e-12
     monkeypatch.setattr(continuation, "_RELEQ_MAX_ITER", 3)
     with pytest.raises(NoConvergence):
-        continue_equilibrium(min3_point, 4e-2, _warm_start=warm)
+        continuation._solve(min3_point, 4e-2, warm)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
-def test_cold_continuation_stays_on_the_seed_branch(n):
+def test_cold_continuation_stays_on_the_seed_branch(n, census_catalogs):
     # every census family, from the default cold start, at +-1e-3 and +-1e-2
     # within the ceiling; the verdicts are the abstract's: a minimum is stable
     # iff eps > 0, a maximum iff eps < 0, and every other family is unstable
-    for cp in multistart_search(n, 200, seed=n).points:
+    for cp in census_catalogs[n].points:
         negative, _, positive = cp.morse_index
         for eps in (1e-3, -1e-3, 1e-2, -1e-2):
             if abs(eps) > epsilon_ceiling(cp):
@@ -304,10 +337,10 @@ def test_cold_continuation_stays_on_the_seed_branch(n):
             assert verdict == ("stable" if stable else "unstable")
 
 
-def test_continuation_holds_theta_1():
+def test_continuation_holds_theta_1(census_catalogs):
     # every census family and the N = 25, 50, 100 rings: theta_1 keeps the
     # seed's first angle to the bit, and a warm start keeps its own
-    seeds = [cp for n in range(2, 13) for cp in multistart_search(n, 200, seed=n).points]
+    seeds = [cp for catalog in census_catalogs.values() for cp in catalog.points]
     seeds += [newton_refine(ngon(n)) for n in (25, 50, 100)]
     for cp in seeds:
         eps = min(1e-3, epsilon_ceiling(cp))
@@ -315,7 +348,7 @@ def test_continuation_holds_theta_1():
             assert continue_equilibrium(cp, sign * eps).theta[0] == cp.config[0]
     eq = continue_equilibrium(seeds[0], 1e-3)
     warm = np.concatenate((eq.r, eq.theta + 0.25))
-    assert continue_equilibrium(seeds[0], 2e-3, _warm_start=warm).theta[0] == warm[eq.n]
+    assert continuation._solve(seeds[0], 2e-3, warm).theta[0] == warm[eq.n]
 
 
 def test_an_equilibrium_is_checked_once_when_built(monkeypatch):
@@ -378,17 +411,13 @@ def test_coincident_vortices_raise_typed_errors(min3_point):
     with pytest.raises(VortexCollision):
         rotating_frame_residual([1.0, 1.0, 1.0], [0.0, 0.0, 2.0], 1e-3)
     with pytest.raises(VortexCollision):
-        continue_equilibrium(
-            min3_point, 1e-3, _warm_start=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0])
-        )
+        continuation._solve(min3_point, 1e-3, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0]))
 
 
 def test_colliding_warm_start_message(min3_point):
     message = "^two vortices are closer than the collision guard$"
     with pytest.raises(VortexCollision, match=message):
-        continue_equilibrium(
-            min3_point, 1e-3, _warm_start=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0])
-        )
+        continuation._solve(min3_point, 1e-3, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 2.0]))
 
 
 def test_sweep_rejects_zero(min3_point):
@@ -401,7 +430,7 @@ def test_sweep_checks_every_eps_before_the_first_solve(min3_point, monkeypatch, 
     def no_solve(*args, **kwargs):
         raise AssertionError("a continuation ran")
 
-    monkeypatch.setattr(continuation, "continue_equilibrium", no_solve)
+    monkeypatch.setattr(continuation, "_solve", no_solve)
     with pytest.raises(InvalidEpsilon, match=r"outside 0 < \|eps\| <= 0\.05"):
         sweep_epsilon(min3_point, [1e-3, bad])
 
@@ -537,7 +566,7 @@ def dropped_row_check(jac, k):
     return residual, np.linalg.svd(square, compute_uv=False).min()
 
 
-def test_the_square_step_drops_a_redundant_row():
+def test_the_square_step_drops_a_redundant_row(census_catalogs):
     # continue_equilibrium solves with row a_1 and column theta_1 removed; at
     # each continued census family the a_1 row is a combination of the others
     # and the square system is far from singular.  Row b_1 / r_1 fails one of
@@ -545,7 +574,7 @@ def test_the_square_step_drops_a_redundant_row():
     # of the other rows and the square system is singular.
     b_row_fails = set()
     for n in range(3, 13):
-        for cp in multistart_search(n, 200, seed=n).points:
+        for cp in census_catalogs[n].points:
             for eps in (1e-3, -1e-3):
                 jac = linearize(continue_equilibrium(cp, eps))
                 residual, smallest = dropped_row_check(jac, 0)

@@ -11,7 +11,7 @@ from vortexeq import (
     VortexCollision,
     VortexEqError,
     canonicalize,
-    continue_equilibrium,
+    continuation,
     gradient,
     hessian,
     newton_refine,
@@ -37,7 +37,7 @@ def test_colliding_vortices_raise_vortex_collision_everywhere(min3_point):
     r, theta, eps = np.ones(3), np.array([0.0, 0.0, 2.0]), 1e-3
     z = r * np.exp(1j * theta)
     calls = (
-        lambda: continue_equilibrium(min3_point, eps, _warm_start=np.concatenate((r, theta))),
+        lambda: continuation._solve(min3_point, eps, np.concatenate((r, theta))),
         lambda: RelativeEquilibrium(r=r, theta=theta, epsilon=eps),
         lambda: rotating_frame_residual(r, theta, eps),
         lambda: reduced_field(r, theta, eps),

@@ -284,6 +284,23 @@ def test_catalog_points_are_critical(catalog4):
         assert sum(p.morse_index) == 4
 
 
+def test_census_euler_characteristic(census_catalogs):
+    # The ordered cell theta_1 = 0 < theta_2 < ... < theta_N < 2 pi is an
+    # open simplex and V -> +inf at its boundary, so its critical points
+    # satisfy sum (-1)^index = chi = 1 (Milnor, Morse Theory, 1963).  A family
+    # has 2N / |Stab| copies in the cell, Stab being the dihedral relabelings
+    # and reflections that fix its gap sequence.  A missing pair of families
+    # whose terms cancel goes unseen, so this is a necessary check only.
+    for n, catalog in census_catalogs.items():
+        total = 0
+        for p in catalog.points:
+            gaps = search._cyclic_gaps(p.config)
+            stab = int((np.abs(search._symmetry_orbit(gaps) - gaps).max(axis=1) < 1e-8).sum())
+            assert (2 * n) % stab == 0, (n, p.config)
+            total += (-1) ** p.morse_index[0] * (2 * n // stab)
+        assert total == 1, n
+
+
 def test_line_search_skips_collided_trials():
     # residual f = x, colliding on [-0.6, 0.3]: from x = 1 the step -3 gives
     # trials -2 (merit up), then -0.5 and 0.25 (lower merit, collided), then
