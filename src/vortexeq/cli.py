@@ -162,9 +162,7 @@ def _scaling_record(family: list[RelativeEquilibrium]) -> dict | None:
 
 
 def cmd_find(args: argparse.Namespace) -> int:
-    catalog = multistart_search(
-        args.n, args.starts, seed=args.seed, newton_tol=args.tol_newton
-    )
+    catalog = multistart_search(args.n, args.starts, seed=args.seed)
     payload = _header(_config(args, "json"))
     payload["n"] = catalog.n
     payload["families"] = [
@@ -224,11 +222,11 @@ def cmd_continue(args: argparse.Namespace) -> int:
     }
     if failure is not None:
         payload["error"] = failure
-        _emit(_json_text(payload), args.out)
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
     _emit(_json_text(payload), args.out)
-    return 0
+    if failure is None:
+        return 0
+    print(f"error: {failure}", file=sys.stderr)
+    return 1
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
@@ -384,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--plot-data", action="store_true",
                         help="embed unit-circle point lists per family")
     p_find.add_argument("--seed", type=int, default=0, help="RNG seed for the starts")
-    p_find.add_argument("--tol-newton", type=float, default=1e-12,
-                        help="Newton gradient sup-norm tolerance")
     p_find.set_defaults(func=cmd_find)
 
     p_spec = sub.add_parser("ngon-spectrum",

@@ -42,6 +42,12 @@ _DEDUP_TOL = 1e-6
 _NEWTON_MAX_ITER = 200
 
 
+def _newton_tol(n: int) -> float:
+    # ||grad V||_inf bottoms out near 0.04 eps n^3 from roundoff; stop at about
+    # six times that: 1e-12 for n <= 26, and below the 1e-8 criticality check
+    return min(1e-9, max(1e-12, np.finfo(float).eps * n**3 / 4))
+
+
 @dataclass
 class CriticalPoint:
     """A critical point of the ring potential, built from its angles alone.
@@ -186,22 +192,25 @@ def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: 
     raise NoConvergence(f"no convergence within {max_iter} iterations")
 
 
-def newton_refine(theta0, newton_tol: float = 1e-12) -> CriticalPoint:
+def newton_refine(theta0) -> CriticalPoint:
     """Damped Newton refinement of theta0 to a critical point.
 
     Runs the shared driver ``_newton`` on grad V.  The step solves the
     Newton system with theta_1 held, which removes the rotation direction;
     the line search on ||grad V||^2 halves it up to 29 times.  Convergence
-    means ||grad V||_inf < newton_tol within 200 Newton steps.
+    means ||grad V||_inf < min(1e-9, max(1e-12, eps N^3 / 4)) within 200
+    Newton steps, eps the machine epsilon: 1e-12 up to N = 26, and about six
+    times the roundoff floor of ||grad V||_inf above.
     Raises ValueError on malformed angles, AngularCollision if two start
     angles collide, and NoConvergence at the iteration cap, when the line
     search stalls or when the Newton system is singular.
     """
+    th0 = _angles(theta0)
     th, _ = _newton(
         _gradients,
         lambda t, g: _pinned_step(hessian(t), g, slice(1, None)),
-        _angles(theta0),
-        newton_tol,
+        th0,
+        _newton_tol(th0.size),
         _NEWTON_MAX_ITER,
         AngularCollision(_COLLIDED),
     )
@@ -224,18 +233,14 @@ def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def multistart_search(
-    n: int,
-    n_starts: int,
-    seed: int = 0,
-    newton_tol: float = 1e-12,
-) -> FamilyCatalog:
+def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
     """Locate critical-point families from random starts in the gap wedge.
 
-    Runs ``n_starts`` Newton refinements from wedge samples drawn with the
-    given seed, folds converged points into families by symmetry distance
-    below 1e-6 (first representative wins), and returns the catalog sorted
-    by potential value.  Deterministic for a fixed seed.
+    Runs ``newton_refine``, whose tolerance follows from n, from ``n_starts``
+    wedge samples drawn with the given seed, folds converged points into
+    families by symmetry distance below 1e-6 (first representative wins),
+    and returns the catalog sorted by potential value.  Deterministic for a
+    fixed seed.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN("multistart search needs an integer n >= 2")
@@ -246,7 +251,7 @@ def multistart_search(
     for _ in range(int(n_starts)):
         start = sample_wedge(n, rng)
         try:
-            cp = newton_refine(start, newton_tol=newton_tol)
+            cp = newton_refine(start)
         except NoConvergence:
             failures["no_convergence"] += 1
             continue
@@ -266,7 +271,6 @@ def multistart_search(
         metadata={
             "n_starts": int(n_starts),
             "seed": int(seed),
-            "newton_tol": newton_tol,
             "n_converged": converged,
             "failures": failures,
         },

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from vortexeq import NoConvergence, RelativeEquilibrium, Trajectory, cli, continuation
+from vortexeq import (
+    NoConvergence,
+    RelativeEquilibrium,
+    Trajectory,
+    cli,
+    continuation,
+    dynamics,
+    stability,
+)
 from vortexeq.cli import _trajectory_csv, main
 
 
@@ -38,14 +46,16 @@ def equilibria_path(tmp_path_factory, catalog4_path):
 
 
 # (command, option) pairs where the command does not read the option.  The
-# first five were tolerances that are now fixed: the start gap (1e-2), the
+# first six were tolerances that are now fixed: the start gap (1e-2), the
 # family dedup distance (1e-6), the Hessian zero threshold (1e-9 times
-# max(1, largest |eigenvalue|)), the continuation residual (1e-12) and the
-# linearization zero threshold (1e-6 sqrt(|eps|)).
+# max(1, largest |eigenvalue|)), the search's Newton tolerance (worked out
+# from N), the continuation residual (1e-12) and the linearization zero
+# threshold (1e-6 sqrt(|eps|)).
 DROPPED_FLAGS = [
     ("find", "--delta"),
     ("find", "--dedup-tol"),
     ("find", "--tol-zero"),
+    ("find", "--tol-newton"),
     ("continue", "--tol-newton"),
     ("stability", "--tol-zero"),
     ("ngon-spectrum", "--seed"),
@@ -60,7 +70,7 @@ DROPPED_FLAGS = [
 ]
 
 CONFIG_KEYS = {
-    "find": {"command", "format", "n", "starts", "seed", "tol_newton", "plot_data"},
+    "find": {"command", "format", "n", "starts", "seed", "plot_data"},
     "ngon-spectrum": {"command", "format", "n"},
     "continue": {"command", "format", "catalog", "family", "eps"},
     "stability": {"command", "format", "equilibria"},
@@ -349,6 +359,18 @@ def test_stability_verdicts(tmp_path, equilibria_path, capsys):
     assert mm[0] > mm[1] > mm[2]
 
 
+def test_stability_reports_marginal_verdicts(equilibria_path, capsys, monkeypatch):
+    # a zero threshold above every |eigenvalue| makes all eight zeros
+    monkeypatch.setattr(stability, "_ZERO_TOL", 100.0)
+    code, out, _ = run(capsys, "stability", "--equilibria", str(equilibria_path))
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert len(verdicts) == 4
+    for v in verdicts:
+        assert v["classification"] == "marginal"
+        assert v["n_zero"] == 8
+
+
 @pytest.mark.parametrize("eps", [["--eps", "-1e-3"], ["--eps=-1e-3"],
                                  ["--eps", "-1e-3,-1e-2"], ["--eps=-1e-3,-1e-2"]])
 def test_negative_eps_after_a_space_or_equals(tmp_path, catalog4_path, capsys, eps):
@@ -551,6 +573,27 @@ def test_simulate_starts_where_continuation_solved(tmp_path, equilibria_path,
                         lambda zs, gammas: solved.append(zs) or kernel(zs, gammas))
     continuation._mismatch(eq.r, eq.theta, eq.epsilon)
     assert z.tobytes() == solved[0].tobytes()
+
+
+@pytest.mark.parametrize("perturb", ["0", "1e-6"])
+def test_simulate_abort_keeps_the_start(tmp_path, equilibria_path, capsys, monkeypatch,
+                                        perturb):
+    # every pair is closer than an abort distance of 10, so the first step
+    # aborts: exit 1, and both files hold the start alone
+    monkeypatch.setattr(dynamics, "_ABORT_SEP", 10.0)
+    code, out, err = run(capsys, "simulate", "--equilibria", str(equilibria_path),
+                         "--index", "1", "--h", "0.1", "--T", "1",
+                         "--perturb", perturb, "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: integration aborted on close approach\n"
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    assert report["aborted"] is True
+    assert report["steps"] == 0
+    lines = (tmp_path / "run.csv").read_text().split("\n")
+    assert lines[2] == "t,x0,y0,x1,y1,x2,y2,x3,y3,x4,y4"
+    assert lines[3].startswith("0.0,")
+    assert lines[4:] == [""]
 
 
 def test_simulate_perturb_needs_two_weak_vortices(tmp_path, capsys):

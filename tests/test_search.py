@@ -24,6 +24,7 @@ from vortexeq import (
     symmetry_distance,
 )
 from vortexeq import continuation, search
+from vortexeq.potential import _GRAD_TOL
 
 
 def sequential_newton(residual, step, x, tol, max_iter, collided):
@@ -248,6 +249,37 @@ def test_multistart_two_families_n2(catalog2):
     assert catalog2.points[0].cls is CriticalPointClass.LOCAL_MIN
     assert catalog2.points[1].cls is CriticalPointClass.LOCAL_MAX
     assert catalog2.points[1].value == pytest.approx(1 - np.log(2), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def catalog75():
+    return multistart_search(75, 100, seed=0)
+
+
+def test_multistart_finds_three_families_n75(catalog75):
+    # with the Newton tolerance held at 1e-12, below the roundoff floor of
+    # ||grad V||_inf at this N, only the ring was found
+    assert {p.morse_index[0] for p in catalog75.points} >= {0, 1, 2}
+
+
+def test_newton_tolerance_clears_the_roundoff_floor(catalog75):
+    assert [search._newton_tol(n) for n in range(2, 28)] == [1e-12] * 25 + [
+        np.finfo(float).eps * 27**3 / 4
+    ]
+    assert search._newton_tol(10**6) < _GRAD_TOL
+    # full pinned Newton steps from each rotated family stall at a floor
+    # that lies about 5x below the tolerance
+    rng = np.random.default_rng(0)
+    for p in catalog75.points:
+        for _ in range(4):
+            theta = p.config + rng.uniform(0.0, 2 * np.pi)
+            floor = np.inf
+            for _ in range(6):
+                theta = theta + search._pinned_step(
+                    hessian(theta), gradient(theta), slice(1, None)
+                )
+                floor = min(floor, float(np.abs(gradient(theta)).max()))
+            assert 2 * floor < search._newton_tol(75)
 
 
 def test_multistart_saddle_spectrum_n3(catalog3):

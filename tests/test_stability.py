@@ -22,6 +22,7 @@ from vortexeq import (
     reduced_field,
     stability_verdict,
 )
+from vortexeq import stability
 from vortexeq.continuation import _mismatch, _reduced_jacobian
 from vortexeq.stability import _IMAG_REL_TOL
 from tests.test_continuation import (
@@ -99,6 +100,15 @@ def test_verdict_dichotomy_pair():
     assert unstable.classification is StabilityClass.LINEARLY_UNSTABLE
     assert unstable.instability_count == 1
     assert unstable.max_real_part == pytest.approx(np.sqrt(6e-3), rel=0.02)
+
+
+def test_verdict_marginal_with_extra_zero_eigenvalues(monkeypatch, triangle_eq):
+    # with the zero threshold above every |eigenvalue|, the two nonzero ones
+    # count as zeros too
+    monkeypatch.setattr(stability, "_ZERO_TOL", 100.0)
+    verdict = stability_verdict(triangle_eq)
+    assert verdict.classification is StabilityClass.MARGINAL
+    assert verdict.spectrum.zero_count == 4
 
 
 def test_verdict_spectrum_structure(triangle_eq):
