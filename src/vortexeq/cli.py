@@ -169,8 +169,7 @@ def cmd_find(args: argparse.Namespace) -> int:
         _family_record(i, p, args.plot_data) for i, p in enumerate(catalog.points)
     ]
     payload["metadata"] = {
-        "n_converged": catalog.metadata["n_converged"],
-        "failures": catalog.metadata["failures"],
+        k: catalog.metadata[k] for k in ("n_converged", "failures", "euler_sum")
     }
     _emit(_json_text(payload), args.out)
     return 0

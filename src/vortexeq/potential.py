@@ -72,12 +72,24 @@ def _checked(kernel, theta):
     return out
 
 
-def potential(theta) -> float:
-    """Evaluate V(theta).  Raises AngularCollision near coincident angles."""
-    _, c, _ = _checked(_geometry, theta)
+# V and the Hessian from the c and om of one row's ``_geometry``.
+def _value(c: np.ndarray) -> float:
     k = np.arange(len(c))
     cu = c[k[:, None] < k]  # the upper triangle, row by row
     return float(-np.sum(cu + 0.5 * np.log(2.0 - 2.0 * cu)))
+
+
+def _hess(c: np.ndarray, om: np.ndarray) -> np.ndarray:
+    h = -c - 1.0 / (2.0 * om)
+    diag = h.reshape(-1)[:: len(h) + 1]
+    diag[:] = 0.0  # so the row sums see the off-diagonal entries only
+    diag[:] = -h.sum(axis=1)
+    return h
+
+
+def potential(theta) -> float:
+    """Evaluate V(theta).  Raises AngularCollision near coincident angles."""
+    return _value(_checked(_geometry, theta)[1])
 
 
 def _gradients(theta: np.ndarray):
@@ -106,12 +118,7 @@ def hessian(theta) -> np.ndarray:
     the off-diagonal entries in its row, so row sums vanish identically and
     (1,...,1) is always in the kernel.
     """
-    _, c, om = _checked(_geometry, theta)
-    h = -c - 1.0 / (2.0 * om)
-    diag = h.reshape(-1)[:: len(h) + 1]
-    diag[:] = 0.0  # so the row sums see the off-diagonal entries only
-    diag[:] = -h.sum(axis=1)
-    return h
+    return _hess(*_checked(_geometry, theta)[1:])
 
 
 def classify(theta) -> tuple[CriticalPointClass, SpectrumReport]:
@@ -125,15 +132,15 @@ def classify(theta) -> tuple[CriticalPointClass, SpectrumReport]:
 
     Raises NotCritical when the gradient sup-norm reaches 1e-8.
     """
-    return _classify(theta, gradient(theta))[:2]
+    return _classify(gradient(theta), hessian(theta))[:2]
 
 
-def _classify(theta, g: np.ndarray):
-    """``classify`` with the gradient given; also returns the Morse index."""
+def _classify(g: np.ndarray, h: np.ndarray):
+    """``classify`` from the gradient and Hessian; also returns the Morse index."""
     res = float(np.abs(g).max())
     if res >= _GRAD_TOL:
         raise NotCritical(f"gradient sup-norm {res:.3e} >= {_GRAD_TOL:g}")
-    report = eig_symmetric(hessian(theta))
+    report = eig_symmetric(h)
     ev, thr = report.eigenvalues, report.tol_used
     neg, zero, pos = morse = (int(np.sum(ev < -thr)), report.zero_count, int(np.sum(ev > thr)))
     if zero != 1:

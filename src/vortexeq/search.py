@@ -20,11 +20,12 @@ from .potential import (
     _classify,
     _geometry,
     _gradients,
+    _hess,
+    _value,
     gradient,
     hessian,
-    potential,
 )
-from .spectra import SpectrumReport, eig_symmetric
+from .spectra import SpectrumReport
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,6 +41,9 @@ _DEDUP_TOL = 1e-6
 
 # Most Newton steps that newton_refine takes.
 _NEWTON_MAX_ITER = 200
+
+# LM takes over a search start after a Newton step accepted at alpha <= 2**-this, or not at all.
+_LM_SWITCH_K = 5
 
 
 def _newton_tol(n: int) -> float:
@@ -68,13 +72,12 @@ class CriticalPoint:
 
     def __post_init__(self):
         self.config = canon = canonicalize(self.config)
-        g = gradient(canon)
-        self.cls, self.spectrum, self.morse_index = _classify(canon, g)
-        gaps = _cyclic_gaps(canon)
-        mirrored = float(np.abs(gaps - _symmetry_orbit(gaps)[gaps.size :]).max(axis=1).min())
+        g = gradient(canon)  # the public one: perfbench traces it inside newton_refine
+        _, c, om, _ = _geometry(canon)  # one geometry for the Hessian and V
+        self.cls, self.spectrum, self.morse_index = _classify(g, _hess(c, om))
         self.residual = float(np.abs(g).max())
-        self.value = potential(canon)
-        self.reflection_symmetric = mirrored < 1e-8
+        self.value = _value(c)
+        self.reflection_symmetric = bool(_stabilizer(canon)[canon.size :].any())
 
 
 @dataclass
@@ -105,6 +108,12 @@ def _symmetry_orbit(gaps: np.ndarray) -> np.ndarray:
     # rows 0..N-1 are the cyclic shifts of gaps, rows N..2N-1 those of its reversal
     idx = np.add.outer(np.arange(gaps.size), np.arange(gaps.size)) % gaps.size
     return gaps[np.vstack((idx, gaps.size - 1 - idx))]
+
+
+def _stabilizer(theta) -> np.ndarray:
+    # which rows of _symmetry_orbit (N relabelings, N reflections) fix the gaps
+    gaps = _cyclic_gaps(theta)
+    return np.abs(gaps - _symmetry_orbit(gaps)).max(axis=1) < 1e-8
 
 
 def canonicalize(theta) -> np.ndarray:
@@ -146,39 +155,49 @@ def _pinned_step(jac: np.ndarray, f: np.ndarray, keep) -> np.ndarray:
     return s
 
 
+def _lm_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # Levenberg-Marquardt step (Yamashita and Fukushima 2001): (H^2 + ||g||_2^2 I
+    # + 11^T / N) s = -H g; the rank-one term lifts the rotation direction of H
+    return np.linalg.solve(h @ h + (g @ g) * np.eye(g.size) + 1.0 / g.size, -(h @ g))
+
+
 _ALPHA = np.ldexp(1.0, -np.arange(30))[:, None]  # line-search steps 2**-k, k = 0..29
 
 
-def _backtrack(residual, x: np.ndarray, s: np.ndarray, f0: float):
-    """(trial, f) for the first x + 2**-k s, in k order, that is clear of
-    collisions with ||f||_2^2 < f0.  k = 0 goes alone, then k = 1..4 and
-    k = 5..29 as stacks, which pay the per-call overhead once; at most
+def _backtrack(residual, x: np.ndarray, s: np.ndarray, f: np.ndarray):
+    """(trial, f, k) for the first x + 2**-k s, in k order, clear of collisions
+    and lowering ||f||_2^2, else (x, f, 30).  k = 0 goes alone, then k = 1..4
+    and k = 5..29 as stacks, which pay the per-call overhead once; at most
     4096 // n^2 rows per call, as large-n rows are bound by arithmetic."""
+    f0 = float(f @ f)
     trial = x + s
-    f, clear = residual(trial)
-    if clear and float(f @ f) < f0:
-        return trial, f
+    ft, clear = residual(trial)
+    if clear and float(ft @ ft) < f0:
+        return trial, ft, 0
     cap = max(1, 4096 // x.size**2)
     for a, b in ((1, 5), (5, 30)):
         for lo in range(a, b, cap):
             trials = x + _ALPHA[lo : min(lo + cap, b)] * s
-            for trial, f, clear in zip(trials, *residual(trials)):
-                if clear and float(f @ f) < f0:
-                    return trial, f
-    raise NoConvergence("line search stalled before reaching tolerance")
+            for k, (trial, ft, clear) in enumerate(zip(trials, *residual(trials)), lo):
+                if clear and float(ft @ ft) < f0:
+                    return trial, ft, k
+    return x, f, len(_ALPHA)
 
 
-def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: Exception):
+def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: Exception,
+            rescue=None):
     """Damped Newton solve of residual(x) = 0, shared by search and continuation.
 
     ``residual`` maps points (..., n), with or without a stack axis, to
     their residuals (..., m) and flags (...) that are False where a point
     collides.  ``step(x, f)`` is the full Newton step at x; ``_backtrack``
     halves it until ||f||_2^2 drops and never accepts a colliding trial.
+    The first step it accepts only at k >= _LM_SWITCH_K, or not at all, hands
+    the rest of the solve to the step function ``rescue``, if given.
     Returns (x, f) once ||f||_inf < tol, within at most ``max_iter`` steps.
     Raises ``collided``, the caller's collision error for its geometry, if
-    x collides, and NoConvergence when the line search stalls or the cap is
-    reached.
+    x collides, and NoConvergence when the line search stalls past any
+    switch or the cap is reached.
     """
     f, clear = residual(x)
     if not clear:
@@ -186,7 +205,11 @@ def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: 
     for _ in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f
-        x, f = _backtrack(residual, x, step(x, f), float(f @ f))
+        x, f, k = _backtrack(residual, x, step(x, f), f)
+        if k >= _LM_SWITCH_K and rescue is not None:
+            step, rescue = rescue, None
+        elif k == len(_ALPHA):
+            raise NoConvergence("line search stalled before reaching tolerance")
     if float(np.abs(f).max()) < tol:
         return x, f
     raise NoConvergence(f"no convergence within {max_iter} iterations")
@@ -197,23 +220,19 @@ def newton_refine(theta0) -> CriticalPoint:
 
     Runs the shared driver ``_newton`` on grad V.  The step solves the
     Newton system with theta_1 held, which removes the rotation direction;
-    the line search on ||grad V||^2 halves it up to 29 times.  Convergence
-    means ||grad V||_inf < min(1e-9, max(1e-12, eps N^3 / 4)) within 200
-    Newton steps, eps the machine epsilon: 1e-12 up to N = 26, and about six
-    times the roundoff floor of ||grad V||_inf above.
+    the line search on ||grad V||^2 halves it up to 29 times.  From the first
+    step accepted only at alpha <= 2**-5, or not at all, ``_lm_step`` takes
+    over.  Convergence means ||grad V||_inf < min(1e-9, max(1e-12, eps N^3 / 4))
+    within 200 steps, eps the machine epsilon: 1e-12 up to N = 26, and about
+    six times the roundoff floor of ||grad V||_inf above.
     Raises ValueError on malformed angles, AngularCollision if two start
     angles collide, and NoConvergence at the iteration cap, when the line
     search stalls or when the Newton system is singular.
     """
     th0 = _angles(theta0)
-    th, _ = _newton(
-        _gradients,
-        lambda t, g: _pinned_step(hessian(t), g, slice(1, None)),
-        th0,
-        _newton_tol(th0.size),
-        _NEWTON_MAX_ITER,
-        AngularCollision(_COLLIDED),
-    )
+    th, _ = _newton(_gradients, lambda t, g: _pinned_step(hessian(t), g, slice(1, None)), th0,
+                    _newton_tol(th0.size), _NEWTON_MAX_ITER, AngularCollision(_COLLIDED),
+                    lambda t, g: _lm_step(hessian(t), g))
     return CriticalPoint(th)
 
 
@@ -247,22 +266,13 @@ def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
     rng = np.random.default_rng(seed)
     points: list[CriticalPoint] = []
     failures = {"no_convergence": 0, "collision": 0}
-    converged = 0
     for _ in range(int(n_starts)):
-        start = sample_wedge(n, rng)
         try:
-            cp = newton_refine(start)
-        except NoConvergence:
-            failures["no_convergence"] += 1
+            cp = newton_refine(sample_wedge(n, rng))
+        except (NoConvergence, AngularCollision) as exc:
+            failures["collision" if isinstance(exc, AngularCollision) else "no_convergence"] += 1
             continue
-        except AngularCollision:
-            failures["collision"] += 1
-            continue
-        converged += 1
-        for known in points:
-            if symmetry_distance(cp.config, known.config) < _DEDUP_TOL:
-                break
-        else:
+        if all(symmetry_distance(cp.config, known.config) >= _DEDUP_TOL for known in points):
             points.append(cp)
     points.sort(key=lambda p: p.value)
     return FamilyCatalog(
@@ -271,7 +281,10 @@ def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
         metadata={
             "n_starts": int(n_starts),
             "seed": int(seed),
-            "n_converged": converged,
+            "n_converged": max(0, int(n_starts)) - sum(failures.values()),
             "failures": failures,
+            # (-1)^index over each family's 2N / |Stab| copies in the cell: 1 = chi (Milnor)
+            "euler_sum": sum((-1) ** p.morse_index[0] * 2 * int(n)
+                             // int(_stabilizer(p.config).sum()) for p in points),
         },
     )
