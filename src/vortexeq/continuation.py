@@ -259,8 +259,8 @@ def _solve(cp: CriticalPoint, epsilon: float, x0: np.ndarray) -> RelativeEquilib
         jac = _reduced_jacobian(z[:n], z[n:], epsilon, fz[:n], fz[n:] * z[:n])
         return _pinned_step(jac, fz, keep)
 
-    x, _ = _newton(lambda z: _augmented_system(z, epsilon), step, x0,
-                   _RELEQ_TOL, _RELEQ_MAX_ITER, VortexCollision(_COLLIDED))
+    x, _, _ = _newton(lambda z: _augmented_system(z, epsilon), step, x0,
+                      _RELEQ_TOL, _RELEQ_MAX_ITER, VortexCollision(_COLLIDED))
     return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=epsilon)
 
 

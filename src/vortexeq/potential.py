@@ -93,11 +93,13 @@ def potential(theta) -> float:
 
 
 def _gradients(theta: np.ndarray):
-    """Gradients of V over a (..., N) stack of angle rows, unvalidated, and
-    per-row flags, False where two angles collide (that row is meaningless)."""
-    d, _, om, clear = _geometry(theta)
+    """(g, c, om, clear): gradients of V over a (..., N) stack of angle rows,
+    unvalidated, the ``_geometry`` c and om behind them, and per-row flags,
+    False where two angles collide (that row is meaningless)."""
+    d, c, om, clear = _geometry(theta)
     np.maximum(om, EPS_SEP, out=om)  # changes only collided rows; keeps 1 / om finite
-    return np.sum(np.sin(d) * (1.0 - 1.0 / (2.0 * om)), axis=-1), clear  # diagonals: sin(0) * 1 = 0
+    g = np.sum(np.sin(d) * (1.0 - 1.0 / (2.0 * om)), axis=-1)  # diagonals: sin(0) * 1 = 0
+    return g, c, om, clear
 
 
 def gradient(theta) -> np.ndarray:

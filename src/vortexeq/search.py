@@ -23,7 +23,6 @@ from .potential import (
     _hess,
     _value,
     gradient,
-    hessian,
 )
 from .spectra import SpectrumReport
 
@@ -164,24 +163,25 @@ def _lm_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 _ALPHA = np.ldexp(1.0, -np.arange(30))[:, None]  # line-search steps 2**-k, k = 0..29
 
 
-def _backtrack(residual, x: np.ndarray, s: np.ndarray, f: np.ndarray):
-    """(trial, f, k) for the first x + 2**-k s, in k order, clear of collisions
-    and lowering ||f||_2^2, else (x, f, 30).  k = 0 goes alone, then k = 1..4
-    and k = 5..29 as stacks, which pay the per-call overhead once; at most
-    4096 // n^2 rows per call, as large-n rows are bound by arithmetic."""
+def _backtrack(residual, x: np.ndarray, s: np.ndarray, f: np.ndarray, aux: list):
+    """(trial, f, aux, k) for the first x + 2**-k s, in k order, clear of
+    collisions and lowering ||f||_2^2, aux being its residual's by-products,
+    else (x, f, aux, 30).  k = 0 goes alone, then k = 1..4 and k = 5..29 as
+    stacks, which pay the per-call overhead once; at most 4096 // n^2 rows
+    per call, as large-n rows are bound by arithmetic."""
     f0 = float(f @ f)
     trial = x + s
-    ft, clear = residual(trial)
+    ft, *trial_aux, clear = residual(trial)
     if clear and float(ft @ ft) < f0:
-        return trial, ft, 0
+        return trial, ft, trial_aux, 0
     cap = max(1, 4096 // x.size**2)
     for a, b in ((1, 5), (5, 30)):
         for lo in range(a, b, cap):
             trials = x + _ALPHA[lo : min(lo + cap, b)] * s
-            for k, (trial, ft, clear) in enumerate(zip(trials, *residual(trials)), lo):
+            for k, (trial, ft, *trial_aux, clear) in enumerate(zip(trials, *residual(trials)), lo):
                 if clear and float(ft @ ft) < f0:
-                    return trial, ft, k
-    return x, f, len(_ALPHA)
+                    return trial, ft, trial_aux, k
+    return x, f, aux, len(_ALPHA)
 
 
 def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: Exception,
@@ -189,30 +189,41 @@ def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: 
     """Damped Newton solve of residual(x) = 0, shared by search and continuation.
 
     ``residual`` maps points (..., n), with or without a stack axis, to
-    their residuals (..., m) and flags (...) that are False where a point
-    collides.  ``step(x, f)`` is the full Newton step at x; ``_backtrack``
+    their residuals (..., m), any by-products of them that the step reads,
+    and flags (...) that are False where a point collides.
+    ``step(x, f, *by-products)`` is the full Newton step at x; ``_backtrack``
     halves it until ||f||_2^2 drops and never accepts a colliding trial.
     The first step it accepts only at k >= _LM_SWITCH_K, or not at all, hands
     the rest of the solve to the step function ``rescue``, if given.
-    Returns (x, f) once ||f||_inf < tol, within at most ``max_iter`` steps.
-    Raises ``collided``, the caller's collision error for its geometry, if
-    x collides, and NoConvergence when the line search stalls past any
-    switch or the cap is reached.
+    Returns (x, f, steps) once ||f||_inf < tol, after steps <= ``max_iter``
+    Newton and rescue steps.  Raises ``collided``, the caller's collision
+    error for its geometry, if x collides, and NoConvergence when the line
+    search stalls past any switch or the cap is reached.
     """
-    f, clear = residual(x)
+    f, *aux, clear = residual(x)
     if not clear:
         raise collided
-    for _ in range(max_iter):
+    for steps in range(max_iter):
         if float(np.abs(f).max()) < tol:
-            return x, f
-        x, f, k = _backtrack(residual, x, step(x, f), f)
+            return x, f, steps
+        x, f, aux, k = _backtrack(residual, x, step(x, f, *aux), f, aux)
         if k >= _LM_SWITCH_K and rescue is not None:
             step, rescue = rescue, None
         elif k == len(_ALPHA):
             raise NoConvergence("line search stalled before reaching tolerance")
     if float(np.abs(f).max()) < tol:
-        return x, f
+        return x, f, max_iter
     raise NoConvergence(f"no convergence within {max_iter} iterations")
+
+
+def _refine(theta0) -> tuple[np.ndarray, int]:
+    # newton_refine's solve: the uncanonicalized angles it reaches and its step count
+    th0 = _angles(theta0)
+    th, _, steps = _newton(
+        _gradients, lambda t, g, c, om: _pinned_step(_hess(c, om), g, slice(1, None)), th0,
+        _newton_tol(th0.size), _NEWTON_MAX_ITER, AngularCollision(_COLLIDED),
+        lambda t, g, c, om: _lm_step(_hess(c, om), g))
+    return th, steps
 
 
 def newton_refine(theta0) -> CriticalPoint:
@@ -229,11 +240,7 @@ def newton_refine(theta0) -> CriticalPoint:
     angles collide, and NoConvergence at the iteration cap, when the line
     search stalls or when the Newton system is singular.
     """
-    th0 = _angles(theta0)
-    th, _ = _newton(_gradients, lambda t, g: _pinned_step(hessian(t), g, slice(1, None)), th0,
-                    _newton_tol(th0.size), _NEWTON_MAX_ITER, AngularCollision(_COLLIDED),
-                    lambda t, g: _lm_step(hessian(t), g))
-    return CriticalPoint(th)
+    return CriticalPoint(_refine(theta0)[0])
 
 
 def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,25 +262,29 @@ def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
 def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
     """Locate critical-point families from random starts in the gap wedge.
 
-    Runs ``newton_refine``, whose tolerance follows from n, from ``n_starts``
-    wedge samples drawn with the given seed, folds converged points into
-    families by symmetry distance below 1e-6 (first representative wins),
-    and returns the catalog sorted by potential value.  Deterministic for a
-    fixed seed.
+    Runs ``newton_refine``'s solve, whose tolerance follows from n, from
+    ``n_starts`` wedge samples drawn with the given seed.  A converged start
+    within symmetry distance 1e-6 of a known family joins it; only the first
+    of each family is built into a ``CriticalPoint``.  Returns the catalog
+    sorted by potential value; ``newton_steps`` in its metadata sums the
+    steps of the converged starts.  Deterministic for a fixed seed.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN("multistart search needs an integer n >= 2")
     rng = np.random.default_rng(seed)
     points: list[CriticalPoint] = []
     failures = {"no_convergence": 0, "collision": 0}
+    steps = 0
     for _ in range(int(n_starts)):
         try:
-            cp = newton_refine(sample_wedge(n, rng))
+            th, k = _refine(sample_wedge(n, rng))
         except (NoConvergence, AngularCollision) as exc:
             failures["collision" if isinstance(exc, AngularCollision) else "no_convergence"] += 1
             continue
-        if all(symmetry_distance(cp.config, known.config) >= _DEDUP_TOL for known in points):
-            points.append(cp)
+        steps += k
+        # symmetry_distance does not depend on the orbit representative, bar roundoff
+        if all(symmetry_distance(th, known.config) >= _DEDUP_TOL for known in points):
+            points.append(CriticalPoint(th))
     points.sort(key=lambda p: p.value)
     return FamilyCatalog(
         n=int(n),
@@ -283,6 +294,7 @@ def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
             "seed": int(seed),
             "n_converged": max(0, int(n_starts)) - sum(failures.values()),
             "failures": failures,
+            "newton_steps": steps,
             # (-1)^index over each family's 2N / |Stab| copies in the cell: 1 = chi (Milnor)
             "euler_sum": sum((-1) ** p.morse_index[0] * 2 * int(n)
                              // int(_stabilizer(p.config).sum()) for p in points),

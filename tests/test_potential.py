@@ -17,7 +17,7 @@ from vortexeq import (
     ngon,
     potential,
 )
-from vortexeq.potential import _gradients
+from vortexeq.potential import _gradients, _hess
 
 SQRT2 = np.sqrt(2.0)
 
@@ -271,11 +271,14 @@ def angle_stacks(draw):
 @settings(max_examples=80, deadline=None, database=None)
 @given(angle_stacks())
 def test_stacked_gradient_rows_match_gradient(theta):
-    g, clear = _gradients(theta)
+    # the Newton step reads each accepted row's Hessian from the c and om of
+    # the stack, so both must match the one-row public functions bit for bit
+    g, c, om, clear = _gradients(theta)
     assert g.shape == theta.shape and clear.shape == theta.shape[:1]
-    for row, g_row, clear_row in zip(theta, g, clear):
+    for row, g_row, c_row, om_row, clear_row in zip(theta, g, c, om, clear):
         if clear_row:
             assert gradient(row).tobytes() == g_row.tobytes()
+            assert hessian(row).tobytes() == _hess(c_row, om_row).tobytes()
         else:
             with pytest.raises(AngularCollision):
                 gradient(row)
@@ -299,7 +302,7 @@ def reference_potential_hessian(row):
 @settings(max_examples=80, deadline=None, database=None)
 @given(angle_stacks())
 def test_potential_and_hessian_match_reference_formulas_bitwise(theta):
-    for row, clear in zip(theta, _gradients(theta)[1]):
+    for row, clear in zip(theta, _gradients(theta)[-1]):
         if clear:
             v, h = reference_potential_hessian(row)
             assert np.float64(potential(row)).tobytes() == np.float64(v).tobytes()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -30,22 +31,23 @@ from vortexeq.potential import _GRAD_TOL
 def sequential_newton(residual, step, x, tol, max_iter, collided, rescue=None):
     """Reference for ``search._newton``: the same damped Newton solve with the
     line search run one trial point at a time, alpha = 1, 1/2, ..., 2**-29,
-    and the same switch to ``rescue`` after a step accepted at k >= 5 or
-    not at all."""
-    f, clear = residual(x)
+    the step fed the by-products of the accepted point's residual, and the
+    same switch to ``rescue`` after a step accepted at k >= 5 or not at
+    all.  Returns (x, f, steps)."""
+    f, *aux, clear = residual(x)
     if not clear:
         raise collided
-    for _ in range(max_iter):
+    for steps in range(max_iter):
         if float(np.abs(f).max()) < tol:
-            return x, f
-        s = step(x, f)
+            return x, f, steps
+        s = step(x, f, *aux)
         f0 = float(f @ f)
         alpha = 1.0
         for k in range(30):
             trial = x + alpha * s
-            ft, clear = residual(trial)
+            ft, *trial_aux, clear = residual(trial)
             if clear and float(ft @ ft) < f0:
-                x, f = trial, ft
+                x, f, aux = trial, ft, trial_aux
                 break
             alpha *= 0.5
         else:
@@ -55,7 +57,7 @@ def sequential_newton(residual, step, x, tol, max_iter, collided, rescue=None):
         elif k == 30:
             raise NoConvergence("line search stalled before reaching tolerance")
     if float(np.abs(f).max()) < tol:
-        return x, f
+        return x, f, max_iter
     raise NoConvergence(f"no convergence within {max_iter} iterations")
 
 
@@ -387,8 +389,8 @@ def test_line_search_skips_collided_trials():
 
     for newton in (search._newton, sequential_newton):
         collided = AngularCollision("collided")
-        x, f = newton(residual, step, np.array([1.0]), 0.7, 1, collided)
-        assert x.tolist() == f.tolist() == [0.625]
+        x, f, steps = newton(residual, step, np.array([1.0]), 0.7, 1, collided)
+        assert x.tolist() == f.tolist() == [0.625] and steps == 1
         with pytest.raises(AngularCollision, match="^collided$") as raised:
             newton(residual, step, np.array([0.0]), 0.7, 1, collided)
         assert raised.value is collided
@@ -396,8 +398,9 @@ def test_line_search_skips_collided_trials():
 
 def test_newton_hands_over_to_rescue_after_a_short_step():
     # residual f = x from x = 1: the step -40 is first accepted at alpha = 2**-5
-    # (x = -0.25), so the rescue step takes over; the step -16 is accepted at
-    # alpha = 2**-4 (x = 0) and the rescue is never called
+    # (x = -0.25), so the rescue step takes over and lands on 0 in a second
+    # step; the step -16 is accepted at alpha = 2**-4 (x = 0) and the rescue
+    # is never called
     def residual(x):
         return x, np.isfinite(x[..., 0])
 
@@ -408,11 +411,11 @@ def test_newton_hands_over_to_rescue_after_a_short_step():
         return -x
 
     for newton in (search._newton, sequential_newton):
-        for step, seen in ((-40.0, [[-0.25]]), (-16.0, [])):
+        for step, seen, taken in ((-40.0, [[-0.25]], 2), (-16.0, [], 1)):
             calls.clear()
-            x, _ = newton(residual, lambda x, f: np.array([step]), np.array([1.0]), 1e-9, 3,
-                          AngularCollision("collided"), rescue)
-            assert x.tolist() == [0.0] and calls == seen
+            x, _, steps = newton(residual, lambda x, f: np.array([step]), np.array([1.0]),
+                                 1e-9, 3, AngularCollision("collided"), rescue)
+            assert x.tolist() == [0.0] and calls == seen and steps == taken
         # the cap counts Newton and rescue steps alike
         with pytest.raises(NoConvergence, match="^no convergence within 2 iterations$"):
             newton(residual, lambda x, f: np.array([-40.0]), np.array([1.0]), 1e-9, 2,
@@ -452,6 +455,59 @@ def test_multistart_matches_sequential_line_search(sequential, n, seed, starts):
     for p, q in zip(got.points, ref.points):
         np.testing.assert_array_equal(p.config, q.config)
         assert (p.value, p.morse_index, p.residual) == (q.value, q.morse_index, q.residual)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (6, 1), (9, 2), (12, 3)])
+def test_newton_steps_match_sequential_line_search(sequential, n, seed):
+    got = multistart_search(n, 30, seed=seed).metadata
+    ref = sequential(multistart_search, n, 30, seed).metadata
+    # every wedge start takes at least one step
+    assert got["newton_steps"] == ref["newton_steps"] >= got["n_converged"] > 0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_multistart_builds_a_point_only_for_a_new_family(monkeypatch, n, seed):
+    built = []
+
+    def counted(theta):
+        built.append(theta)
+        return CriticalPoint(theta)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "CriticalPoint", counted)
+        catalog = multistart_search(n, 60, seed=seed)
+    assert len(built) == len(catalog.points) > 0
+    # each family keeps the point of the first start that converged into it
+    rng = np.random.default_rng(seed)
+    refined = []
+    for _ in range(60):
+        try:
+            refined.append(newton_refine(sample_wedge(n, rng)).config)
+        except (NoConvergence, AngularCollision):
+            pass
+    for p in catalog.points:
+        first = next(c for c in refined if symmetry_distance(c, p.config) < search._DEDUP_TOL)
+        np.testing.assert_array_equal(p.config, first)
+
+
+def test_search_never_calls_the_validated_hessian(monkeypatch):
+    # the rescue test's start, so both the pinned and the LM step run
+    start = np.array([0.0, 2.721061, 3.151143, 4.889553, 5.970518])
+    want_point, want = newton_refine(start), multistart_search(8, 60, seed=2)
+    public = importlib.import_module("vortexeq.potential").hessian
+
+    def refuse(theta):
+        raise AssertionError("the validated hessian was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vortexeq") and getattr(module, "hessian", None) is public:
+            monkeypatch.setattr(module, "hessian", refuse)
+    point, got = newton_refine(start), multistart_search(8, 60, seed=2)
+    np.testing.assert_array_equal(point.config, want_point.config)
+    assert (point.value, point.residual) == (want_point.value, want_point.residual)
+    assert got.metadata == want.metadata
+    assert [p.config.tolist() for p in got.points] == [p.config.tolist() for p in want.points]
 
 
 def test_continuation_matches_sequential_line_search(
@@ -501,7 +557,8 @@ def test_multistart_with_pinv_step_finds_same_families(monkeypatch, n):
 
 
 def test_singular_newton_system_is_no_convergence(monkeypatch):
-    monkeypatch.setattr(search, "hessian", lambda t: np.zeros((t.size, t.size)))
+    # the step builds its Hessian with search._hess from the residual's geometry
+    monkeypatch.setattr(search, "_hess", lambda c, om: np.zeros_like(c))
     with pytest.raises(NoConvergence, match="^singular Newton system with theta_1 held$"):
         newton_refine(np.array([0.0, 1.0, 2.5, 4.0]))
     catalog = multistart_search(4, 5, seed=0)
