@@ -269,10 +269,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _trajectory_csv(traj, config: dict) -> str:
-    n_pts = traj.positions.shape[1]
-    cols = ["t"]
-    for j in range(n_pts):
-        cols += [f"x{j}", f"y{j}"]
+    cols = ["t"] + [f"{c}{j}" for j in range(traj.positions.shape[1]) for c in "xy"]
     lines = [
         f"# tool={TOOL_NAME} version={__version__}",
         "# config=" + json.dumps(config, sort_keys=True),
@@ -354,6 +351,13 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return value
+
+
 def _eps_values(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--starts", type=int, default=500)
     p_find.add_argument("--plot-data", action="store_true",
                         help="embed unit-circle point lists per family")
-    p_find.add_argument("--seed", type=int, default=0, help="RNG seed for the starts")
+    p_find.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed for the starts")
     p_find.set_defaults(func=cmd_find)
 
     p_spec = sub.add_parser("ngon-spectrum",
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--T", type=_positive_float, required=True, help="final time")
     p_sim.add_argument("--perturb", type=_nonnegative_float, default=0.0,
                        help="perturbation amplitude (0 = unperturbed)")
-    p_sim.add_argument("--seed", type=int, default=0,
+    p_sim.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="RNG seed for the perturbation")
     p_sim.set_defaults(func=cmd_simulate)
 

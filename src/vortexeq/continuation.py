@@ -24,7 +24,7 @@ from .errors import (
     NoConvergence,
     VortexCollision,
 )
-from .search import TWO_PI, CriticalPoint, _cyclic_gaps, _newton, _pinned_step
+from .search import CriticalPoint, _newton, _pinned_step, _stabilizer
 
 # Smallest distance allowed between two vortices.
 _COLLISION_GUARD = 1e-10
@@ -200,10 +200,10 @@ def _reduced_jacobian(r, theta, epsilon: float, a, b) -> np.ndarray:
     tangential rows are divided by r.  No two vortices may coincide.
     """
     n = r.size
-    e = np.exp(1j * theta)
-    z = r * e
+    zs, ct, st = _positions(r, theta, epsilon)
+    z, e = zs[1:], ct + 1j * st
     k = np.arange(n)
-    diff = z[:, None] - np.concatenate(([-epsilon * z.sum()], z))
+    diff = z[:, None] - zs
     diff[k, k + 1] = 1.0
     p = -1j * _gammas(epsilon, n) / (diff * diff)
     p[k, k + 1] = 0.0
@@ -215,21 +215,16 @@ def _reduced_jacobian(r, theta, epsilon: float, a, b) -> np.ndarray:
     rot[k, k] -= 1j * e
     rot[k, k + n] += z
     # a + i b = e^{-i theta} M, so d/dtheta_j gains -i (a_j + i b_j)
-    rot *= (np.cos(theta) - 1j * np.sin(theta))[:, None]
+    rot *= (ct - 1j * st)[:, None]
     rot[k, k + n] -= 1j * (a + 1j * b)
     jac = np.vstack((rot.real, rot.imag / r[:, None]))
     jac[k + n, k] -= b / r**2
     return jac
 
 
-def _is_ngon(config: np.ndarray) -> bool:
-    gaps = _cyclic_gaps(config)
-    return bool(np.abs(gaps - TWO_PI / config.size).max() < 1e-8)
-
-
 def epsilon_ceiling(cp: CriticalPoint) -> float:
     """Continuation ceiling on |eps|: 0.05, or min(0.05, 1/N^2) for ring seeds."""
-    if _is_ngon(cp.config):
+    if _stabilizer(cp.config).all():  # all relabelings and reflections fix the gaps
         return min(_EPS_CEILING, 1.0 / cp.config.size**2)
     return _EPS_CEILING
 

@@ -70,13 +70,13 @@ class CriticalPoint:
     reflection_symmetric: bool = field(init=False)
 
     def __post_init__(self):
-        self.config = canon = canonicalize(self.config)
-        g = gradient(canon)  # the public one: perfbench traces it inside newton_refine
-        _, c, om, _ = _geometry(canon)  # one geometry for the Hessian and V
+        self.config, stab = _canonical(_angles(self.config))
+        g = gradient(self.config)  # checks collisions; public, as perfbench traces it
+        _, c, om, _ = _geometry(self.config)  # one geometry for the Hessian and V
         self.cls, self.spectrum, self.morse_index = _classify(g, _hess(c, om))
         self.residual = float(np.abs(g).max())
         self.value = _value(c)
-        self.reflection_symmetric = bool(_stabilizer(canon)[canon.size :].any())
+        self.reflection_symmetric = bool(stab[self.config.size :].any())
 
 
 @dataclass
@@ -96,47 +96,45 @@ def _cyclic_gaps(theta) -> np.ndarray:
     return gaps
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if abs(x - y) > _LEX_FUZZ:
-            return x < y
-    return False
-
-
 def _symmetry_orbit(gaps: np.ndarray) -> np.ndarray:
     # rows 0..N-1 are the cyclic shifts of gaps, rows N..2N-1 those of its reversal
     idx = np.add.outer(np.arange(gaps.size), np.arange(gaps.size)) % gaps.size
     return gaps[np.vstack((idx, gaps.size - 1 - idx))]
 
 
-def _stabilizer(theta) -> np.ndarray:
-    # which rows of _symmetry_orbit (N relabelings, N reflections) fix the gaps
+def _canonical(theta) -> tuple[np.ndarray, np.ndarray]:
+    # canonicalize's angles, unvalidated, and which _symmetry_orbit rows fix the
+    # gaps; rows are filtered column by column until the first ties all the rest
     gaps = _cyclic_gaps(theta)
-    return np.abs(gaps - _symmetry_orbit(gaps)).max(axis=1) < 1e-8
+    orbit = _symmetry_orbit(gaps)
+    rows, j = np.arange(len(orbit)), 0
+    while rows.size > 1 and np.abs(orbit[rows] - orbit[rows[0]]).max() > _LEX_FUZZ:
+        rows = rows[orbit[rows, j] - orbit[rows, j].min() <= _LEX_FUZZ]
+        j += 1
+    out = np.concatenate(([0.0], np.cumsum(orbit[rows[0], :-1])))
+    return out, np.abs(gaps - orbit).max(axis=1) < 1e-8
+
+
+def _stabilizer(theta) -> np.ndarray:
+    return _canonical(theta)[1]
 
 
 def canonicalize(theta) -> np.ndarray:
     """Reduce to the canonical representative of the symmetry orbit.
 
     The result has theta_1 = 0 and ascending angles in [0, 2*pi); among the
-    N cyclic relabelings and the reflection theta -> -theta it realizes the
-    lexicographically smallest gap sequence.  Idempotent.
+    N cyclic relabelings and their reflections it realizes the
+    lexicographically smallest gap sequence.  Entries within 1e-9 count as
+    equal, and of tied rows the first in orbit order wins: the cyclic shifts
+    of the sorted gaps, then those of their reversal.  Idempotent.
     """
     _checked(_geometry, theta)  # raises on malformed or colliding angles
-    gaps = _cyclic_gaps(theta)
-    best = gaps
-    for cand in _symmetry_orbit(gaps):
-        if _lex_less(cand, best):
-            best = cand
-    out = np.zeros(gaps.size)
-    out[1:] = np.cumsum(best[:-1])
-    return out
+    return _canonical(theta)[0]
 
 
 def symmetry_distance(theta_a, theta_b) -> float:
     """Sup-distance between gap sequences, minimized over the symmetry group."""
-    ga = _cyclic_gaps(np.asarray(theta_a, dtype=float))
-    gb = _cyclic_gaps(np.asarray(theta_b, dtype=float))
+    ga, gb = _cyclic_gaps(theta_a), _cyclic_gaps(theta_b)
     if ga.size != gb.size:
         return float("inf")
     return float(np.abs(ga - _symmetry_orbit(gb)).max(axis=1).min())

@@ -136,14 +136,9 @@ def asymptotic_eigenvalues(cp: CriticalPoint, epsilon: float) -> np.ndarray:
         raise DegenerateSeed("asymptotic spectrum needs a nondegenerate seed")
     ev = cp.spectrum.eigenvalues
     keep = np.argsort(np.abs(ev))[cp.spectrum.zero_count:]
-    zeta = ev[keep]
-    out = []
-    for z in zeta:
-        val = np.sqrt(complex(-2.0 * z * epsilon))
-        out.extend((val, -val))
-    arr = np.asarray(out, dtype=complex)
-    order = np.lexsort((arr.imag, arr.real))
-    return arr[order]
+    val = np.sqrt((-2.0 * epsilon) * ev[keep] + 0j)
+    arr = np.column_stack((val, -val)).ravel()  # each pair +val, -val in turn
+    return arr[np.lexsort((arr.imag, arr.real))]
 
 
 def cabral_schmidt_check(

@@ -167,6 +167,15 @@ def test_find_plot_data(tmp_path, capsys):
         np.testing.assert_allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0, atol=1e-12)
 
 
+def test_find_rejects_a_negative_seed(tmp_path, capsys):
+    # a usage error before the search starts, so no file is written
+    path = tmp_path / "cat.json"
+    assert run_usage_error("find", "--n", "3", "--starts", "5", "--seed", "-1",
+                           "--out", str(path)) == 2
+    assert "argument --seed:" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_find_usage_errors():
     assert run_usage_error("find", "--n", "1") == 2
     assert run_usage_error("find", "--n", "3", "--starts", "-4") == 2
@@ -652,12 +661,12 @@ def test_simulate_usage_errors(equilibria_path):
 
 
 # None of these may reach the integrator: an infinite --T overflows the step
-# count, an infinite --h or --perturb writes NaN rows, and a NaN --perturb
+# count, an infinite --h or --perturb writes NaN rows, a NaN --perturb
 # is skipped by the amplitude test yet written into the JSON config as NaN,
-# which is not JSON.
+# which is not JSON, and no random generator takes a negative --seed.
 @pytest.mark.parametrize("flag,value", [
     ("--h", "inf"), ("--h", "nan"), ("--T", "inf"), ("--T", "nan"),
-    ("--perturb", "-1e-6"), ("--perturb", "inf"), ("--perturb", "nan"),
+    ("--perturb", "-1e-6"), ("--perturb", "inf"), ("--perturb", "nan"), ("--seed", "-1"),
 ])
 def test_simulate_rejects_non_finite_values(equilibria_path, capsys, flag, value):
     argv = {"--h": "0.1", "--T": "1", "--perturb": "1e-6", flag: value}

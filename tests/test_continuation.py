@@ -239,6 +239,13 @@ def test_ring_epsilon_ceiling():
         continue_equilibrium(point, 0.02)
     point3 = newton_refine(np.array([0.0, np.pi / 4, np.pi / 2]))
     assert epsilon_ceiling(point3) == pytest.approx(0.05, abs=1e-15)
+    # the ring is told by its gaps alone, whatever the labels, orientation
+    # and rotation; the N = 2 pair with gaps (pi/3, 5 pi/3) is no ring
+    rng = np.random.default_rng(2)
+    for n in (5, 7, 10):
+        image = CriticalPoint(-ngon(n)[rng.permutation(n)] + 0.7)
+        assert epsilon_ceiling(image) == pytest.approx(1.0 / n**2, abs=1e-15)
+    assert epsilon_ceiling(CriticalPoint([0.0, np.pi / 3])) == pytest.approx(0.05, abs=1e-15)
 
 
 def test_degenerate_seed_rejected(degenerate_point):

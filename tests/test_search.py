@@ -71,6 +71,28 @@ def pinv_step(h, g):
     return -q @ (inv * (q.T @ g))
 
 
+def lex_less(a, b):
+    """Reference order for ``search._canonical``: a before b at the first
+    entry where they differ by more than ``_LEX_FUZZ``."""
+    for x, y in zip(a, b):
+        if abs(x - y) > search._LEX_FUZZ:
+            return x < y
+    return False
+
+
+def lex_scan_canonicalize(theta):
+    """Reference for ``canonicalize``: the orbit rows scanned one at a time in
+    orbit order, a row replacing the best so far only when ``lex_less``."""
+    gaps = search._cyclic_gaps(theta)
+    best = gaps
+    for cand in search._symmetry_orbit(gaps):
+        if lex_less(cand, best):
+            best = cand
+    out = np.zeros(gaps.size)
+    out[1:] = np.cumsum(best[:-1])
+    return out
+
+
 @pytest.fixture
 def sequential(monkeypatch):
     """Run ``fn`` with the reference line search in place of the library's."""
@@ -123,6 +145,58 @@ def test_canonicalize_permutation_invariant():
         np.testing.assert_allclose(
             canonicalize(theta[perm]), canonicalize(theta), atol=1e-12
         )
+
+
+def test_canonicalize_picks_the_lex_scan_row_on_every_orbit_image(census_catalogs):
+    # each family relabelled or reflected (one image per orbit row of its
+    # gaps), rotated and listed in a shuffled order comes back to the stored
+    # angles, as the one-row-at-a-time scan picks them, with its reflection flag
+    rng = np.random.default_rng(5)
+    for n, catalog in census_catalogs.items():
+        for p in catalog.points:
+            for k, row in enumerate(search._symmetry_orbit(search._cyclic_gaps(p.config))):
+                image = np.concatenate(([0.0], np.cumsum(row[:-1]))) + 0.37 * k - 1.1
+                image = image[rng.permutation(n)]
+                got = canonicalize(image)
+                np.testing.assert_allclose(got, lex_scan_canonicalize(image), atol=1e-12)
+                np.testing.assert_allclose(got, p.config, atol=1e-12)
+                assert CriticalPoint(image).reflection_symmetric == p.reflection_symmetric
+
+
+def test_canonicalize_breaks_near_ties_at_a_later_entry():
+    # the gaps a = 1 + 5e-10 and b = 1 tie within _LEX_FUZZ, and so do the
+    # rows (a, 1.2, b, 1.3, ...) and (b, 1.2, a, ...); the fourth entry puts
+    # the row from a first, where an exact lexicographic order starts from b
+    a, b = 1.0 + 5e-10, 1.0
+    gaps = np.array([a, 1.2, b, 1.3, 2 * np.pi - a - b - 2.5])
+    theta = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    orbit = search._symmetry_orbit(search._cyclic_gaps(theta))
+    exact = orbit[np.lexsort(orbit.T[::-1])[0]]
+    assert exact[0] == pytest.approx(b, abs=1e-12)
+    for image in (theta, -theta + 2.0):
+        got = canonicalize(image)
+        np.testing.assert_array_equal(got, lex_scan_canonicalize(image))
+        np.testing.assert_allclose(np.diff(got), gaps[:-1], atol=1e-12)
+        assert np.abs(np.diff(got) - exact[:-1]).max() > 0.4
+
+
+def test_critical_point_builds_one_geometry_and_one_orbit(monkeypatch, min3_point):
+    calls = {"_geometry": 0, "_symmetry_orbit": 0}
+
+    def counting(name):
+        kernel = getattr(search, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counting(name))
+    point = CriticalPoint(-min3_point.config + 0.5)
+    np.testing.assert_allclose(point.config, min3_point.config, atol=1e-12)
+    assert calls == {"_geometry": 1, "_symmetry_orbit": 1}
 
 
 def test_symmetry_distance_zero_on_orbit():
