@@ -24,7 +24,7 @@ from .errors import (
     NoConvergence,
     VortexCollision,
 )
-from .search import CriticalPoint, _newton, _pinned_step, _stabilizer
+from .search import CriticalPoint, _newton
 
 # Smallest distance allowed between two vortices.
 _COLLISION_GUARD = 1e-10
@@ -224,7 +224,7 @@ def _reduced_jacobian(r, theta, epsilon: float, a, b) -> np.ndarray:
 
 def epsilon_ceiling(cp: CriticalPoint) -> float:
     """Continuation ceiling on |eps|: 0.05, or min(0.05, 1/N^2) for ring seeds."""
-    if _stabilizer(cp.config).all():  # all relabelings and reflections fix the gaps
+    if cp.symmetry_order == 2 * cp.config.size:  # all relabelings and reflections fix the gaps
         return min(_EPS_CEILING, 1.0 / cp.config.size**2)
     return _EPS_CEILING
 
@@ -245,17 +245,12 @@ def _checked_epsilons(cp: CriticalPoint, eps_list) -> list[float]:
 def _solve(cp: CriticalPoint, epsilon: float, x0: np.ndarray) -> RelativeEquilibrium:
     """Newton solve of the reduced field at eps from the state x0 = (r, theta)."""
     n = cp.config.size
-    # Every vortex motion conserves sum Gamma_j |q_j|^2, so at any state
-    # sum r_j a_j + eps Re(conj(sum z_k) sum M_j) = 0: row a_1 is redundant,
-    # and _pinned_step drops it and holds theta_1, unknown n.
-    keep = np.arange(2 * n) != n
-
-    def step(z: np.ndarray, fz: np.ndarray) -> np.ndarray:
-        jac = _reduced_jacobian(z[:n], z[n:], epsilon, fz[:n], fz[n:] * z[:n])
-        return _pinned_step(jac, fz, keep)
-
-    x, _, _ = _newton(lambda z: _augmented_system(z, epsilon), step, x0,
-                      _RELEQ_TOL, _RELEQ_MAX_ITER, VortexCollision(_COLLIDED))
+    # row a_1 is redundant: sum r_j a_j + eps Re(conj(sum z_k) sum M_j) = 0 (angular impulse)
+    x, _, _ = _newton(
+        lambda z: _augmented_system(z, epsilon),
+        lambda z, fz: _reduced_jacobian(z[:n], z[n:], epsilon, fz[:n], fz[n:] * z[:n]),
+        x0, n, _RELEQ_TOL, _RELEQ_MAX_ITER, VortexCollision(_COLLIDED))
+    x[n:] += x0[n] - x[n]  # an LM step moves theta_1; the field is rotation invariant
     return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=epsilon)
 
 
@@ -268,10 +263,10 @@ def continue_equilibrium(cp: CriticalPoint, epsilon: float) -> RelativeEquilibri
     ``linearize`` differentiates, and the Newton step uses the same
     closed-form ``_reduced_jacobian``.  The angular impulse identity
     sum r_j a_j + O(eps) = 0 makes row a_1 redundant, so ``search._newton``
-    takes square LU steps without row a_1 and column theta_1, halved until
-    the squared 2-norm of the field drops.  Convergence means all 2N below
-    1e-12 in sup-norm within 60 steps; theta columns scale like eps, so
-    theta is fixed only to 1e-12/|eps|.
+    takes square LU steps without row a_1 and column theta_1, switching to
+    Levenberg-Marquardt steps as the search does; their theta_1 is turned back.
+    Convergence means all 2N below 1e-12 in sup-norm within 60 steps; theta
+    columns scale like eps, so theta is fixed only to 1e-12/|eps|.
 
     Raises DegenerateSeed unless the seed has exactly one zero Hessian
     eigenvalue, InvalidEpsilon unless 0 < |eps| <= the ceiling,

@@ -68,6 +68,7 @@ class CriticalPoint:
     residual: float = field(init=False)
     value: float = field(init=False)
     reflection_symmetric: bool = field(init=False)
+    symmetry_order: int = field(init=False)  # |Stab|: relabelings and reflections fixing the gaps
 
     def __post_init__(self):
         self.config, stab = _canonical(_angles(self.config))
@@ -77,6 +78,7 @@ class CriticalPoint:
         self.residual = float(np.abs(g).max())
         self.value = _value(c)
         self.reflection_symmetric = bool(stab[self.config.size :].any())
+        self.symmetry_order = int(stab.sum())
 
 
 @dataclass
@@ -115,10 +117,6 @@ def _canonical(theta) -> tuple[np.ndarray, np.ndarray]:
     return out, np.abs(gaps - orbit).max(axis=1) < 1e-8
 
 
-def _stabilizer(theta) -> np.ndarray:
-    return _canonical(theta)[1]
-
-
 def canonicalize(theta) -> np.ndarray:
     """Reduce to the canonical representative of the symmetry orbit.
 
@@ -152,10 +150,14 @@ def _pinned_step(jac: np.ndarray, f: np.ndarray, keep) -> np.ndarray:
     return s
 
 
-def _lm_step(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Levenberg-Marquardt step (Yamashita and Fukushima 2001): (H^2 + ||g||_2^2 I
-    # + 11^T / N) s = -H g; the rank-one term lifts the rotation direction of H
-    return np.linalg.solve(h @ h + (g @ g) * np.eye(g.size) + 1.0 / g.size, -(h @ g))
+def _lm_step(jac: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
+    # Levenberg-Marquardt step (Yamashita and Fukushima 2001): (J^T J + ||f||_2^2 I
+    # + w w^T) s = -J^T f, w the unit common rotation of the last n unknowns; a
+    # C-ordered J^T keeps the search's products bit for bit those of H @ H and H @ g
+    jt = np.ascontiguousarray(jac.T)
+    a = jt @ jac + (f @ f) * np.eye(len(jt))
+    a[-n:, -n:] += 1.0 / n
+    return np.linalg.solve(a, -(jt @ f))
 
 
 _ALPHA = np.ldexp(1.0, -np.arange(30))[:, None]  # line-search steps 2**-k, k = 0..29
@@ -182,31 +184,34 @@ def _backtrack(residual, x: np.ndarray, s: np.ndarray, f: np.ndarray, aux: list)
     return x, f, aux, len(_ALPHA)
 
 
-def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: Exception,
-            rescue=None):
+def _newton(residual, jacobian, x: np.ndarray, n: int, tol: float, max_iter: int,
+            collided: Exception):
     """Damped Newton solve of residual(x) = 0, shared by search and continuation.
 
-    ``residual`` maps points (..., n), with or without a stack axis, to
-    their residuals (..., m), any by-products of them that the step reads,
-    and flags (...) that are False where a point collides.
-    ``step(x, f, *by-products)`` is the full Newton step at x; ``_backtrack``
-    halves it until ||f||_2^2 drops and never accepts a colliding trial.
-    The first step it accepts only at k >= _LM_SWITCH_K, or not at all, hands
-    the rest of the solve to the step function ``rescue``, if given.
+    ``residual`` maps points (..., m), with or without a stack axis, to their
+    residuals (..., m), any by-products that ``jacobian(x, f, *by-products)``
+    reads, and flags (...) that are False where a point collides.  A common
+    rotation moves the last ``n`` unknowns alike.  Steps are ``_pinned_step``
+    (theta_1 = x[-n] held) until ``_backtrack``, which halves a step until
+    ||f||_2^2 drops and skips colliding trials, first accepts one only at
+    k >= _LM_SWITCH_K or not at all, and ``_lm_step`` from then on.
     Returns (x, f, steps) once ||f||_inf < tol, after steps <= ``max_iter``
-    Newton and rescue steps.  Raises ``collided``, the caller's collision
-    error for its geometry, if x collides, and NoConvergence when the line
-    search stalls past any switch or the cap is reached.
+    steps of both kinds.  Raises ``collided``, the caller's collision error
+    for its geometry, if x collides, and NoConvergence when the line search
+    stalls after the switch or the cap is reached.
     """
     f, *aux, clear = residual(x)
     if not clear:
         raise collided
+    keep, lm = np.arange(x.size) != x.size - n, False
     for steps in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f, steps
-        x, f, aux, k = _backtrack(residual, x, step(x, f, *aux), f, aux)
-        if k >= _LM_SWITCH_K and rescue is not None:
-            step, rescue = rescue, None
+        jac = jacobian(x, f, *aux)
+        s = _lm_step(jac, f, n) if lm else _pinned_step(jac, f, keep)
+        x, f, aux, k = _backtrack(residual, x, s, f, aux)
+        if k >= _LM_SWITCH_K and not lm:
+            lm = True
         elif k == len(_ALPHA):
             raise NoConvergence("line search stalled before reaching tolerance")
     if float(np.abs(f).max()) < tol:
@@ -217,17 +222,15 @@ def _newton(residual, step, x: np.ndarray, tol: float, max_iter: int, collided: 
 def _refine(theta0) -> tuple[np.ndarray, int]:
     # newton_refine's solve: the uncanonicalized angles it reaches and its step count
     th0 = _angles(theta0)
-    th, _, steps = _newton(
-        _gradients, lambda t, g, c, om: _pinned_step(_hess(c, om), g, slice(1, None)), th0,
-        _newton_tol(th0.size), _NEWTON_MAX_ITER, AngularCollision(_COLLIDED),
-        lambda t, g, c, om: _lm_step(_hess(c, om), g))
+    th, _, steps = _newton(_gradients, lambda t, g, c, om: _hess(c, om), th0, th0.size,
+                           _newton_tol(th0.size), _NEWTON_MAX_ITER, AngularCollision(_COLLIDED))
     return th, steps
 
 
 def newton_refine(theta0) -> CriticalPoint:
     """Damped Newton refinement of theta0 to a critical point.
 
-    Runs the shared driver ``_newton`` on grad V.  The step solves the
+    Runs ``_newton`` on grad V, the Hessian its Jacobian.  The step solves the
     Newton system with theta_1 held, which removes the rotation direction;
     the line search on ||grad V||^2 halves it up to 29 times.  From the first
     step accepted only at alpha <= 2**-5, or not at all, ``_lm_step`` takes
@@ -294,7 +297,7 @@ def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
             "failures": failures,
             "newton_steps": steps,
             # (-1)^index over each family's 2N / |Stab| copies in the cell: 1 = chi (Milnor)
-            "euler_sum": sum((-1) ** p.morse_index[0] * 2 * int(n)
-                             // int(_stabilizer(p.config).sum()) for p in points),
+            "euler_sum": sum((-1) ** p.morse_index[0] * 2 * int(n) // p.symmetry_order
+                             for p in points),
         },
     )

@@ -28,7 +28,7 @@ from vortexeq import (
     symmetry_distance,
     verify_lemma1_scaling,
 )
-from vortexeq import continuation
+from vortexeq import continuation, search
 from vortexeq.continuation import (
     _augmented_system,
     _gammas,
@@ -248,6 +248,13 @@ def test_ring_epsilon_ceiling():
     assert epsilon_ceiling(CriticalPoint([0.0, np.pi / 3])) == pytest.approx(0.05, abs=1e-15)
 
 
+def test_epsilon_ceiling_reads_the_stored_symmetry_order(ring_points, min3_point, monkeypatch):
+    # the ring test reads CriticalPoint.symmetry_order and builds no orbit
+    monkeypatch.setattr(search, "_symmetry_orbit", None)
+    assert [epsilon_ceiling(cp) for cp in ring_points.values()] == [0.05, 1 / 25, 1 / 100]
+    assert epsilon_ceiling(min3_point) == 0.05
+
+
 def test_degenerate_seed_rejected(degenerate_point):
     assert degenerate_point.cls is CriticalPointClass.DEGENERATE
     assert degenerate_point.morse_index == (0, 3, 0)
@@ -293,6 +300,25 @@ def test_fine_increasing_steps_keep_their_warm_starts(min3_point):
     for eq, expected in zip(family, chain, strict=True):
         np.testing.assert_array_equal(eq.r, expected.r)
         np.testing.assert_array_equal(eq.theta, expected.theta)
+
+
+def test_continuation_hands_over_to_lm(census_catalogs, monkeypatch):
+    # the N = 9 family (1, 1, 7) at eps = -0.05: a pinned Newton step is first
+    # accepted only at alpha <= 2**-5, LM steps finish the solve, and theta_1
+    # is turned back to the seed's
+    cp = census_catalogs[9].points[1]
+    assert cp.morse_index == (1, 1, 7)
+    with monkeypatch.context() as m:
+        m.setattr(search, "_LM_SWITCH_K", 31)  # pinned Newton steps only
+        pinned = continue_equilibrium(cp, -0.05)
+    calls = []
+    lm_step = search._lm_step
+    monkeypatch.setattr(search, "_lm_step", lambda *args: calls.append(1) or lm_step(*args))
+    eq = continue_equilibrium(cp, -0.05)
+    assert calls
+    assert eq.theta[0] == 0.0 == cp.config[0]
+    assert np.abs(reduced_field(eq.r, eq.theta, eq.epsilon)).max() < 1e-12
+    assert np.abs(np.concatenate((eq.r - pinned.r, eq.theta - pinned.theta))).max() <= 1e-14
 
 
 def test_sweep_partial_on_failure(min3_point, monkeypatch):

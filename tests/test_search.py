@@ -28,19 +28,22 @@ from vortexeq import continuation, search
 from vortexeq.potential import _GRAD_TOL
 
 
-def sequential_newton(residual, step, x, tol, max_iter, collided, rescue=None):
+def sequential_newton(residual, jacobian, x, n, tol, max_iter, collided):
     """Reference for ``search._newton``: the same damped Newton solve with the
     line search run one trial point at a time, alpha = 1, 1/2, ..., 2**-29,
-    the step fed the by-products of the accepted point's residual, and the
-    same switch to ``rescue`` after a step accepted at k >= 5 or not at
-    all.  Returns (x, f, steps)."""
+    the Jacobian fed the by-products of the accepted point's residual, and the
+    same switch from ``search._pinned_step``, without equation 0 and with
+    x[-n] held, to ``search._lm_step`` after a step accepted at k >= 5 or not
+    at all.  Returns (x, f, steps)."""
     f, *aux, clear = residual(x)
     if not clear:
         raise collided
+    keep, lm = np.arange(x.size) != x.size - n, False
     for steps in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f, steps
-        s = step(x, f, *aux)
+        jac = jacobian(x, f, *aux)
+        s = search._lm_step(jac, f, n) if lm else search._pinned_step(jac, f, keep)
         f0 = float(f @ f)
         alpha = 1.0
         for k in range(30):
@@ -52,8 +55,8 @@ def sequential_newton(residual, step, x, tol, max_iter, collided, rescue=None):
             alpha *= 0.5
         else:
             k = 30
-        if k >= 5 and rescue is not None:
-            step, rescue = rescue, None
+        if k >= 5 and not lm:
+            lm = True
         elif k == 30:
             raise NoConvergence("line search stalled before reaching tolerance")
     if float(np.abs(f).max()) < tol:
@@ -436,7 +439,9 @@ def test_census_euler_characteristic(census_catalogs):
     for n, catalog in census_catalogs.items():
         total = 0
         for p in catalog.points:
-            stab = int(search._stabilizer(p.config).sum())
+            gaps = search._cyclic_gaps(p.config)
+            stab = int((np.abs(gaps - search._symmetry_orbit(gaps)).max(axis=1) < 1e-8).sum())
+            assert stab == p.symmetry_order, (n, p.config)
             assert (2 * n) % stab == 0, (n, p.config)
             total += (-1) ** p.morse_index[0] * (2 * n // stab)
         assert total == catalog.metadata["euler_sum"] == 1, n
@@ -446,54 +451,67 @@ def test_stabilizer_orders():
     # the ring is fixed by all N relabelings and N reflections, a generic
     # ordered configuration by the identity alone
     for n in (2, 5, 8):
-        assert search._stabilizer(ngon(n)).all()
-    flags = search._stabilizer([0.0, 0.3, 1.1, 2.9])
+        assert CriticalPoint(ngon(n)).symmetry_order == 2 * n
+    flags = search._canonical([0.0, 0.3, 1.1, 2.9])[1]
     assert flags.tolist() == [True] + [False] * 7
 
 
 def test_line_search_skips_collided_trials():
-    # residual f = x, colliding on [-0.6, 0.3]: from x = 1 the step -3 gives
-    # trials -2 (merit up), then -0.5 and 0.25 (lower merit, collided), then
-    # 0.625, the first to count
+    # unknowns (u, theta), theta held, and residual f = (0, u), colliding on
+    # [-0.5, 0.45]: the Jacobian entry 1/4 gives the step -3, so from u = 0.75
+    # the trials are -2.25 (merit up), -0.75 (merit equal), then 0 and 0.375
+    # (lower merit, collided), then 0.5625, the first to count
     def residual(x):
-        return x, np.abs(x[..., 0] + 0.15) > 0.45
+        u = x[..., 0]
+        return np.stack((np.zeros_like(u), u), axis=-1), np.abs(u + 0.025) > 0.475
 
-    def step(x, f):
-        return np.array([-3.0])
+    def jacobian(x, f):
+        return np.array([[0.0, 0.0], [0.25, 0.0]])
 
     for newton in (search._newton, sequential_newton):
         collided = AngularCollision("collided")
-        x, f, steps = newton(residual, step, np.array([1.0]), 0.7, 1, collided)
-        assert x.tolist() == f.tolist() == [0.625] and steps == 1
+        x, f, steps = newton(residual, jacobian, np.array([0.75, 1.0]), 1, 0.6, 1, collided)
+        assert x.tolist() == [0.5625, 1.0] and f.tolist() == [0.0, 0.5625] and steps == 1
         with pytest.raises(AngularCollision, match="^collided$") as raised:
-            newton(residual, step, np.array([0.0]), 0.7, 1, collided)
+            newton(residual, jacobian, np.array([0.0, 1.0]), 1, 0.6, 1, collided)
         assert raised.value is collided
 
 
-def test_newton_hands_over_to_rescue_after_a_short_step():
-    # residual f = x from x = 1: the step -40 is first accepted at alpha = 2**-5
-    # (x = -0.25), so the rescue step takes over and lands on 0 in a second
-    # step; the step -16 is accepted at alpha = 2**-4 (x = 0) and the rescue
-    # is never called
-    def residual(x):
-        return x, np.isfinite(x[..., 0])
-
+def test_newton_hands_over_to_rescue_after_a_short_step(monkeypatch):
+    # unknowns (u, theta), theta held, and residual f = (0, u), whose Jacobian
+    # entry is c above u = 0.5 and 1 below.  From u = 0.75, c = 3/128 gives the
+    # step -32, first accepted at alpha = 2**-5 (u = -0.25), so LM steps take
+    # over and converge in three; c = 3/64 gives the step -16, accepted at
+    # alpha = 2**-4 (u = -0.25), and a second pinned step lands on 0
     calls = []
 
-    def rescue(x, f):
-        calls.append(x.tolist())
-        return -x
+    def spied(name):
+        step = getattr(search, name)
+        return lambda *args: calls.append(name) or step(*args)
 
+    for name in ("_pinned_step", "_lm_step"):
+        monkeypatch.setattr(search, name, spied(name))
+
+    def residual(x):
+        return np.stack((np.zeros_like(x[..., 0]), x[..., 0]), axis=-1), np.isfinite(x[..., 0])
+
+    def jacobian(c):
+        return lambda x, f: np.array([[0.0, 0.0], [c if x[0] > 0.5 else 1.0, 0.0]])
+
+    pinned, lm = "_pinned_step", "_lm_step"
     for newton in (search._newton, sequential_newton):
-        for step, seen, taken in ((-40.0, [[-0.25]], 2), (-16.0, [], 1)):
+        for c, seen in ((3 / 128, [pinned, lm, lm, lm]), (3 / 64, [pinned, pinned])):
             calls.clear()
-            x, _, steps = newton(residual, lambda x, f: np.array([step]), np.array([1.0]),
-                                 1e-9, 3, AngularCollision("collided"), rescue)
-            assert x.tolist() == [0.0] and calls == seen and steps == taken
-        # the cap counts Newton and rescue steps alike
+            x, _, steps = newton(residual, jacobian(c), np.array([0.75, 1.0]), 1, 1e-9, 5,
+                                 AngularCollision("collided"))
+            assert abs(x[0]) < 1e-9 and x[1] == 1.0 and calls == seen and steps == len(seen)
+        assert x[0] == 0.0
+        # the cap counts pinned and LM steps alike
+        calls.clear()
         with pytest.raises(NoConvergence, match="^no convergence within 2 iterations$"):
-            newton(residual, lambda x, f: np.array([-40.0]), np.array([1.0]), 1e-9, 2,
-                   AngularCollision("collided"), lambda x, f: -0.5 * x)
+            newton(residual, jacobian(3 / 128), np.array([0.75, 1.0]), 1, 1e-9, 2,
+                   AngularCollision("collided"))
+        assert calls == [pinned, lm]
 
 
 def test_lm_step_is_the_damped_least_squares_step():
@@ -503,15 +521,28 @@ def test_lm_step_is_the_damped_least_squares_step():
     for n in (2, 5, 12):
         theta = sample_wedge(n, rng)
         h, g = hessian(theta), gradient(theta)
-        s = search._lm_step(h, g)
+        s = search._lm_step(h, g, n)
         a = h @ h + (g @ g) * np.eye(n) + np.ones((n, n)) / n
         np.testing.assert_allclose(a @ s, -h @ g, rtol=1e-10, atol=1e-12 * np.abs(h @ g).max())
         assert abs(s.sum()) <= 1e-12 * np.abs(s).max() * n
     # next to the N = 2 maximum ||g||^2 is below the roundoff of H^2, so without
     # the rank-one term the system is singular; with it the step lands on the gap pi
     theta = np.array([0.0, np.pi + 1e-9])
-    s = search._lm_step(hessian(theta), gradient(theta))
+    s = search._lm_step(hessian(theta), gradient(theta), 2)
     assert abs(np.diff(theta + s)[0] - np.pi) < 1e-15
+    # continuation's (r, theta): (J^T J + ||f||^2 I + w w^T) s = -J^T f, w the
+    # unit common rotation of theta, and as J w = 0 the step has no component
+    # along (0, 1, ..., 1)
+    for n in (3, 6, 9):
+        r, theta, eps = 1.0 + 0.02 * rng.standard_normal(n), sample_wedge(n, rng), -0.03
+        f, _ = continuation._augmented_system(np.concatenate((r, theta)), eps)
+        jac = continuation._reduced_jacobian(r, theta, eps, f[:n], f[n:] * r)
+        s = search._lm_step(jac, f, n)
+        w = np.concatenate((np.zeros(n), np.ones(n)))
+        a = jac.T @ jac + (f @ f) * np.eye(2 * n) + np.outer(w, w) / n
+        rhs = jac.T @ f
+        np.testing.assert_allclose(a @ s, -rhs, rtol=1e-10, atol=1e-12 * np.abs(rhs).max())
+        assert abs(s @ w) <= 1e-12 * np.abs(s).max() * n
 
 
 # N = 15, 20 and 30 split the 25-row stack: at most 4096 // N^2 rows per call.
@@ -585,19 +616,20 @@ def test_search_never_calls_the_validated_hessian(monkeypatch):
 
 
 def test_continuation_matches_sequential_line_search(
-    sequential, triangle_point, collinear_point, catalog3, catalog4, ring_points
+    sequential, triangle_point, collinear_point, catalog3, catalog4, ring_points, census_catalogs
 ):
     seeds = [triangle_point, collinear_point, *catalog3.points, *catalog4.points]
     seeds += ring_points.values()
     seeds = [cp for cp in seeds if cp.morse_index[1] == 1]
     assert len(seeds) >= 10
-    for cp in seeds:
-        for eps in (1e-3, -1e-3):
-            got = continue_equilibrium(cp, eps)
-            ref = sequential(continue_equilibrium, cp, eps)
-            np.testing.assert_array_equal(got.r, ref.r)
-            np.testing.assert_array_equal(got.theta, ref.theta)
-            assert got.residual == ref.residual
+    # the last solve hands over to LM steps
+    cases = [(cp, eps) for cp in seeds for eps in (1e-3, -1e-3)]
+    for cp, eps in cases + [(census_catalogs[9].points[1], -0.05)]:
+        got = continue_equilibrium(cp, eps)
+        ref = sequential(continue_equilibrium, cp, eps)
+        np.testing.assert_array_equal(got.r, ref.r)
+        np.testing.assert_array_equal(got.theta, ref.theta)
+        assert got.residual == ref.residual
 
 
 def test_pinned_step_is_pinv_step_plus_a_rotation():
