@@ -15,10 +15,16 @@ Jacobian of the reduced field that continuation's Newton step also solves
 with, so the equilibrium and its stability come from one system.  A
 ``RelativeEquilibrium`` cannot be built where the reduced field is 1e-10 or
 more.
+
+A reflection that fixes the equilibrium (every census family has one)
+reverses time, TJ = -JT (Lamb and Roberts, Physica D 112 (1998) 1), so the
+spectrum is +-sqrt of the eigenvalues of an (N-1) x (N-1) product; with no
+reflection it comes from a dense (2N-2) x (2N-2) eigensolve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +38,7 @@ from .continuation import (
     reduced_field,
 )
 from .errors import DegenerateSeed, InvalidEpsilon, InvalidN
-from .search import CriticalPoint
+from .search import TWO_PI, CriticalPoint
 from .spectra import SpectrumReport
 
 # An eigenvalue is imaginary when |Re lambda| <= this times |lambda|.
@@ -73,18 +79,56 @@ def _symmetry_directions(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w_rot / np.linalg.norm(w_rot), w_scl / np.linalg.norm(w_scl)
 
 
-def _structural_deflation(mat: np.ndarray, eq: RelativeEquilibrium) -> np.ndarray:
-    """Eigenvalues of the linearization less the two-dimensional symmetry block.
+def _reflection(r: np.ndarray, theta: np.ndarray) -> np.ndarray | None:
+    """The map j -> (c - j) mod N of the c whose defect max |r_(c-j) - r_j| +
+    max |theta_j + theta_(c-j) - theta_0 - theta_c| (mod 2 pi) is smallest,
+    if that defect is below 1e-10; else None."""
+    j = np.arange(r.size)
+    perm = j[:, None] - j  # row c; negative entries index from the end
+    turn = theta[perm] + (theta - theta[0]) - theta[:, None]
+    turn -= TWO_PI * np.round(turn / TWO_PI)
+    defect = np.abs(r[perm] - r).max(axis=1) + np.abs(turn).max(axis=1)
+    c = int(np.argmin(defect))
+    return perm[c] % r.size if defect[c] < 1e-10 else None
 
-    The two ``_symmetry_directions`` span an invariant subspace on which the
-    linearization is nilpotent.  The reduced field is rotation invariant, so
-    the rotation direction is mapped to 0 exactly; the scaling direction is
-    mapped into the subspace up to twice the field, which
-    ``RelativeEquilibrium`` bounds by 1e-10.
-    """
-    q, _ = np.linalg.qr(np.column_stack(_symmetry_directions(eq.r)), mode="complete")
-    b = q.T @ mat @ q
-    return np.linalg.eigvals(b[2:, 2:])
+
+def _adapted_basis(r: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Orthonormal (2N, 2N) basis, split by the reflection T: (dr_j, dtheta_j)
+    -> (dr_perm(j), -dtheta_perm(j)).  The first N columns span T = +1, the
+    scaling direction (r, 0) first; the last N span T = -1, the rotation
+    direction (0, 1) first.  The identity perm splits r from theta."""
+    n = r.size
+    j = np.arange(n)
+    orbits = np.flatnonzero(j <= perm)  # one index of each orbit {j, perm(j)}
+    m = orbits.size
+    lead = np.concatenate((orbits, np.flatnonzero(j < perm)))  # then of each pair
+    weight = np.where(lead == perm[lead], 1.0, math.sqrt(0.5))
+    u = np.zeros((n, n))  # symmetric columns, then antisymmetric ones
+    u[lead, j] = weight
+    u[perm[lead], j] = np.where(j < m, weight, -weight)
+    q = np.zeros((2 * n, 2 * n))
+    q[:n, :m] = q[n:, 2 * n - m:] = u[:, :m]
+    q[n:, m:n] = q[:n, n:2 * n - m] = u[:, m:]
+    for half, a in ((q[:, :n], q[:n, :n].T @ r), (q[:, n:], q[n:, n:].sum(axis=0))):
+        # the Householder reflector that turns the first column along half @ a
+        a[0] += math.copysign(math.sqrt(a @ a), a[0])
+        half -= (half @ a)[:, None] * (a * (2.0 / (a @ a)))
+    return q
+
+
+def _deflated_spectrum(eq: RelativeEquilibrium) -> np.ndarray:
+    """Eigenvalues of the linearization off the scaling and rotation
+    directions, an invariant subspace on which it is nilpotent (up to twice
+    the field).  With a reflection the rest is [[0, C], [D, 0]]."""
+    n = eq.n
+    perm = _reflection(eq.r, eq.theta)
+    q = _adapted_basis(eq.r, np.arange(n) if perm is None else perm)
+    b = q.T @ linearize(eq) @ q
+    if perm is None:
+        keep = np.r_[1:n, n + 1:2 * n]
+        return np.linalg.eigvals(b[np.ix_(keep, keep)])
+    root = np.sqrt(np.linalg.eigvals(b[1:n, n + 1:] @ b[n + 1:, 1:n]).astype(complex))
+    return np.concatenate((root, -root)) + 0j  # + 0j turns -0.0 parts into 0.0
 
 
 def stability_verdict(eq: RelativeEquilibrium) -> StabilityVerdict:
@@ -97,11 +141,10 @@ def stability_verdict(eq: RelativeEquilibrium) -> StabilityVerdict:
     |lambda|.  ``instability_count`` is the number of eigenvalues with real
     part above that relative threshold.
     """
-    rest = _structural_deflation(linearize(eq), eq)
+    rest = _deflated_spectrum(eq)
     zero_abs = _ZERO_TOL * np.sqrt(abs(eq.epsilon))
-    extra = int(np.sum(np.abs(rest) < zero_abs))
-    n_zero = 2 + extra
     nonzero = rest[np.abs(rest) >= zero_abs]
+    n_zero = 2 + rest.size - nonzero.size
     growing = nonzero.real > _IMAG_REL_TOL * np.abs(nonzero)
     if n_zero > 2:
         cls = StabilityClass.MARGINAL

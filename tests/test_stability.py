@@ -15,6 +15,7 @@ from vortexeq import (
     asymptotic_eigenvalues,
     cabral_schmidt_check,
     continue_equilibrium,
+    epsilon_ceiling,
     hessian,
     linearize,
     newton_refine,
@@ -24,7 +25,7 @@ from vortexeq import (
 )
 from vortexeq import stability
 from vortexeq.continuation import _mismatch, _reduced_jacobian
-from vortexeq.stability import _IMAG_REL_TOL
+from vortexeq.stability import _IMAG_REL_TOL, _ZERO_TOL, _symmetry_directions
 from tests.test_continuation import (
     FD_CHECK_TOL,
     JACOBIAN_CASES,
@@ -125,11 +126,11 @@ def test_verdict_spectrum_structure(triangle_eq):
 
 
 def test_spectrum_pairs_lambda_with_minus_lambda(min3_eq):
-    ev = stability_verdict(min3_eq).spectrum.eigenvalues
-    ev = np.asarray(ev)
+    # the reflection gives each eigenvalue as +-sqrt(mu), so -lambda is there
+    # bit for bit
+    ev = np.asarray(stability_verdict(min3_eq).spectrum.eigenvalues)
     for lam in ev:
-        dist = np.abs(ev + lam).min()
-        assert dist < 1e-8 * max(1.0, abs(lam))
+        assert np.abs(ev + lam).min() == 0.0
 
 
 def test_spectrum_order_survives_one_ulp(min3_eq):
@@ -143,6 +144,145 @@ def test_spectrum_order_survives_one_ulp(min3_eq):
             nudged = dataclasses.replace(min3_eq, **{name: values})
             ev = stability_verdict(nudged).spectrum.eigenvalues
             assert np.abs(ev - base).max() < 1e-10, (name, j)
+
+
+def dense_deflated_spectrum(eq):
+    """The 2N - 2 eigenvalues off the symmetry block, by ``eigvals`` on the
+    whole deflated linearization in a QR-completed basis."""
+    q, _ = np.linalg.qr(np.column_stack(_symmetry_directions(eq.r)), mode="complete")
+    return np.linalg.eigvals((q.T @ linearize(eq) @ q)[2:, 2:])
+
+
+def dense_verdict(eq):
+    """(classification, instability count) from ``dense_deflated_spectrum``
+    under the verdict's own thresholds."""
+    rest = dense_deflated_spectrum(eq)
+    nonzero = rest[np.abs(rest) >= _ZERO_TOL * np.sqrt(abs(eq.epsilon))]
+    growing = int(np.sum(nonzero.real > _IMAG_REL_TOL * np.abs(nonzero)))
+    if nonzero.size < rest.size:
+        return StabilityClass.MARGINAL, growing
+    if growing:
+        return StabilityClass.LINEARLY_UNSTABLE, growing
+    return StabilityClass.LINEARLY_STABLE, growing
+
+
+def worst_relative_mismatch(found, oracle):
+    """Largest |lambda - oracle| / |oracle| over a one-to-one nearest matching."""
+    oracle = list(oracle)
+    worst = 0.0
+    for lam in found:
+        k = int(np.argmin(np.abs(np.subtract(oracle, lam))))
+        worst = max(worst, abs(oracle[k] - lam) / abs(oracle[k]))
+        oracle.pop(k)
+    return worst
+
+
+def seed_reflection(theta):
+    """The map j -> (c - j) mod N of a c with theta_j + theta_(c-j) equal to
+    theta_0 + theta_c mod 2 pi for every j, found one c at a time; or None."""
+    n = theta.size
+    for c in range(n):
+        perm = (c - np.arange(n)) % n
+        turn = theta + theta[perm] - theta[0] - theta[c]
+        if np.abs(np.angle(np.exp(1j * turn))).max() < 1e-8:
+            return perm
+    return None
+
+
+def time_reversal(perm):
+    """T: (dr_j, dtheta_j) -> (dr_perm(j), -dtheta_perm(j)) as a matrix."""
+    n = perm.size
+    t = np.zeros((2 * n, 2 * n))
+    t[np.arange(n), perm] = 1.0
+    t[n + np.arange(n), n + perm] = -1.0
+    return t
+
+
+@pytest.fixture(scope="module")
+def reflected_corpus(census_catalogs):
+    """(seed, eq) for every N = 2..12 census family and the N = 25, 50 and
+    100 rings, continued to eps = +-1e-3 and +-1e-6 (within the ceiling)."""
+    seeds = [cp for cat in census_catalogs.values() for cp in cat.points]
+    seeds += [newton_refine(ngon(n)) for n in (25, 50, 100)]
+    corpus = []
+    for cp in seeds:
+        for eps in (1e-3, -1e-3, 1e-6, -1e-6):
+            eps = np.copysign(min(abs(eps), epsilon_ceiling(cp)), eps)
+            corpus.append((cp, continue_equilibrium(cp, eps)))
+    return corpus
+
+
+def test_reflection_reverses_time(reflected_corpus):
+    for cp, eq in reflected_corpus:
+        perm = seed_reflection(cp.config)
+        assert perm is not None, cp.config
+        jac = linearize(eq)
+        t = time_reversal(perm)
+        bound = 1e-12 * np.abs(jac).max()
+        assert np.abs(t @ jac + jac @ t).max() <= bound, (eq.n, eq.epsilon)
+        if abs(eq.epsilon) >= 1e-4:
+            # the fast path runs; its reflection is one of the seed's
+            found = stability._reflection(eq.r, eq.theta)
+            assert found is not None, (eq.n, eq.epsilon)
+            assert np.array_equal(found[found], np.arange(eq.n))
+            t = time_reversal(found)
+            assert np.abs(t @ jac + jac @ t).max() <= bound, (eq.n, eq.epsilon)
+
+
+def test_verdict_matches_dense_deflation(reflected_corpus):
+    for _, eq in reflected_corpus:
+        verdict = stability_verdict(eq)
+        cls, count = dense_verdict(eq)
+        assert verdict.classification is cls, (eq.n, eq.epsilon)
+        assert verdict.instability_count == count, (eq.n, eq.epsilon)
+        ev = verdict.spectrum.eigenvalues
+        rest = ev[np.argsort(np.abs(ev))[2:]]
+        assert worst_relative_mismatch(rest, dense_deflated_spectrum(eq)) <= 1e-9
+
+
+def assert_same_verdict(got, want):
+    assert got.classification is want.classification
+    assert got.instability_count == want.instability_count
+    assert got.spectrum.zero_count == want.spectrum.zero_count
+    assert np.abs(got.spectrum.eigenvalues - want.spectrum.eigenvalues).max() <= 1e-10
+
+
+def test_verdict_without_reflection_relabelled(catalog4):
+    # 0, 2, 1, 3 is neither a rotation nor a reflection of the cyclic order,
+    # so no reflection (c - j) mod N fixes the relabelled state; the square
+    # is left out, as j -> 3 - j still fixes it
+    order = [0, 2, 1, 3]
+    seeds = [cp for cp in catalog4.points if cp.symmetry_order < 8]
+    assert len(seeds) >= 2
+    for cp in seeds:
+        for eps in (1e-3, -1e-3):
+            eq = continue_equilibrium(cp, eps)
+            moved = RelativeEquilibrium(eq.r[order], eq.theta[order], eps)
+            assert stability._reflection(moved.r, moved.theta) is None
+            assert_same_verdict(stability_verdict(moved), stability_verdict(eq))
+
+
+def test_verdict_without_reflection_found(monkeypatch, triangle_eq, min3_eq, ring_points):
+    eqs = [triangle_eq, min3_eq] + [
+        continue_equilibrium(ring_points[n], eps) for n in (4, 5, 10) for eps in (1e-3, -1e-3)
+    ]
+    want = [stability_verdict(eq) for eq in eqs]
+    monkeypatch.setattr(stability, "_reflection", lambda r, theta: None)
+    for eq, verdict in zip(eqs, want):
+        assert_same_verdict(stability_verdict(eq), verdict)
+
+
+@pytest.mark.parametrize("reflection", [True, False], ids=["reflected", "dense"])
+def test_verdict_one_weak_vortex(monkeypatch, reflection):
+    if not reflection:
+        monkeypatch.setattr(stability, "_reflection", lambda r, theta: None)
+    eq = RelativeEquilibrium(r=[1.0 / np.sqrt(1.01)], theta=[0.0], epsilon=1e-2)
+    verdict = stability_verdict(eq)
+    assert verdict.classification is StabilityClass.LINEARLY_STABLE
+    assert verdict.spectrum.zero_count == 2
+    assert np.array_equal(verdict.spectrum.eigenvalues, np.zeros(2))
+    assert verdict.instability_count == 0
+    assert verdict.max_real_part == 0.0
 
 
 def test_asymptotic_matches_exact_small_eps(min3_point):
