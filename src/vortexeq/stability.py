@@ -18,13 +18,12 @@ more.
 
 A reflection that fixes the equilibrium (every census family has one)
 reverses time, TJ = -JT (Lamb and Roberts, Physica D 112 (1998) 1), so the
-spectrum is +-sqrt of the eigenvalues of an (N-1) x (N-1) product; with no
-reflection it comes from a dense (2N-2) x (2N-2) eigensolve.
+spectrum is +-sqrt of the eigenvalues of an N x N product of projected
+blocks of J; with no reflection, of J projected off both symmetry directions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,42 +91,32 @@ def _reflection(r: np.ndarray, theta: np.ndarray) -> np.ndarray | None:
     return perm[c] % r.size if defect[c] < 1e-10 else None
 
 
-def _adapted_basis(r: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Orthonormal (2N, 2N) basis, split by the reflection T: (dr_j, dtheta_j)
-    -> (dr_perm(j), -dtheta_perm(j)).  The first N columns span T = +1, the
-    scaling direction (r, 0) first; the last N span T = -1, the rotation
-    direction (0, 1) first.  The identity perm splits r from theta."""
-    n = r.size
-    j = np.arange(n)
-    orbits = np.flatnonzero(j <= perm)  # one index of each orbit {j, perm(j)}
-    m = orbits.size
-    lead = np.concatenate((orbits, np.flatnonzero(j < perm)))  # then of each pair
-    weight = np.where(lead == perm[lead], 1.0, math.sqrt(0.5))
-    u = np.zeros((n, n))  # symmetric columns, then antisymmetric ones
-    u[lead, j] = weight
-    u[perm[lead], j] = np.where(j < m, weight, -weight)
-    q = np.zeros((2 * n, 2 * n))
-    q[:n, :m] = q[n:, 2 * n - m:] = u[:, :m]
-    q[n:, m:n] = q[:n, n:2 * n - m] = u[:, m:]
-    for half, a in ((q[:, :n], q[:n, :n].T @ r), (q[:, n:], q[n:, n:].sum(axis=0))):
-        # the Householder reflector that turns the first column along half @ a
-        a[0] += math.copysign(math.sqrt(a @ a), a[0])
-        half -= (half @ a)[:, None] * (a * (2.0 / (a @ a)))
-    return q
-
-
 def _deflated_spectrum(eq: RelativeEquilibrium) -> np.ndarray:
-    """Eigenvalues of the linearization off the scaling and rotation
-    directions, an invariant subspace on which it is nilpotent (up to twice
-    the field).  With a reflection the rest is [[0, C], [D, 0]]."""
-    n = eq.n
+    """The 2N - 2 eigenvalues of the linearization J off the scaling and
+    rotation directions.  A reflection T that fixes the equilibrium has
+    TJ = -JT, so with P+- = (1 +- T) / 2 they are +-sqrt(mu), mu in the
+    spectrum of P+ J P- J P+ on T = +1 less the scaling direction's simple
+    zero.  With no T they are the spectrum of PJP less its two zeros, P the
+    orthogonal projection off both directions."""
+    jac = linearize(eq)
     perm = _reflection(eq.r, eq.theta)
-    q = _adapted_basis(eq.r, np.arange(n) if perm is None else perm)
-    b = q.T @ linearize(eq) @ q
     if perm is None:
-        keep = np.r_[1:n, n + 1:2 * n]
-        return np.linalg.eigvals(b[np.ix_(keep, keep)])
-    root = np.sqrt(np.linalg.eigvals(b[1:n, n + 1:] @ b[n + 1:, 1:n]).astype(complex))
+        for w in _symmetry_directions(eq.r):
+            jac -= np.outer(jac @ w, w)
+            jac -= np.outer(w, w @ jac)
+        lam = np.linalg.eigvals(jac)
+        return lam[np.argsort(np.abs(lam))[2:]]
+    j = np.arange(eq.n)
+    mate = np.concatenate((perm, eq.n + perm))
+    sign = np.repeat([1.0, -1.0], eq.n)  # T e_i = sign_i e_mate(i)
+    # one index of each orbit on T = +1: dr on {j, perm(j)}, dtheta on a pair
+    plus = np.flatnonzero(np.concatenate((j <= perm, j < perm)))
+    jp, jtp = [x[:, plus] + x[:, mate[plus]] * sign[plus] for x in (jac, jac.T)]
+    # P+[:, plus] is a basis of T = +1 with dual rows P+[plus] times the orbit
+    # size; jtp.T and jp - T jp are 2 (P+ J)[plus] and 4 (P- J P+)[:, plus]
+    scale = (2.0 - (plus == mate[plus])) / 8
+    mu = np.linalg.eigvals(jtp.T @ (jp - sign[:, None] * jp[mate]) * scale[:, None])
+    root = np.sqrt(mu[np.argsort(np.abs(mu))[1:]].astype(complex))
     return np.concatenate((root, -root)) + 0j  # + 0j turns -0.0 parts into 0.0
 
 
@@ -180,7 +169,7 @@ def asymptotic_eigenvalues(cp: CriticalPoint, epsilon: float) -> np.ndarray:
     ev = cp.spectrum.eigenvalues
     keep = np.argsort(np.abs(ev))[cp.spectrum.zero_count:]
     val = np.sqrt((-2.0 * epsilon) * ev[keep] + 0j)
-    arr = np.column_stack((val, -val)).ravel()  # each pair +val, -val in turn
+    arr = np.column_stack((val, -val)).ravel() + 0j  # +val, -val; no -0.0 parts
     return arr[np.lexsort((arr.imag, arr.real))]
 
 

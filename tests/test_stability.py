@@ -240,6 +240,45 @@ def test_verdict_matches_dense_deflation(reflected_corpus):
         assert worst_relative_mismatch(rest, dense_deflated_spectrum(eq)) <= 1e-9
 
 
+@pytest.mark.parametrize("reflection", [True, False], ids=["reflected", "projected"])
+def test_dropped_zeros_are_far_below_the_rest(monkeypatch, reflected_corpus, reflection):
+    # the reflected path drops one mu, the scaling direction's zero, and the
+    # path with no reflection the two zeros of PJP; each is far below every
+    # value kept
+    if not reflection:
+        monkeypatch.setattr(stability, "_reflection", lambda r, theta: None)
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        solved.append(eigvals(a))
+        return solved[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    for _, eq in reflected_corpus:
+        stability._deflated_spectrum(eq)
+        mags = np.sort(np.abs(solved[-1]))
+        if mags.size == eq.n:  # mu = lambda^2 on the reflected path
+            assert mags[0] * 1e6 <= mags[1], (eq.n, eq.epsilon)
+        else:
+            assert mags[1] <= 1e-12 * mags[-1], (eq.n, eq.epsilon)
+    assert len(solved) == len(reflected_corpus)
+
+
+def test_verdict_matches_eigvals_at_small_eps(catalog4):
+    # at |eps| = 1e-6 the reflection holds only to the residual over |eps|;
+    # the rows are projected onto each half, so its defect does not reach
+    # the spectrum
+    seed = next(cp for cp in catalog4.points if cp.morse_index[0] == 1)
+    for eps in (1e-6, -1e-6):
+        eq = continue_equilibrium(seed, eps)
+        assert stability._reflection(eq.r, eq.theta) is not None
+        dense = np.linalg.eigvals(linearize(eq))
+        ev = stability_verdict(eq).spectrum.eigenvalues
+        rest = ev[np.argsort(np.abs(ev))[2:]]
+        assert worst_relative_mismatch(rest, dense[np.argsort(np.abs(dense))[2:]]) <= 1e-12
+
+
 def assert_same_verdict(got, want):
     assert got.classification is want.classification
     assert got.instability_count == want.instability_count
@@ -303,6 +342,15 @@ def test_asymptotic_sqrt_scaling(min3_point):
 def test_asymptotic_rejects_degenerate(degenerate_point):
     with pytest.raises(DegenerateSeed):
         asymptotic_eigenvalues(degenerate_point, 1e-3)
+
+
+def test_asymptotic_has_no_negative_zero(catalog4):
+    # the stable minimum's predicted modes are imaginary, with real part
+    # +0.0, which the CLI writes as 0.0
+    seed = next(cp for cp in catalog4.points if cp.morse_index[0] == 0)
+    predicted = asymptotic_eigenvalues(seed, 1e-2)
+    assert np.all(predicted.real == 0.0)
+    assert not np.any(np.signbit(predicted.real))
 
 
 def test_skew_pairing_triangle(triangle_eq):
