@@ -134,35 +134,38 @@ def _positions(r, theta, epsilon: float):
     return np.concatenate((-epsilon * z.sum(axis=-1, keepdims=True), z), axis=-1), ct, st
 
 
-def _mismatch(r, theta, epsilon: float):
-    """Radial and tangential velocity mismatch (v - q^perp) per vortex.
+def _field(x: np.ndarray, epsilon: float):
+    """Reduced field of (..., 2N) states (r, theta), unvalidated, with the
+    by-products that ``_reduced_jacobian`` reads and the collision flags.
 
-    Returns (a, b, cos(theta), sin(theta), clear) over any stack axes, with
-    a_j the radial component, b_j the tangential one and clear False within
-    the collision guard.  The vortices sit where ``_positions`` puts them.
+    Returns (f, r, z, cos(theta), sin(theta), a, b, clear) over any stack
+    axes: f = (a, b / r), a_j and b_j the radial and tangential velocity
+    mismatch (v - q^perp), z the positions from ``_positions`` and clear
+    False within the collision guard.
     """
-    r = np.asarray(r)
-    z, ct, st = _positions(r, np.asarray(theta), epsilon)
-    vel, sep2 = _biot_savart(z, _gammas(epsilon, r.shape[-1]))
+    n = x.shape[-1] // 2
+    r = x[..., :n]
+    z, ct, st = _positions(r, x[..., n:], epsilon)
+    vel, sep2 = _biot_savart(z, _gammas(epsilon, n))
     u, v = vel.real[..., 1:], vel.imag[..., 1:]
     a = ct * u + st * v
     b = -st * u + ct * v - r
-    return a, b, ct, st, sep2 >= _COLLISION_GUARD**2
+    return np.concatenate((a, b / r), axis=-1), r, z, ct, st, a, b, sep2 >= _COLLISION_GUARD**2
 
 
-def _checked_mismatch(r, theta, epsilon: float):
-    """``_mismatch`` of one configuration: ValueError unless r and theta are
-    finite 1-d arrays of equal length and eps is finite, VortexCollision
-    within the guard."""
+def _checked_field(r, theta, epsilon: float):
+    """``_field`` of one configuration, its flag dropped: ValueError unless r
+    and theta are finite 1-d arrays of equal length and eps is finite,
+    VortexCollision within the guard."""
     r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
     if r.ndim != 1 or r.shape != theta.shape or not np.isfinite((r, theta)).all():
         raise ValueError("r and theta must be finite 1-d arrays of equal length")
     if not np.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon!r}")
-    *mismatch, clear = _mismatch(r, theta, epsilon)
+    *field, clear = _field(np.concatenate((r, theta)), epsilon)
     if not clear:
         raise VortexCollision(_COLLIDED)
-    return mismatch
+    return field
 
 
 def rotating_frame_residual(r, theta, epsilon: float) -> np.ndarray:
@@ -172,35 +175,26 @@ def rotating_frame_residual(r, theta, epsilon: float) -> np.ndarray:
     x-components then y-components; all vanish exactly at a relative
     equilibrium.
     """
-    a, b, ct, st = _checked_mismatch(r, theta, epsilon)
+    ct, st, a, b = _checked_field(r, theta, epsilon)[3:]
     return np.concatenate((a * ct - b * st, a * st + b * ct))
 
 
 def reduced_field(r, theta, epsilon: float) -> np.ndarray:
     """Reduced rotating-frame field (dr_j/dt, dtheta_j/dt - 1)."""
-    a, b = _checked_mismatch(r, theta, epsilon)[:2]
-    return np.concatenate((a, b / np.asarray(r)))
+    return _checked_field(r, theta, epsilon)[0]
 
 
-def _augmented_system(x: np.ndarray, epsilon: float):
-    """Reduced field of (..., 2N) states (r, theta), and collision flags."""
-    n = x.shape[-1] // 2
-    a, b, _, _, clear = _mismatch(x[..., :n], x[..., n:], epsilon)
-    return np.concatenate((a, b / x[..., :n]), axis=-1), clear
-
-
-def _reduced_jacobian(r, theta, epsilon: float, a, b) -> np.ndarray:
+def _reduced_jacobian(r, zs, ct, st, a, b, epsilon: float) -> np.ndarray:
     """Jacobian of ``reduced_field`` at any state, in closed form.
 
-    ``a`` and ``b`` are the radial and tangential mismatch at the state.  The
-    mismatch M_j = (u_j + i v_j) - i z_j is differentiated first: the
-    conjugate velocity u_j - i v_j = -i sum_k Gamma_k / (z_j - z_k) is
-    holomorphic in the positions, with z_0 = -eps sum z_k.  Each row is then
+    Takes the by-products of one ``_field`` row at the state.  The mismatch
+    M_j = (u_j + i v_j) - i z_j is differentiated first: the conjugate
+    velocity u_j - i v_j = -i sum_k Gamma_k / (z_j - z_k) is holomorphic in
+    the positions, with z_0 = -eps sum z_k.  Each row is then
     turned by e^{-i theta_j} into radial and tangential parts, and the
     tangential rows are divided by r.  No two vortices may coincide.
     """
     n = r.size
-    zs, ct, st = _positions(r, theta, epsilon)
     z, e = zs[1:], ct + 1j * st
     k = np.arange(n)
     diff = z[:, None] - zs
@@ -246,10 +240,8 @@ def _solve(cp: CriticalPoint, epsilon: float, x0: np.ndarray) -> RelativeEquilib
     """Newton solve of the reduced field at eps from the state x0 = (r, theta)."""
     n = cp.config.size
     # row a_1 is redundant: sum r_j a_j + eps Re(conj(sum z_k) sum M_j) = 0 (angular impulse)
-    x, _, _ = _newton(
-        lambda z: _augmented_system(z, epsilon),
-        lambda z, fz: _reduced_jacobian(z[:n], z[n:], epsilon, fz[:n], fz[n:] * z[:n]),
-        x0, n, _RELEQ_TOL, _RELEQ_MAX_ITER, VortexCollision(_COLLIDED))
+    x, _, _ = _newton(lambda x: _field(x, epsilon), lambda *by: _reduced_jacobian(*by, epsilon),
+                      x0, n, _RELEQ_TOL, _RELEQ_MAX_ITER, VortexCollision(_COLLIDED))
     x[n:] += x0[n] - x[n]  # an LM step moves theta_1; the field is rotation invariant
     return RelativeEquilibrium(r=x[:n], theta=x[n:], epsilon=epsilon)
 
@@ -260,10 +252,11 @@ def continue_equilibrium(cp: CriticalPoint, epsilon: float) -> RelativeEquilibri
     Starts from the seed, r = 1 and the seed angles, and solves the 2N
     equations of the reduced field (a_j, b_j / r_j) jointly in (r, theta)
     with theta_1 held at the seed's first angle.  It is the system that
-    ``linearize`` differentiates, and the Newton step uses the same
-    closed-form ``_reduced_jacobian``.  The angular impulse identity
-    sum r_j a_j + O(eps) = 0 makes row a_1 redundant, so ``search._newton``
-    takes square LU steps without row a_1 and column theta_1, switching to
+    ``linearize`` differentiates, evaluated by ``_field``, and each Newton
+    step builds the same closed-form ``_reduced_jacobian`` from that
+    evaluation's by-products.  The angular impulse identity sum r_j a_j +
+    O(eps) = 0 makes row a_1 redundant, so ``search._newton`` takes square
+    LU steps without row a_1 and column theta_1, switching to
     Levenberg-Marquardt steps as the search does; their theta_1 is turned back.
     Convergence means all 2N below 1e-12 in sup-norm within 60 steps; theta
     columns scale like eps, so theta is fixed only to 1e-12/|eps|.

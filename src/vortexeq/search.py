@@ -189,8 +189,9 @@ def _newton(residual, jacobian, x: np.ndarray, n: int, tol: float, max_iter: int
     """Damped Newton solve of residual(x) = 0, shared by search and continuation.
 
     ``residual`` maps points (..., m), with or without a stack axis, to their
-    residuals (..., m), any by-products that ``jacobian(x, f, *by-products)``
-    reads, and flags (...) that are False where a point collides.  A common
+    residuals (..., m), the by-products that ``jacobian(*by_products)`` reads
+    and flags (...), False where a point collides; each Jacobian is built from
+    the evaluation that accepted its iterate, never a fresh one.  A common
     rotation moves the last ``n`` unknowns alike.  Steps are ``_pinned_step``
     (theta_1 = x[-n] held) until ``_backtrack``, which halves a step until
     ||f||_2^2 drops and skips colliding trials, first accepts one only at
@@ -207,7 +208,7 @@ def _newton(residual, jacobian, x: np.ndarray, n: int, tol: float, max_iter: int
     for steps in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f, steps
-        jac = jacobian(x, f, *aux)
+        jac = jacobian(*aux)
         s = _lm_step(jac, f, n) if lm else _pinned_step(jac, f, keep)
         x, f, aux, k = _backtrack(residual, x, s, f, aux)
         if k >= _LM_SWITCH_K and not lm:
@@ -222,8 +223,8 @@ def _newton(residual, jacobian, x: np.ndarray, n: int, tol: float, max_iter: int
 def _refine(theta0) -> tuple[np.ndarray, int]:
     # newton_refine's solve: the uncanonicalized angles it reaches and its step count
     th0 = _angles(theta0)
-    th, _, steps = _newton(_gradients, lambda t, g, c, om: _hess(c, om), th0, th0.size,
-                           _newton_tol(th0.size), _NEWTON_MAX_ITER, AngularCollision(_COLLIDED))
+    th, _, steps = _newton(_gradients, _hess, th0, th0.size, _newton_tol(th0.size),
+                           _NEWTON_MAX_ITER, AngularCollision(_COLLIDED))
     return th, steps
 
 

@@ -34,13 +34,15 @@ class SpectrumReport:
 def eig_symmetric(s) -> SpectrumReport:
     """Full spectrum of a real symmetric matrix, real and in ascending order.
 
-    Raises ValueError unless the matrix is square and symmetric within 1e-12
-    relative sup-norm, NoConvergence if LAPACK does not converge.  Eigenvalues
-    of magnitude below ``tol_used`` = 1e-9 * max(1, spectral radius) are zeros.
+    Raises ValueError unless the matrix is square, finite and symmetric within
+    1e-12 relative sup-norm, NoConvergence if LAPACK does not converge.  An
+    |eigenvalue| below ``tol_used`` = 1e-9 * max(1, spectral radius) is zero.
     """
     m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(m).all():  # nan would pass the symmetry test below
+        raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within 1e-12 relative")

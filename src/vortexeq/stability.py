@@ -30,12 +30,7 @@ from enum import Enum
 import numpy as np
 
 # reduced_field is re-bound here: __init__ and perfbench trace stability.reduced_field
-from .continuation import (
-    RelativeEquilibrium,
-    _checked_mismatch,
-    _reduced_jacobian,
-    reduced_field,
-)
+from .continuation import RelativeEquilibrium, _field, _reduced_jacobian, reduced_field
 from .errors import DegenerateSeed, InvalidEpsilon, InvalidN
 from .search import TWO_PI, CriticalPoint
 from .spectra import SpectrumReport
@@ -64,10 +59,11 @@ class StabilityVerdict:
 def linearize(eq: RelativeEquilibrium) -> np.ndarray:
     """Closed-form Jacobian of the reduced field at an equilibrium.
 
-    State ordering is (r_1..r_N, theta_1..theta_N).
+    State ordering is (r_1..r_N, theta_1..theta_N).  ``eq`` was checked when
+    it was built, so the by-products come from one unvalidated ``_field``.
     """
-    a, b = _checked_mismatch(eq.r, eq.theta, eq.epsilon)[:2]
-    return _reduced_jacobian(eq.r, eq.theta, eq.epsilon, a, b)
+    by_products = _field(np.concatenate((eq.r, eq.theta)), eq.epsilon)[1:-1]
+    return _reduced_jacobian(*by_products, eq.epsilon)
 
 
 def _symmetry_directions(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -561,7 +561,7 @@ def test_simulate_without_out_prints_the_csv_then_the_report(tmp_path, equilibri
 def test_simulate_starts_where_continuation_solved(tmp_path, equilibria_path,
                                                     capsys, monkeypatch):
     # the first CSV row is eq.positions() to the bit, and the strong vortex
-    # sits at the -eps * sum(z_j) that continuation's mismatch was solved at
+    # sits at the -eps * sum(z_j) that continuation's field was solved at
     rec = json.loads(equilibria_path.read_text())["equilibria"][1]
     eq = RelativeEquilibrium(r=rec["r"], theta=rec["theta"], epsilon=rec["epsilon"])
     z = eq.positions()
@@ -580,7 +580,7 @@ def test_simulate_starts_where_continuation_solved(tmp_path, equilibria_path,
     kernel = continuation._biot_savart
     monkeypatch.setattr(continuation, "_biot_savart",
                         lambda zs, gammas: solved.append(zs) or kernel(zs, gammas))
-    continuation._mismatch(eq.r, eq.theta, eq.epsilon)
+    continuation._field(np.concatenate((eq.r, eq.theta)), eq.epsilon)
     assert z.tobytes() == solved[0].tobytes()
 
 

@@ -1,6 +1,7 @@
 """Newton continuation to nonzero epsilon, scaling law checks, error paths."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -29,12 +30,7 @@ from vortexeq import (
     verify_lemma1_scaling,
 )
 from vortexeq import continuation, search
-from vortexeq.continuation import (
-    _augmented_system,
-    _gammas,
-    _mismatch,
-    _reduced_jacobian,
-)
+from vortexeq.continuation import _field, _gammas, _reduced_jacobian
 from vortexeq.search import CriticalPoint
 from vortexeq.potential import CriticalPointClass
 from tests.test_dynamics import pairwise_field
@@ -144,7 +140,7 @@ def test_radial_mismatch_tends_to_gradient():
     # on the unit circle the radial defect is eps * grad V + O(eps^2)
     theta = np.array([0.3, 1.1, 2.7])
     eps = 1e-8
-    a, _ = _mismatch(np.ones(3), theta, eps)[:2]
+    a = _field(np.concatenate((np.ones(3), theta)), eps)[5]
     assert np.abs(a / eps - gradient(theta)).max() < 1e-6
 
 
@@ -152,7 +148,7 @@ def test_cartesian_residual_norm_matches_polar():
     rng = np.random.default_rng(0)
     theta = np.sort(rng.random(4)) * 5.0
     r = 1.0 + 0.05 * rng.standard_normal(4)
-    a, b = _mismatch(r, theta, 1e-2)[:2]
+    a, b = _field(np.concatenate((r, theta)), 1e-2)[5:7]
     res = rotating_frame_residual(r, theta, 1e-2)
     assert res.size == 8
     assert np.linalg.norm(res) == pytest.approx(
@@ -165,10 +161,10 @@ def test_newton_jacobian_matches_complex_step(n, eps):
     r, theta = off_equilibrium_state(n, seed=n)
     x = np.concatenate((r, theta))
     ref = cs_jacobian(lambda z: real_form_reduced(z, eps), x)
-    f = _augmented_system(x, eps)[0]
-    assert np.abs(f - real_form_reduced(x, eps)).max() <= 1e-14
-    # a and b from the residual, as continue_equilibrium passes them
-    jac = _reduced_jacobian(r, theta, eps, f[:n], f[n:] * r)
+    f, *by_products, clear = _field(x, eps)
+    assert clear and np.abs(f - real_form_reduced(x, eps)).max() <= 1e-14
+    # the residual's by-products, as continue_equilibrium passes them
+    jac = _reduced_jacobian(*by_products, eps)
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -177,7 +173,7 @@ def test_real_form_reference_matches_library(n, eps):
     r, theta = off_equilibrium_state(n, seed=n)
     x = np.concatenate((r, theta))
     ref = np.concatenate(real_form_mismatch(r, theta, eps))
-    got = np.concatenate(_mismatch(r, theta, eps)[:2])
+    got = np.concatenate(_field(x, eps)[5:7])
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     ref = real_form_reduced(x, eps)
     got = reduced_field(r, theta, eps)
@@ -385,15 +381,24 @@ def test_continuation_holds_theta_1(census_catalogs):
 
 
 def test_an_equilibrium_is_checked_once_when_built(monkeypatch):
-    calls = []
-    inner = continuation._mismatch
-    monkeypatch.setattr(
-        continuation, "_mismatch", lambda *args: calls.append(1) or inner(*args)
-    )
+    # both kernels are counted through every vortexeq module that binds them
+    calls = {"_field": 0, "_checked_field": 0}
+    for name in calls:
+        inner = getattr(continuation, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("vortexeq") and vars(module).get(name) is inner:
+                monkeypatch.setattr(module, name, counted)
     eq = continue_equilibrium(newton_refine(ngon(10)), 1e-3)
-    assert len(calls) == 5  # four Newton evaluations, then the construction check
+    # four Newton evaluations, then the construction check
+    assert calls == {"_field": 5, "_checked_field": 1}
     stability_verdict(eq)
-    assert len(calls) == 6  # the Jacobian's own evaluation; no second check
+    # the Jacobian's by-products from one bare evaluation; no second check
+    assert calls == {"_field": 6, "_checked_field": 1}
 
 
 # One fault each, as a function of a valid equilibrium, and the words of the
@@ -544,9 +549,11 @@ def test_residual_guard_below_threshold(ring, eps):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 12), st.integers(1, 29), st.integers(0, 2**32 - 1),
        st.floats(-0.05, 0.05).filter(lambda e: e != 0.0))
-def test_stacked_augmented_system_rows_match_one_row(n, k, seed, eps):
+def test_stacked_field_rows_match_one_row(n, k, seed, eps):
     # rows with two weak vortices coincident or closer than the guard are
-    # flagged, not raised, and stay finite
+    # flagged, not raised, and stay finite; every by-product of a stacked row,
+    # not only f, is the one-row evaluation's to the byte, so a Jacobian built
+    # from an accepted stacked trial is the one a fresh evaluation would give
     rng = np.random.default_rng(seed)
     r = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, (k, n))
     theta = rng.uniform(-4.0, 4.0, (k, n))
@@ -555,12 +562,15 @@ def test_stacked_augmented_system_rows_match_one_row(n, k, seed, eps):
             r[row, 1] = r[row, 0] + rng.choice([0.0, 1e-160, 1e-12])
             theta[row, 1] = theta[row, 0]
     x = np.concatenate((r, theta), axis=1)
-    f, clear = _augmented_system(x, eps)
+    stacked = _field(x, eps)
+    f, clear = stacked[0], stacked[-1]
     assert f.shape == (k, 2 * n) and clear.shape == (k,)
     assert np.all(np.isfinite(f))
-    for x_row, f_row, clear_row in zip(x, f, clear):
-        f_one, clear_one = _augmented_system(x_row, eps)
-        assert f_one.tobytes() == f_row.tobytes() and clear_one == clear_row
+    for x_row, *row in zip(x, *stacked):
+        one = _field(x_row, eps)
+        assert [np.shape(v) for v in one] == [np.shape(v) for v in row]
+        assert [np.asarray(v).tobytes() for v in one] == [v.tobytes() for v in row]
+        f_row, clear_row = row[0], row[-1]
         if clear_row:
             res = reduced_field(x_row[:n], x_row[n:], eps)
             assert res.tobytes() == f_row.tobytes()
@@ -578,7 +588,7 @@ def test_angular_impulse_identity_holds_off_equilibrium(n, seed, eps):
     rng = np.random.default_rng(seed)
     r = rng.uniform(0.5, 1.5, n)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    a, b, ct, st_, clear = _mismatch(r, theta, eps)
+    _, _, _, ct, st_, a, b, clear = _field(np.concatenate((r, theta)), eps)
     assume(clear)
     e = ct + 1j * st_
     m = (a + 1j * b) * e

@@ -42,7 +42,7 @@ def sequential_newton(residual, jacobian, x, n, tol, max_iter, collided):
     for steps in range(max_iter):
         if float(np.abs(f).max()) < tol:
             return x, f, steps
-        jac = jacobian(x, f, *aux)
+        jac = jacobian(*aux)
         s = search._lm_step(jac, f, n) if lm else search._pinned_step(jac, f, keep)
         f0 = float(f @ f)
         alpha = 1.0
@@ -465,7 +465,7 @@ def test_line_search_skips_collided_trials():
         u = x[..., 0]
         return np.stack((np.zeros_like(u), u), axis=-1), np.abs(u + 0.025) > 0.475
 
-    def jacobian(x, f):
+    def jacobian():
         return np.array([[0.0, 0.0], [0.25, 0.0]])
 
     for newton in (search._newton, sequential_newton):
@@ -493,10 +493,11 @@ def test_newton_hands_over_to_rescue_after_a_short_step(monkeypatch):
         monkeypatch.setattr(search, name, spied(name))
 
     def residual(x):
-        return np.stack((np.zeros_like(x[..., 0]), x[..., 0]), axis=-1), np.isfinite(x[..., 0])
+        u = x[..., 0]  # also the by-product the Jacobian reads
+        return np.stack((np.zeros_like(u), u), axis=-1), u, np.isfinite(u)
 
     def jacobian(c):
-        return lambda x, f: np.array([[0.0, 0.0], [c if x[0] > 0.5 else 1.0, 0.0]])
+        return lambda u: np.array([[0.0, 0.0], [c if u > 0.5 else 1.0, 0.0]])
 
     pinned, lm = "_pinned_step", "_lm_step"
     for newton in (search._newton, sequential_newton):
@@ -535,8 +536,8 @@ def test_lm_step_is_the_damped_least_squares_step():
     # along (0, 1, ..., 1)
     for n in (3, 6, 9):
         r, theta, eps = 1.0 + 0.02 * rng.standard_normal(n), sample_wedge(n, rng), -0.03
-        f, _ = continuation._augmented_system(np.concatenate((r, theta)), eps)
-        jac = continuation._reduced_jacobian(r, theta, eps, f[:n], f[n:] * r)
+        f, *by_products, _ = continuation._field(np.concatenate((r, theta)), eps)
+        jac = continuation._reduced_jacobian(*by_products, eps)
         s = search._lm_step(jac, f, n)
         w = np.concatenate((np.zeros(n), np.ones(n)))
         a = jac.T @ jac + (f @ f) * np.eye(2 * n) + np.outer(w, w) / n

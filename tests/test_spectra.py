@@ -39,6 +39,15 @@ def test_eig_symmetric_rejects_asymmetric():
         eig_symmetric(np.zeros((2, 3)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_symmetric_rejects_non_finite(bad):
+    # nan - nan is nan, which no "> tol" symmetry test catches, and inf - inf
+    # warns; both are refused before that test
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        eig_symmetric([[bad, 0.0], [0.0, 1.0]])
+
+
 def test_eig_symmetric_lapack_failure_is_no_convergence(monkeypatch):
     def fail(m):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -24,7 +24,7 @@ from vortexeq import (
     stability_verdict,
 )
 from vortexeq import stability
-from vortexeq.continuation import _mismatch, _reduced_jacobian
+from vortexeq.continuation import _field, _reduced_jacobian
 from vortexeq.stability import _IMAG_REL_TOL, _ZERO_TOL, _symmetry_directions
 from tests.test_continuation import (
     FD_CHECK_TOL,
@@ -68,12 +68,13 @@ def test_linearize_block_structure(min3_eq):
 @pytest.mark.parametrize("n, eps", JACOBIAN_CASES)
 def test_linearize_matches_complex_step(n, eps):
     r, theta = off_equilibrium_state(n, seed=n)
-    a, b = _mismatch(r, theta, eps)[:2]
+    x = np.concatenate((r, theta))
+    by_products = _field(x, eps)[1:-1]
+    a, b = by_products[-2:]
     # off equilibrium, so the -i (a + i b) and -b / r^2 diagonal terms count
     assert np.abs(a).max() > 1e-5 and np.abs(b).max() > 1e-2
-    x = np.concatenate((r, theta))
     ref = cs_jacobian(lambda z: real_form_reduced(z, eps), x)
-    jac = _reduced_jacobian(r, theta, eps, a, b)
+    jac = _reduced_jacobian(*by_products, eps)
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
