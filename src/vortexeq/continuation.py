@@ -45,7 +45,10 @@ _RELEQ_MAX_ITER = 60
 
 def _gammas(epsilon: float, n: int) -> np.ndarray:
     """The circulations (1, eps, ..., eps) of the strong vortex and N weak ones."""
-    return np.concatenate(([1.0], np.full(n, epsilon)))
+    gammas = np.empty(n + 1)  # filled, not concatenated: every field call builds it
+    gammas.fill(epsilon)
+    gammas[0] = 1.0
+    return gammas
 
 
 @dataclass
@@ -104,23 +107,38 @@ class ScalingReport:
     radius_bounded: bool
 
 
-def _biot_savart(z: np.ndarray, gammas: np.ndarray):
+def _pair_arrays(shape):
+    """What ``_biot_savart`` writes into, for positions of this shape, with
+    views: dz, its squares and w = i Gamma / d2 (real part 0) as three complex
+    (..., M, M) planes of one block, and d2; two allocations keep one call cheap."""
+    m = shape[-1]
+    dz, sq, w = np.empty((3, *shape, m), dtype=complex)
+    d2, sq = np.empty((*shape, m)), sq.view(float)
+    w.real.fill(0.0)
+    return dz, dz.view(float), sq, sq[..., ::2], sq[..., 1::2], d2, \
+        d2.reshape(-1, m * m)[:, :: m + 1], w.imag, w
+
+
+def _biot_savart(z: np.ndarray, gammas: np.ndarray, pairs=None, out=None):
     """Point-vortex velocities and the smallest squared pair separation.
 
     ``z`` holds the M positions as complex numbers x + iy, after any stack
     axes; the velocities come back the same way, u_j + i v_j = i sum_{k != j}
     Gamma_k (z_j - z_k) / |z_j - z_k|^2, with one separation per stack entry.
+    Writes into ``pairs`` (fresh ``_pair_arrays`` when None) and ``out``.
     """
-    m = z.shape[-1]
-    dz = z[..., None] - z[..., None, :]
-    d2 = dz.real * dz.real + dz.imag * dz.imag
-    d2.reshape(-1, m * m)[:, :: m + 1] = np.inf  # the diagonals, through a strided view
-    low = d2.min()
-    sep2 = d2.min(axis=(-2, -1)) if z.ndim > 1 else low  # one reduction unstacked (RK4)
+    dz, dzf, sq, re2, im2, d2, diagonals, w_imag, w = pairs or _pair_arrays(z.shape)
+    np.subtract(z[..., None], z[..., None, :], dz)
+    np.square(dzf, sq)
+    np.add(re2, im2, d2)
+    diagonals.fill(np.inf)
+    low = np.minimum.reduce(d2, None)
+    sep2 = np.minimum.reduce(d2, (-2, -1)) if z.ndim > 1 else low  # one reduction in RK4
     if low < _TINY_SEP2:
         # 1 / d2 would be inf: drop these pairs, the guards reject them by sep2
         d2[d2 < _TINY_SEP2] = np.inf
-    return 1j * (dz * (gammas / d2)).sum(axis=-1), sep2
+    np.divide(gammas, d2, w_imag)
+    return np.add.reduce(np.multiply(dz, w, dz), -1, None, out), sep2
 
 
 def _positions(r, theta, epsilon: float):

@@ -23,6 +23,7 @@ from .continuation import (
     RelativeEquilibrium,
     _biot_savart,
     _gammas,
+    _pair_arrays,
 )
 from .errors import CollisionAbort, InvalidN, VortexCollision
 from .search import TWO_PI
@@ -108,17 +109,23 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
     out = np.empty((steps + 1, z.size), dtype=complex)
     out[0] = z
     times = h * np.arange(steps + 1)
+    # one set of pair and stage arrays per run; each stage is done in place, in
+    # the order of z + (h/2) k and z + (h/6) (k1 + 2 k2 + 2 k3 + k4), to the same bits
+    pairs, (k1, k2, k3, k4, s) = _pair_arrays(z.shape), np.empty((5, z.size), dtype=complex)
+    half, sixth = 0.5 * h, h / 6.0
     for i in range(steps + 1):
+        z = out[i]
         # k1 of the next step also gives the abort check for the current state
-        k1, sep2 = _biot_savart(z, gammas)
+        sep2 = _biot_savart(z, gammas, pairs, k1)[1]
         aborted = sep2 < _ABORT_SEP**2
         if aborted or i == steps:
             break
-        k2 = _biot_savart(z + 0.5 * h * k1, gammas)[0]
-        k3 = _biot_savart(z + 0.5 * h * k2, gammas)[0]
-        k4 = _biot_savart(z + h * k3, gammas)[0]
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = z
+        _biot_savart(np.add(z, np.multiply(half, k1, s), s), gammas, pairs, k2)
+        _biot_savart(np.add(z, np.multiply(half, k2, s), s), gammas, pairs, k3)
+        _biot_savart(np.add(z, np.multiply(h, k3, s), s), gammas, pairs, k4)
+        np.add(k1, np.multiply(2.0, k2, k2), k1)
+        np.add(k1, np.multiply(2.0, k3, k3), k1)
+        np.add(z, np.multiply(sixth, np.add(k1, k4, k1), k1), out[i + 1])
     traj = Trajectory(times[: i + 1], out[: i + 1])
     if aborted:
         raise CollisionAbort(

@@ -1,6 +1,7 @@
 """Direct RK4 integration: field values, conservation, rigidity, growth."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vortexeq import (
     PlanarConfiguration,
     Trajectory,
     VortexCollision,
+    continuation,
     continue_equilibrium,
     dynamics,
     hamiltonian,
@@ -24,6 +26,7 @@ from vortexeq import (
     vortex_field,
     vorticity_moment,
 )
+from vortexeq.continuation import _TINY_SEP2
 
 TWO_PI = 2 * np.pi
 
@@ -221,7 +224,9 @@ def test_rk4_step_count_is_bounded(h, t_final, monkeypatch):
     def no_steps(*args):
         raise AssertionError("integration started")
 
-    monkeypatch.setattr(dynamics, "_biot_savart", no_steps)
+    # a run builds its pair arrays, then calls the kernel at every stage
+    for entry in ("_pair_arrays", "_biot_savart"):
+        monkeypatch.setattr(dynamics, entry, no_steps)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="exceeds 1000000 steps"):
@@ -230,6 +235,133 @@ def test_rk4_step_count_is_bounded(h, t_final, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def reference_biot_savart(z, gammas):
+    """The Biot-Savart kernel as it was before it wrote into caller-owned
+    arrays, kept verbatim as a bitwise oracle."""
+    m = z.shape[-1]
+    dz = z[..., None] - z[..., None, :]
+    d2 = dz.real * dz.real + dz.imag * dz.imag
+    d2.reshape(-1, m * m)[:, :: m + 1] = np.inf  # the diagonals, through a strided view
+    low = d2.min()
+    sep2 = d2.min(axis=(-2, -1)) if z.ndim > 1 else low  # one reduction unstacked (RK4)
+    if low < _TINY_SEP2:
+        # 1 / d2 would be inf: drop these pairs, the guards reject them by sep2
+        d2[d2 < _TINY_SEP2] = np.inf
+    return 1j * (dz * (gammas / d2)).sum(axis=-1), sep2
+
+
+def reference_rk4(config, h, t_final):
+    """The RK4 loop as it was before it ran in place, kept verbatim as a
+    bitwise oracle; returns the trajectory and whether the run aborted."""
+    steps = max(1, int(round(float(t_final) / float(h))))
+    gammas = config.gammas
+    z = config.positions
+    out = np.empty((steps + 1, z.size), dtype=complex)
+    out[0] = z
+    times = h * np.arange(steps + 1)
+    for i in range(steps + 1):
+        # k1 of the next step also gives the abort check for the current state
+        k1, sep2 = reference_biot_savart(z, gammas)
+        aborted = sep2 < dynamics._ABORT_SEP**2
+        if aborted or i == steps:
+            break
+        k2 = reference_biot_savart(z + 0.5 * h * k1, gammas)[0]
+        k3 = reference_biot_savart(z + 0.5 * h * k2, gammas)[0]
+        k4 = reference_biot_savart(z + h * k3, gammas)[0]
+        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = z
+    return Trajectory(times[: i + 1], out[: i + 1]), aborted
+
+
+def near_rows(m, rng):
+    """Three rows of m random positions: one clear, one with a coincident
+    pair and one with a pair 1e-160 apart."""
+    z = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    z[1, 1] = z[1, 0]
+    z[2, :2] = 0.0, 1e-160j  # representable only near the origin
+    return z
+
+
+def test_kernel_matches_reference_bitwise():
+    rng = np.random.default_rng(11)
+    for m in [*range(2, 14), 25, 51, 101]:
+        gammas = np.concatenate(([1.0], rng.uniform(-1e-2, 1e-2, m - 1)))
+        stack = rng.standard_normal((3, 4, m)) + 1j * rng.standard_normal((3, 4, m))
+        cases = [stack, stack[1, 2], near_rows(m, rng), *near_rows(m, rng)]
+        for z in cases:
+            vel, sep2 = dynamics._biot_savart(z, gammas)
+            ref_vel, ref_sep2 = reference_biot_savart(z, gammas)
+            assert vel.tobytes() == ref_vel.tobytes(), (m, z.shape)
+            # the separations are taken before the dropped pairs become inf
+            assert np.asarray(sep2).tobytes() == np.asarray(ref_sep2).tobytes(), (m, z.shape)
+        rows = dynamics._biot_savart(near_rows(m, rng), gammas)[1]
+        assert rows[0] > 0.0 and rows[1] == 0.0 and 0.0 < rows[2] < _TINY_SEP2
+
+
+def rk4_cases(min3_eq):
+    ring20 = continue_equilibrium(newton_refine(ngon(20)), 1e-3)
+    rng = np.random.default_rng(4)
+    perturbed = min3_eq.positions() + 1e-3 * rng.standard_normal(8).view(complex)
+    near = np.array([0j, 1.0 - 1e-9j, 1.0 + 5e-10 + 1e-9j, -1.5 + 0j])
+    return [
+        (PlanarConfiguration.from_equilibrium(min3_eq), TWO_PI / 512, TWO_PI),
+        (PlanarConfiguration.from_equilibrium(ring20), TWO_PI / 512, TWO_PI),
+        (PlanarConfiguration(perturbed, min3_eq.epsilon), TWO_PI / 512, TWO_PI),
+        (PlanarConfiguration(near, 1e-20), 0.01, 5.0),  # aborts at step 115
+    ]
+
+
+def run_rk4(config, h, t_final):
+    try:
+        return integrate_rk4(config, h, t_final), False
+    except CollisionAbort as exc:
+        return exc.trajectory, True
+
+
+def assert_same_run(got, ref):
+    (traj, aborted), (ref_traj, ref_aborted) = got, ref
+    assert aborted == ref_aborted
+    assert traj.times.tobytes() == ref_traj.times.tobytes()
+    assert traj.positions.tobytes() == ref_traj.positions.tobytes()
+
+
+def test_rk4_matches_reference_bitwise(min3_eq):
+    cases = rk4_cases(min3_eq)
+    for case in cases:
+        assert_same_run(run_rk4(*case), reference_rk4(*case))
+    # the abort comes at the same step, with the same partial trajectory
+    assert run_rk4(*cases[-1])[0].times.size == 116
+
+
+def test_rk4_runs_share_no_state(min3_eq):
+    # runs of different N, one of them aborted, interleaved: each is the run
+    # made alone, and no module holds an array between runs
+    cases = rk4_cases(min3_eq)
+    alone = [reference_rk4(*case) for case in cases]
+    for k in [3, 0, 1, 3, 2, 0, 3, 1, 2]:
+        assert_same_run(run_rk4(*cases[k]), alone[k])
+    for module in (dynamics, continuation):
+        assert not [name for name, v in vars(module).items() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-160], ids=["coincident", "1e-160"])
+def test_guard_on_pairs_below_tiny(gap):
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    z[1], z[3] = 0.0, gap  # representable only near the origin
+    with pytest.raises(VortexCollision):
+        PlanarConfiguration(z, 1e-3)
+    # a configuration changed after it was built reaches the kernel unchecked:
+    # the close pair drops out of the field, with no overflow warning
+    config = PlanarConfiguration(rng.standard_normal(5) + 0j, 1e-3)
+    config.positions = z
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vel = vortex_field(config)
+    assert np.isfinite(vel).all()
+    assert vel.tobytes() == reference_biot_savart(z, config.gammas)[0].tobytes()
 
 
 def test_rigidity_error_flags_shear():
