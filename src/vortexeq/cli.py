@@ -250,17 +250,13 @@ def cmd_stability(args: argparse.Namespace) -> int:
         if cp is not None and cp.morse_index[1] == 1:
             predicted = asymptotic_eigenvalues(cp, eq.epsilon)
             actual = eigenvalues[np.abs(eigenvalues) > 0]
-            mismatch = None
-            if actual.size == predicted.size and actual.size > 0:
-                remaining = list(actual)
-                worst = 0.0
-                for p in sorted(predicted, key=abs, reverse=True):
-                    k = min(range(len(remaining)), key=lambda i: abs(remaining[i] - p))
-                    worst = max(worst, abs(remaining.pop(k) - p) / abs(p))
-                mismatch = float(worst)
+            # worst |lambda - p| / |p|, matched in sorted order of Re lambda^2; both
+            # come in pairs +/- lambda, so each match takes the nearer sign
+            a, p = (v[np.argsort((v * v).real, kind="stable")] for v in (actual, predicted))
+            worst = np.minimum(np.abs(a - p), np.abs(a + p)) / np.abs(p) if a.size == p.size else []
             entry["asymptotic"] = {
                 "eigenvalues": _complex_pairs(predicted),
-                "mismatch": mismatch,
+                "mismatch": float(np.max(worst)) if len(worst) else None,
             }
         verdicts.append(entry)
     payload["verdicts"] = verdicts

@@ -60,7 +60,7 @@ def _geometry(theta: np.ndarray):
     c = np.cos(d)
     om = 1.0 - c
     om.reshape(-1, n * n)[:, :: n + 1] = np.inf  # diagonals (strided)
-    return d, c, om, om.min(axis=(-2, -1)) >= EPS_SEP
+    return d, c, om, np.minimum.reduce(om, (-2, -1)) >= EPS_SEP
 
 
 def _checked(kernel, theta):
@@ -72,7 +72,7 @@ def _checked(kernel, theta):
     return out
 
 
-# V and the Hessian from the c and om of one row's ``_geometry``.
+# V from the c of one row's ``_geometry``, Hessians from the c and om of any stack.
 def _value(c: np.ndarray) -> float:
     k = np.arange(len(c))
     cu = c[k[:, None] < k]  # the upper triangle, row by row
@@ -80,10 +80,11 @@ def _value(c: np.ndarray) -> float:
 
 
 def _hess(c: np.ndarray, om: np.ndarray) -> np.ndarray:
-    h = -c - 1.0 / (2.0 * om)
-    diag = h.reshape(-1)[:: len(h) + 1]
+    h = -c - 0.5 / om  # bit for bit -c - 1 / (2 om), one temporary fewer
+    n = h.shape[-1]
+    diag = h.reshape(-1, n * n)[:, :: n + 1]  # (rows, n), strided
     diag[:] = 0.0  # so the row sums see the off-diagonal entries only
-    diag[:] = -h.sum(axis=1)
+    diag[:] = -np.add.reduce(h, -1)
     return h
 
 
@@ -98,7 +99,7 @@ def _gradients(theta: np.ndarray):
     False where two angles collide (that row is meaningless)."""
     d, c, om, clear = _geometry(theta)
     np.maximum(om, EPS_SEP, out=om)  # changes only collided rows; keeps 1 / om finite
-    g = np.sum(np.sin(d) * (1.0 - 1.0 / (2.0 * om)), axis=-1)  # diagonals: sin(0) * 1 = 0
+    g = np.add.reduce(np.sin(d) * (1.0 - 0.5 / om), -1)  # diagonals: sin(0) * 1 = 0
     return g, c, om, clear
 
 

@@ -45,6 +45,12 @@ _NEWTON_MAX_ITER = 200
 _LM_SWITCH_K = 5
 
 
+def _stack_rows(n: int) -> int:
+    # starts per _newton_stack call in a census: 32 up to n = 16, then fewer as a
+    # row's arithmetic outweighs the call overhead; from n = 40 on stacks lost
+    return max(1, min(32, 8192 // n**2)) if n < 40 else 1
+
+
 def _newton_tol(n: int) -> float:
     # ||grad V||_inf bottoms out near 0.04 eps n^3 from roundoff; stop at about
     # six times that: 1e-12 for n <= 26, and below the 1e-8 criticality check
@@ -138,102 +144,148 @@ def symmetry_distance(theta_a, theta_b) -> float:
     return float(np.abs(ga - _symmetry_orbit(gb)).max(axis=1).min())
 
 
+def _merit(f: np.ndarray) -> np.ndarray:
+    # ||f||_2^2 of each row, bit for bit float(f @ f) as einsum and (f * f).sum(-1) are not
+    return f @ f if f.ndim == 1 else (f[..., None, :] @ f[..., :, None])[..., 0, 0]
+
+
 def _pinned_step(jac: np.ndarray, f: np.ndarray, keep) -> np.ndarray:
-    # Newton step of search and continuation: jac[1:, keep] s[keep] = -f[1:].
-    # Equation 0 is redundant in both (sum(f) = 0 in the search), and the one
-    # angle outside keep is held, which fixes the common rotation.
+    # Newton step of search and continuation, any stack axes leading: jac[1:, keep]
+    # s[keep] = -f[1:].  Equation 0 is redundant in both (sum(f) = 0 in the search),
+    # and the one angle outside keep is held, which fixes the common rotation.
     s = np.zeros_like(f)
     try:
-        s[keep] = np.linalg.solve(jac[1:, keep], -f[1:])
+        s[..., keep] = np.linalg.solve(jac[..., 1:, keep], -f[..., 1:, None])[..., 0]
     except np.linalg.LinAlgError:
         raise NoConvergence("singular Newton system with theta_1 held") from None
     return s
 
 
 def _lm_step(jac: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
-    # Levenberg-Marquardt step (Yamashita and Fukushima 2001): (J^T J + ||f||_2^2 I
-    # + w w^T) s = -J^T f, w the unit common rotation of the last n unknowns; a
-    # C-ordered J^T keeps the search's products bit for bit those of H @ H and H @ g
-    jt = np.ascontiguousarray(jac.T)
-    a = jt @ jac + (f @ f) * np.eye(len(jt))
-    a[-n:, -n:] += 1.0 / n
-    return np.linalg.solve(a, -(jt @ f))
+    # Levenberg-Marquardt step (Yamashita and Fukushima 2001), stacks too: (J^T J +
+    # ||f||_2^2 I + w w^T) s = -J^T f, w the unit common rotation of the last n unknowns;
+    # a C-ordered J^T keeps the search's products bit for bit those of H @ H and H @ g
+    jt = np.ascontiguousarray(jac.swapaxes(-1, -2))
+    a = jt @ jac + _merit(f)[..., None, None] * np.eye(jt.shape[-1])
+    a[..., -n:, -n:] += 1.0 / n
+    return np.linalg.solve(a, -(jt @ f[..., None]))[..., 0]
 
 
 _ALPHA = np.ldexp(1.0, -np.arange(30))[:, None]  # line-search steps 2**-k, k = 0..29
+# What ends a solve without convergence, by _newton_stack code 3, 4 and 5.
+_FAILS = ("singular Newton system with theta_1 held",
+          "line search stalled before reaching tolerance", "no convergence within {} iterations")
 
 
-def _backtrack(residual, x: np.ndarray, s: np.ndarray, f: np.ndarray, aux: list):
-    """(trial, f, aux, k) for the first x + 2**-k s, in k order, clear of
-    collisions and lowering ||f||_2^2, aux being its residual's by-products,
-    else (x, f, aux, 30).  k = 0 goes alone, then k = 1..4 and k = 5..29 as
-    stacks, which pay the per-call overhead once; at most 4096 // n^2 rows
-    per call, as large-n rows are bound by arithmetic."""
-    f0 = float(f @ f)
-    trial = x + s
-    ft, *trial_aux, clear = residual(trial)
-    if clear and float(ft @ ft) < f0:
-        return trial, ft, trial_aux, 0
-    cap = max(1, 4096 // x.size**2)
-    for a, b in ((1, 5), (5, 30)):
-        for lo in range(a, b, cap):
-            trials = x + _ALPHA[lo : min(lo + cap, b)] * s
-            for k, (trial, ft, *trial_aux, clear) in enumerate(zip(trials, *residual(trials)), lo):
-                if clear and float(ft @ ft) < f0:
-                    return trial, ft, trial_aux, k
-    return x, f, aux, len(_ALPHA)
+def _newton_stack(residual, jacobian, x: np.ndarray, n: int, tol: float, max_iter: int):
+    """Damped Newton solves of residual(x) = 0 from x (m,), or from each row of
+    x (B, m) as one stack, for search and continuation; each row gets the bits
+    of its solve alone.
+
+    ``residual`` maps points (..., m) to residuals (..., m), by-products that
+    ``jacobian`` turns into Jacobians (..., m, m), and flags, False where a
+    point collides.  A common rotation moves the last ``n`` unknowns alike.  A
+    row takes ``_pinned_step`` (theta_1 = x[-n] held) until its line search,
+    which halves the step until ||f||_2^2 drops and skips colliding trials,
+    first accepts one only at k >= _LM_SWITCH_K or not at all, then
+    ``_lm_step``.  Rows that refuse the full step try 2**-k s for k = 1..4,
+    then 5..29, at most 4096 // m^2 values of k per call.  Returns (x, f,
+    steps, code), code 1 where ||f||_inf < tol within ``max_iter`` steps, 2
+    for a colliding start, else 3..5 as in _FAILS.  Boolean masks index a lone
+    x as a stack of one; its flags are numpy scalars, whose truth is far
+    cheaper to test than ``.all()``.
+    """
+    m, lone = x.shape[-1], x.ndim == 1
+    keep, (f, *aux, clear) = np.arange(m) != m - n, residual(x)
+    merit, lm, why = _merit(f), clear & False, 2 * ~clear  # no row on LM steps; why: 0 going on
+    every, some = (bool, bool) if lone else (np.ndarray.all, np.ndarray.any)
+    if not lone:  # where each live row's x, f, steps and code go
+        at, out = np.arange(len(x)), [np.empty_like(x), np.empty_like(f), *np.zeros((2, len(x)), int)]
+    ended, kinds = not every(clear), (False, False)  # a row failed; any, all rows on LM steps
+    for step in range(max_iter + 1):
+        conv = np.maximum.reduce(np.abs(f), -1) < tol
+        if ended or step == max_iter or some(conv):  # record the rows that end, drop them
+            why = np.maximum(why, conv)
+            why = why + 5 * (why == 0) * (step == max_iter)
+            if lone:
+                return x, f, step, why
+            end = why > 0
+            for o, v in zip(out, (x[end], f[end], step, why[end])):
+                o[at[end]] = v
+            if end.all():
+                return out
+            at, x, f, merit, lm, why, *aux = (a[~end] for a in (at, x, f, merit, lm, why, *aux))
+            ended, kinds = False, (lm.any(), lm.all())
+        jac = jacobian(*aux)
+        try:  # one stacked call for each kind of step
+            if kinds[0] and not kinds[1]:
+                s = np.empty_like(x)
+                s[lm], s[~lm] = _lm_step(jac[lm], f[lm], n), _pinned_step(jac[~lm], f[~lm], keep)
+            else:
+                s = _lm_step(jac, f, n) if kinds[1] else _pinned_step(jac, f, keep)
+        except NoConvergence:  # a singular system ends its own row only
+            s, why, ended = np.zeros_like(x), np.array(why), True
+            for i in np.ndindex(lm.shape):
+                try:
+                    s[i] = _lm_step(jac[i], f[i], n) if lm[i] else _pinned_step(jac[i], f[i], keep)
+                except NoConvergence:
+                    why[i] = 3
+        trial = x + s
+        ft, *trial_aux, clear = residual(trial)
+        mt = _merit(ft)
+        ok = clear & (mt < merit)
+        if not every(ok):  # back off the rows that refuse their full step
+            new, k = [trial, ft, np.asarray(mt), *trial_aux], len(_ALPHA) * ~ok
+            pend, cap = ~ok & (why == 0), max(1, 4096 // m**2)  # a singular row stays put
+            xp, sp, mp = x[pend, None], s[pend, None], np.asarray(merit)[pend, None]
+            for lo, hi in ((lo, min(lo + cap, b)) for a, b in ((1, 5), (5, 30))
+                           for lo in range(a, b, cap)):
+                if not some(pend):
+                    break
+                trials = xp + _ALPHA[lo:hi] * sp
+                ft, *trial_aux, clear = residual(trials)
+                mt = _merit(ft)
+                ok = clear & (mt < mp)
+                hit = ok.any(axis=-1)
+                if lone and hit[0]:  # a lone row takes views of its accepted trial
+                    k, pend = lo + ok.argmax(), False
+                    new = [t[0, k - lo] for t in (trials, ft, mt, *trial_aux)]
+                elif hit.any():  # the first accepted k of each row that has one
+                    j, took = ok.argmax(axis=-1)[hit], np.zeros_like(pend)
+                    took[pend] = hit
+                    k[took] = lo + j
+                    for a, t in zip(new, (trials, ft, mt, *trial_aux)):
+                        a[took] = t[hit, j]
+                    pend, xp, sp, mp = pend & ~took, xp[~hit], sp[~hit], mp[~hit]
+            if some(pend):  # rows that accept no trial keep their point
+                for a, old in zip(new, (x, f, merit, *aux)):
+                    a[pend] = old[pend]
+            trial, ft, mt, *trial_aux = new
+            if some(pend | (k >= _LM_SWITCH_K)):  # switch to LM steps, or stall on them
+                switch = ~lm & (k >= _LM_SWITCH_K)
+                why, lm = np.maximum(why, 4 * (pend & ~switch)), lm | switch
+                ended, kinds = ended or some(why), (some(lm), every(lm))
+        x, f, merit, aux = trial, ft, mt, trial_aux
 
 
 def _newton(residual, jacobian, x: np.ndarray, n: int, tol: float, max_iter: int,
             collided: Exception):
-    """Damped Newton solve of residual(x) = 0, shared by search and continuation.
-
-    ``residual`` maps points (..., m), with or without a stack axis, to their
-    residuals (..., m), the by-products that ``jacobian(*by_products)`` reads
-    and flags (...), False where a point collides; each Jacobian is built from
-    the evaluation that accepted its iterate, never a fresh one.  A common
-    rotation moves the last ``n`` unknowns alike.  Steps are ``_pinned_step``
-    (theta_1 = x[-n] held) until ``_backtrack``, which halves a step until
-    ||f||_2^2 drops and skips colliding trials, first accepts one only at
-    k >= _LM_SWITCH_K or not at all, and ``_lm_step`` from then on.
-    Returns (x, f, steps) once ||f||_inf < tol, after steps <= ``max_iter``
-    steps of both kinds.  Raises ``collided``, the caller's collision error
-    for its geometry, if x collides, and NoConvergence when the line search
-    stalls after the switch or the cap is reached.
-    """
-    f, *aux, clear = residual(x)
-    if not clear:
-        raise collided
-    keep, lm = np.arange(x.size) != x.size - n, False
-    for steps in range(max_iter):
-        if float(np.abs(f).max()) < tol:
-            return x, f, steps
-        jac = jacobian(*aux)
-        s = _lm_step(jac, f, n) if lm else _pinned_step(jac, f, keep)
-        x, f, aux, k = _backtrack(residual, x, s, f, aux)
-        if k >= _LM_SWITCH_K and not lm:
-            lm = True
-        elif k == len(_ALPHA):
-            raise NoConvergence("line search stalled before reaching tolerance")
-    if float(np.abs(f).max()) < tol:
-        return x, f, max_iter
-    raise NoConvergence(f"no convergence within {max_iter} iterations")
-
-
-def _refine(theta0) -> tuple[np.ndarray, int]:
-    # newton_refine's solve: the uncanonicalized angles it reaches and its step count
-    th0 = _angles(theta0)
-    th, _, steps = _newton(_gradients, _hess, th0, th0.size, _newton_tol(th0.size),
-                           _NEWTON_MAX_ITER, AngularCollision(_COLLIDED))
-    return th, steps
+    """``_newton_stack`` from the one point x (m,): its (x, f, steps), or raises
+    ``collided``, the caller's collision error for its geometry, if x collides,
+    else NoConvergence with the reason."""
+    x, f, steps, code = _newton_stack(residual, jacobian, x, n, tol, max_iter)
+    if code != 1:
+        raise collided if code == 2 else NoConvergence(_FAILS[code - 3].format(max_iter))
+    return x, f, steps
 
 
 def newton_refine(theta0) -> CriticalPoint:
     """Damped Newton refinement of theta0 to a critical point.
 
-    Runs ``_newton`` on grad V, the Hessian its Jacobian.  The step solves the
-    Newton system with theta_1 held, which removes the rotation direction;
-    the line search on ||grad V||^2 halves it up to 29 times.  From the first
+    Runs ``_newton``, the one-row entry of ``_newton_stack``, on grad V, the
+    Hessian its Jacobian.  The step solves the Newton system with theta_1
+    held, which removes the rotation direction; the line search on
+    ||grad V||^2 halves it up to 29 times.  From the first
     step accepted only at alpha <= 2**-5, or not at all, ``_lm_step`` takes
     over.  Convergence means ||grad V||_inf < min(1e-9, max(1e-12, eps N^3 / 4))
     within 200 steps, eps the machine epsilon: 1e-12 up to N = 26, and about
@@ -242,7 +294,9 @@ def newton_refine(theta0) -> CriticalPoint:
     angles collide, and NoConvergence at the iteration cap, when the line
     search stalls or when the Newton system is singular.
     """
-    return CriticalPoint(_refine(theta0)[0])
+    th0 = _angles(theta0)
+    return CriticalPoint(_newton(_gradients, _hess, th0, th0.size, _newton_tol(th0.size),
+                                 _NEWTON_MAX_ITER, AngularCollision(_COLLIDED))[0])
 
 
 def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -264,8 +318,10 @@ def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
 def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
     """Locate critical-point families from random starts in the gap wedge.
 
-    Runs ``newton_refine``'s solve, whose tolerance follows from n, from
-    ``n_starts`` wedge samples drawn with the given seed.  A converged start
+    Draws ``n_starts`` wedge samples with the given seed, then runs
+    ``newton_refine``'s solve, whose tolerance follows from n, on them in
+    order, ``_stack_rows(n)`` starts per ``_newton_stack`` call; each start
+    ends bit for bit as its solve alone.  In start order, a converged start
     within symmetry distance 1e-6 of a known family joins it; only the first
     of each family is built into a ``CriticalPoint``.  Returns the catalog
     sorted by potential value; ``newton_steps`` in its metadata sums the
@@ -274,19 +330,22 @@ def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN("multistart search needs an integer n >= 2")
     rng = np.random.default_rng(seed)
+    starts = np.array([sample_wedge(n, rng) for _ in range(int(n_starts))]).reshape(-1, n)
     points: list[CriticalPoint] = []
     failures = {"no_convergence": 0, "collision": 0}
-    steps = 0
-    for _ in range(int(n_starts)):
-        try:
-            th, k = _refine(sample_wedge(n, rng))
-        except (NoConvergence, AngularCollision) as exc:
-            failures["collision" if isinstance(exc, AngularCollision) else "no_convergence"] += 1
-            continue
-        steps += k
-        # symmetry_distance does not depend on the orbit representative, bar roundoff
-        if all(symmetry_distance(th, known.config) >= _DEDUP_TOL for known in points):
-            points.append(CriticalPoint(th))
+    steps, rows = 0, _stack_rows(n)
+    for lo in range(0, len(starts), rows):
+        block = starts[lo] if rows == 1 else starts[lo : lo + rows]  # a lone row is cheaper
+        thetas, _, ks, codes = _newton_stack(_gradients, _hess, block, n, _newton_tol(n),
+                                             _NEWTON_MAX_ITER)
+        thetas, ks, codes = thetas.reshape(-1, n), np.atleast_1d(ks), np.atleast_1d(codes)
+        failures["collision"] += int(np.sum(codes == 2))
+        failures["no_convergence"] += int(np.sum(codes > 2))
+        steps += int(ks[codes == 1].sum())
+        for th in thetas[codes == 1]:
+            # symmetry_distance does not depend on the orbit representative, bar roundoff
+            if all(symmetry_distance(th, known.config) >= _DEDUP_TOL for known in points):
+                points.append(CriticalPoint(th))
     points.sort(key=lambda p: p.value)
     return FamilyCatalog(
         n=int(n),

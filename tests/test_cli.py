@@ -368,6 +368,56 @@ def test_stability_verdicts(tmp_path, equilibria_path, capsys):
     assert mm[0] > mm[1] > mm[2]
 
 
+def bottleneck_mismatch(actual, predicted):
+    """Oracle for the stability command's asymptotic mismatch: the least
+    worst |a - p| / |p| over all one-to-one matchings of the actual and
+    predicted eigenvalues, found by bisecting the sorted costs for the least
+    one whose allowed pairs admit a perfect matching (augmenting paths)."""
+    cost = np.abs(actual[:, None] - predicted[None, :]) / np.abs(predicted)
+    levels = np.unique(cost)
+
+    def perfect(limit):
+        allowed, owner = cost <= limit, [-1] * len(predicted)
+
+        def augment(i, seen):
+            for j in np.flatnonzero(allowed[i]):
+                if j not in seen:
+                    seen.add(j)
+                    if owner[j] < 0 or augment(owner[j], seen):
+                        owner[j] = i
+                        return True
+            return False
+
+        return all(augment(i, set()) for i in range(len(actual)))
+
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if perfect(levels[mid]) else (mid + 1, hi)
+    return float(levels[lo])
+
+
+def test_asymptotic_mismatch_is_the_bottleneck_matching(tmp_path):
+    # at N = 50 and eps < 0 a greedy nearest-first pairing matched imaginary
+    # predictions with real eigenvalues and reported 12.3 for the minimum and
+    # 25.2 for the ring; the spectra agree with the prediction to about 4%
+    catalog = tmp_path / "catalog50.json"
+    assert main(["find", "--n", "50", "--starts", "80", "--seed", "5", "--out", str(catalog)]) == 0
+    families = json.loads(catalog.read_text())["families"]
+    for family in (0, 2):  # the minimum, and the ring
+        assert families[family]["morse_index"][0] == family
+        eq, verdicts = tmp_path / f"eq{family}.json", tmp_path / f"verdicts{family}.json"
+        assert main(["continue", "--catalog", str(catalog), "--family", str(family),
+                     "--eps=-1e-4,1e-4", "--out", str(eq)]) == 0
+        assert main(["stability", "--equilibria", str(eq), "--out", str(verdicts)]) == 0
+        for v in json.loads(verdicts.read_text())["verdicts"]:
+            actual = np.array([complex(*pair) for pair in v["spectrum"]])
+            predicted = np.array([complex(*pair) for pair in v["asymptotic"]["eigenvalues"]])
+            oracle = bottleneck_mismatch(actual[np.abs(actual) > 0], predicted)
+            assert v["asymptotic"]["mismatch"] == pytest.approx(oracle, rel=1e-3)
+            assert v["asymptotic"]["mismatch"] < 0.05, (family, v["epsilon"])
+
+
 def test_stability_reports_marginal_verdicts(equilibria_path, capsys, monkeypatch):
     # a zero threshold above every |eigenvalue| makes all eight zeros
     monkeypatch.setattr(stability, "_ZERO_TOL", 100.0)

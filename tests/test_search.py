@@ -64,6 +64,26 @@ def sequential_newton(residual, jacobian, x, n, tol, max_iter, collided):
     raise NoConvergence(f"no convergence within {max_iter} iterations")
 
 
+def sequential_stack(newton, residual, jacobian, x, n, tol, max_iter):
+    """Reference for ``search._newton_stack``: ``newton`` on each row of the
+    stack (or on x alone), in order, returning the stack's (x, f, steps,
+    code), code 1 for a converged row, 2 for a colliding start and 3..5 for
+    the NoConvergence messages in ``search._FAILS``."""
+    collided = AngularCollision("collided")
+    messages = [m.format(max_iter) for m in search._FAILS]
+    out = []
+    for row in np.atleast_2d(x):
+        try:
+            out.append((*newton(residual, jacobian, row, n, tol, max_iter, collided), 1))
+        except AngularCollision as exc:
+            assert exc is collided
+            out.append((row, row, 0, 2))
+        except NoConvergence as exc:
+            out.append((row, row, 0, 3 + messages.index(str(exc))))
+    columns = tuple(np.array(column) for column in zip(*out))
+    return columns if x.ndim > 1 else tuple(column[0] for column in columns)
+
+
 def pinv_step(h, g):
     """Reference for ``search._pinned_step``: the Newton step restricted to the
     complement of the rotation direction, through the pseudo-inverse of the
@@ -72,6 +92,13 @@ def pinv_step(h, g):
     cut = 1e-10 * max(1.0, float(np.abs(ev).max()))
     inv = np.where(np.abs(ev) > cut, 1.0 / np.where(ev == 0.0, 1.0, ev), 0.0)
     return -q @ (inv * (q.T @ g))
+
+
+def stacked_pinv_step(h, g, keep):
+    """``pinv_step`` on one row, or on each row of a stack; ``keep`` is unused."""
+    if g.ndim == 1:
+        return pinv_step(h, g)
+    return np.array([pinv_step(hr, gr) for hr, gr in zip(h, g)])
 
 
 def lex_less(a, b):
@@ -98,13 +125,25 @@ def lex_scan_canonicalize(theta):
 
 @pytest.fixture
 def sequential(monkeypatch):
-    """Run ``fn`` with the reference line search in place of the library's."""
+    """Run ``fn`` with the reference line search in place of the library's,
+    a census solving its starts one at a time; check that it ran, and keep
+    the count of its solves in ``run.solves``."""
 
     def run(fn, *args):
+        solves = []
+
+        def counted(*a):
+            solves.append(a)
+            return sequential_newton(*a)
+
         with monkeypatch.context() as m:
             for module in (search, continuation):
-                m.setattr(module, "_newton", sequential_newton)
-            return fn(*args)
+                m.setattr(module, "_newton", counted)
+            m.setattr(search, "_newton_stack", lambda *a: sequential_stack(counted, *a))
+            result = fn(*args)
+        assert solves, "the sequential reference never ran"
+        run.solves = len(solves)
+        return result
 
     return run
 
@@ -231,9 +270,9 @@ def test_newton_refine_classifies():
 
 def test_newton_refine_kernel_rows_and_calls(monkeypatch):
     # the start and the full step of each of six Newton steps go unstacked,
-    # a four-row stack settles the one backtrack, and one last call gives
-    # the converged point's residual and NotCritical check; the modules are
-    # looked up by name because ``vortexeq.potential`` is the function
+    # one row's stack of four trials settles the one backtrack, and one last
+    # call gives the converged point's residual and NotCritical check; the
+    # modules are looked up by name because ``vortexeq.potential`` is the function
     modules = [importlib.import_module(f"vortexeq.{m}") for m in ("potential", "search")]
     inner = modules[0]._gradients
     shapes = []
@@ -245,7 +284,7 @@ def test_newton_refine_kernel_rows_and_calls(monkeypatch):
     for module in modules:
         monkeypatch.setattr(module, "_gradients", counted)
     newton_refine(np.array([0.0, 1.0, 2.5, 4.0]))
-    assert shapes == [(4,)] * 3 + [(4, 4)] + [(4,)] * 5
+    assert shapes == [(4,)] * 3 + [(1, 4, 4)] + [(4,)] * 5
 
 
 def test_newton_refine_quarter_arc_values():
@@ -546,16 +585,69 @@ def test_lm_step_is_the_damped_least_squares_step():
         assert abs(s @ w) <= 1e-12 * np.abs(s).max() * n
 
 
-# N = 15, 20 and 30 split the 25-row stack: at most 4096 // N^2 rows per call.
+def test_stacked_forms_are_bitwise_those_of_each_row():
+    # the stacked solve rests on these: each row of the stacked merit, J^T J,
+    # J^T f and solve, and of both steps, has the bits of its own 2-D call
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 5, 8, 12, 25, 50, 100):
+        f = rng.standard_normal((9, m)) * 10.0 ** rng.integers(-9, 3, (9, 1))
+        jac = rng.standard_normal((9, m, m))
+        jt = np.ascontiguousarray(np.swapaxes(jac, -1, -2))
+        keep = np.arange(m) != m // 2
+        stacked = (search._merit(f), jt @ jac, (jt @ f[..., None])[..., 0],
+                   np.linalg.solve(jac, f[..., None])[..., 0],
+                   search._pinned_step(jac, f, keep), search._lm_step(jac, f, 1))
+        for i in range(9):
+            alone = (np.float64(float(f[i] @ f[i])), jt[i] @ jac[i], jt[i] @ f[i],
+                     np.linalg.solve(jac[i], f[i]), search._pinned_step(jac[i], f[i], keep),
+                     search._lm_step(jac[i], f[i], 1))
+            for a, b in zip(stacked, alone):
+                assert a[i].tobytes() == b.tobytes(), m
+
+
+def test_a_singular_row_ends_alone(monkeypatch):
+    # one start of a stack gets a zero Hessian at its first step: its pinned
+    # system is singular and it ends with code 3, and each other row ends as
+    # its solve alone does, bit for bit
+    rng = np.random.default_rng(4)
+    starts = np.array([sample_wedge(6, rng) for _ in range(5)])
+    tol, cap = search._newton_tol(6), search._NEWTON_MAX_ITER
+    alone = [search._newton(search._gradients, search._hess, row, 6, tol, cap, None)
+             for row in starts]
+    marker, hess = np.cos(starts[2, 0] - starts[2, 1]), search._hess
+
+    def singular_at_start_2(c, om):
+        h = hess(c, om)
+        h[c[..., 0, 1] == marker] = 0.0
+        return h
+
+    x, f, steps, codes = search._newton_stack(search._gradients, singular_at_start_2, starts,
+                                              6, tol, cap)
+    assert codes.tolist() == [1, 1, 3, 1, 1]
+    for i in (0, 1, 3, 4):
+        assert x[i].tobytes() == alone[i][0].tobytes() and f[i].tobytes() == alone[i][1].tobytes()
+        assert steps[i] == alone[i][2]
+
+
+# N = 15, 20 and 30 split the trials k = 5..29: at most 4096 // N^2 per call.
+# N = 12 with 60 starts and N = 7 with 200 split the census into several
+# stacks, and the N = 7 one holds a start that stalls after the switch.
 LADDER_CASES = [(n, seed, 40) for n in range(2, 13) for seed in range(6)] + [
     (n, seed, 15) for n in (15, 20, 30) for seed in range(2)
-]
+] + [(12, 0, 60), (7, 3, 200)]
 
 
 @pytest.mark.parametrize("n, seed, starts", LADDER_CASES)
-def test_multistart_matches_sequential_line_search(sequential, n, seed, starts):
+def test_multistart_matches_sequential_line_search(monkeypatch, sequential, n, seed, starts):
+    stacks = []
+    stack = search._newton_stack
+    monkeypatch.setattr(search, "_newton_stack", lambda *a: stacks.append(a[2].size // n) or stack(*a))
     got = multistart_search(n, starts, seed=seed)
+    # the starts go in order, in stacks of _stack_rows(n) rows (a lone row for 1)
+    rows = search._stack_rows(n)
+    assert stacks == [min(rows, starts - lo) for lo in range(0, starts, rows)]
     ref = sequential(multistart_search, n, starts, seed)
+    assert sequential.solves == starts
     assert got.metadata == ref.metadata
     assert len(got.points) == len(ref.points)
     for p, q in zip(got.points, ref.points):
@@ -567,6 +659,7 @@ def test_multistart_matches_sequential_line_search(sequential, n, seed, starts):
 def test_newton_steps_match_sequential_line_search(sequential, n, seed):
     got = multistart_search(n, 30, seed=seed).metadata
     ref = sequential(multistart_search, n, 30, seed).metadata
+    assert sequential.solves == 30
     # every wedge start takes at least one step
     assert got["newton_steps"] == ref["newton_steps"] >= got["n_converged"] > 0
 
@@ -655,7 +748,7 @@ def test_multistart_with_pinv_step_finds_same_families(monkeypatch, n):
     for seed in (0, 1):
         got = multistart_search(n, 60, seed=seed)
         with monkeypatch.context() as m:
-            m.setattr(search, "_pinned_step", lambda h, g, keep: pinv_step(h, g))
+            m.setattr(search, "_pinned_step", stacked_pinv_step)
             ref = multistart_search(n, 60, seed=seed)
         assert len(got.points) == len(ref.points)
         for p, q in zip(got.points, ref.points):
