@@ -89,6 +89,20 @@ def _header(config: dict) -> dict:
     return {"tool": TOOL_NAME, "version": __version__, "config": config}
 
 
+def _csv(config: dict, columns: list[str], rows) -> str:
+    """CSV text: tool and config comment lines, column header, rows of reprs."""
+    head = [f"# tool={TOOL_NAME} version={__version__}",
+            "# config=" + json.dumps(config, sort_keys=True), ",".join(columns)]
+    return "\n".join(head + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
+def _pick(records: list, index: int, what: str, where: str):
+    """records[index], or VortexEqError when index is out of range."""
+    if not 0 <= index < len(records):
+        raise VortexEqError(f"{what} index {index} out of range ({where} has {len(records)})")
+    return records[index]
+
+
 def _family_record(idx: int, p: CriticalPoint, plot_data: bool) -> dict:
     rec = {
         "id": idx,
@@ -181,26 +195,14 @@ def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
     order = np.argsort(closed, kind="stable")
     matched = np.empty_like(closed)
     matched[order] = np.sort(dense)
-    lines = [
-        f"# tool={TOOL_NAME} version={__version__}",
-        "# config=" + json.dumps(_config(args, "csv"), sort_keys=True),
-        "j,closed_form,dense,abs_difference",
-    ]
-    for j in range(args.n):
-        diff = float(abs(closed[j] - matched[j]))
-        lines.append(f"{j},{float(closed[j])!r},{float(matched[j])!r},{diff!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = zip(range(args.n), closed.tolist(), matched.tolist(), np.abs(closed - matched).tolist())
+    _emit(_csv(_config(args, "csv"), ["j", "closed_form", "dense", "abs_difference"], rows),
+          args.out)
     return 0
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
-    catalog = _load_json(args.catalog)
-    families = catalog["families"]
-    if not 0 <= args.family < len(families):
-        raise VortexEqError(
-            f"family index {args.family} out of range (catalog has {len(families)})"
-        )
-    record = families[args.family]
+    record = _pick(_load_json(args.catalog)["families"], args.family, "family", "catalog")
     cp = _family_from_record(record)
     payload = _header(_config(args, "json"))
     payload["seed_family"] = _family_record(args.family, cp, "plot_data" in record)
@@ -250,8 +252,9 @@ def cmd_stability(args: argparse.Namespace) -> int:
         if cp is not None and cp.morse_index[1] == 1:
             predicted = asymptotic_eigenvalues(cp, eq.epsilon)
             actual = eigenvalues[np.abs(eigenvalues) > 0]
-            # worst |lambda - p| / |p|, matched in sorted order of Re lambda^2; both
-            # come in pairs +/- lambda, so each match takes the nearer sign
+            # worst |lambda - p| / |p| matched in sorted order of Re lambda^2, each match
+            # taking the nearer sign of the pair +/- lambda: an upper bound on the optimal
+            # (bottleneck) matching's, above it where p is off by over 100% (N = 9, eps < 0)
             a, p = (v[np.argsort((v * v).real, kind="stable")] for v in (actual, predicted))
             worst = np.minimum(np.abs(a - p), np.abs(a + p)) / np.abs(p) if a.size == p.size else []
             entry["asymptotic"] = {
@@ -266,27 +269,15 @@ def cmd_stability(args: argparse.Namespace) -> int:
 
 def _trajectory_csv(traj, config: dict) -> str:
     cols = ["t"] + [f"{c}{j}" for j in range(traj.positions.shape[1]) for c in "xy"]
-    lines = [
-        f"# tool={TOOL_NAME} version={__version__}",
-        "# config=" + json.dumps(config, sort_keys=True),
-        ",".join(cols),
-    ]
     flat = traj.positions.view(float)  # x0, y0, x1, y1, ... per row
     # one row at a time: a whole-trajectory tolist() holds every float at once
-    for t, row in zip(traj.times.tolist(), flat):
-        lines.append(",".join(map(repr, [t] + row.tolist())))
-    return "\n".join(lines) + "\n"
+    return _csv(config, cols, ([t] + row.tolist() for t, row in zip(traj.times.tolist(), flat)))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config(args, "csv")
-    data = _load_json(args.equilibria)
-    records = data["equilibria"]
-    if not 0 <= args.index < len(records):
-        raise VortexEqError(
-            f"equilibrium index {args.index} out of range (file has {len(records)})"
-        )
-    eq = _equilibrium_from_record(records[args.index])
+    records = _load_json(args.equilibria)["equilibria"]
+    eq = _equilibrium_from_record(_pick(records, args.index, "equilibrium", "file"))
     aborted = False
     growth = None
     try:
@@ -333,25 +324,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < np.inf:  # false for nan too
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < np.inf:  # false for nan too
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
+def _number(kind: type, low: int, strict: bool = False):
+    """argparse type: a finite ``kind`` >= low, > low if ``strict``; named after
+    ``kind``, so text that does not convert reads "invalid int value: 'abc'"."""
+    def convert(text: str):
+        value = kind(text)
+        if not ((low < value) if strict else (low <= value)) or value == np.inf:  # nan fails too
+            op = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be finite and {op} {low}, got {text}")
+        return value
+    convert.__name__ = kind.__name__
+    return convert
 
 
 def _eps_values(text: str) -> list[float]:
@@ -374,18 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, seed = _number(float, 0, strict=True), _number(int, 0)
 
     p_find = sub.add_parser("find", help="multistart search for critical-point families")
-    p_find.add_argument("--n", type=int, required=True, help="number of weak vortices")
-    p_find.add_argument("--starts", type=int, default=500)
+    p_find.add_argument("--n", type=_number(int, 2), required=True, help="number of weak vortices")
+    p_find.add_argument("--starts", type=_number(int, 1), default=500)
     p_find.add_argument("--plot-data", action="store_true",
                         help="embed unit-circle point lists per family")
-    p_find.add_argument("--seed", type=_nonnegative_int, default=0, help="RNG seed for the starts")
+    p_find.add_argument("--seed", type=seed, default=0, help="RNG seed for the starts")
     p_find.set_defaults(func=cmd_find)
 
     p_spec = sub.add_parser("ngon-spectrum",
                             help="closed-form vs dense spectrum of the regular polygon")
-    p_spec.add_argument("--n", type=int, required=True)
+    p_spec.add_argument("--n", type=_number(int, 3), required=True)
     p_spec.set_defaults(func=cmd_ngon_spectrum)
 
     p_cont = sub.add_parser("continue",
@@ -406,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="equilibria JSON from continue")
     p_sim.add_argument("--index", type=int, default=0,
                        help="equilibrium index within the file")
-    p_sim.add_argument("--h", type=_positive_float, required=True, help="RK4 step size")
-    p_sim.add_argument("--T", type=_positive_float, required=True, help="final time")
-    p_sim.add_argument("--perturb", type=_nonnegative_float, default=0.0,
+    p_sim.add_argument("--h", type=positive, required=True, help="RK4 step size")
+    p_sim.add_argument("--T", type=positive, required=True, help="final time")
+    p_sim.add_argument("--perturb", type=_number(float, 0), default=0.0,
                        help="perturbation amplitude (0 = unperturbed)")
-    p_sim.add_argument("--seed", type=_nonnegative_int, default=0,
+    p_sim.add_argument("--seed", type=seed, default=0,
                        help="RNG seed for the perturbation")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -426,10 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         i = argv.index("--eps")
         argv[i : i + 2] = [f"--eps={argv[i + 1]}"]
     args = parser.parse_args(argv)
-    if args.command == "find" and (args.n < 2 or args.starts < 1):
-        parser.error("find requires --n >= 2 and --starts >= 1")
-    if args.command == "ngon-spectrum" and args.n < 3:
-        parser.error("ngon-spectrum requires --n >= 3")
     if args.command == "simulate" and args.T / args.h > _MAX_STEPS:
         parser.error(f"simulate requires --T / --h <= {_MAX_STEPS}")
     try:
@@ -440,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return 1
 

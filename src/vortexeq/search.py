@@ -318,24 +318,24 @@ def sample_wedge(n: int, rng: np.random.Generator) -> np.ndarray:
 def multistart_search(n: int, n_starts: int, seed: int = 0) -> FamilyCatalog:
     """Locate critical-point families from random starts in the gap wedge.
 
-    Draws ``n_starts`` wedge samples with the given seed, then runs
-    ``newton_refine``'s solve, whose tolerance follows from n, on them in
-    order, ``_stack_rows(n)`` starts per ``_newton_stack`` call; each start
-    ends bit for bit as its solve alone.  In start order, a converged start
-    within symmetry distance 1e-6 of a known family joins it; only the first
-    of each family is built into a ``CriticalPoint``.  Returns the catalog
-    sorted by potential value; ``newton_steps`` in its metadata sums the
-    steps of the converged starts.  Deterministic for a fixed seed.
+    Draws ``n_starts`` wedge samples with the given seed, each stack's just
+    before its solve, and solves them in order as ``newton_refine`` does (its
+    tolerance follows from n), ``_stack_rows(n)`` starts per ``_newton_stack``
+    call; each start ends bit for bit as its solve alone.  In start order, a
+    converged start within symmetry distance 1e-6 of a known family joins it;
+    only the first of each family is built into a ``CriticalPoint``.  Returns
+    the catalog sorted by potential value; ``newton_steps`` in its metadata
+    sums the steps of the converged starts.  Deterministic for a fixed seed.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN("multistart search needs an integer n >= 2")
     rng = np.random.default_rng(seed)
-    starts = np.array([sample_wedge(n, rng) for _ in range(int(n_starts))]).reshape(-1, n)
     points: list[CriticalPoint] = []
     failures = {"no_convergence": 0, "collision": 0}
     steps, rows = 0, _stack_rows(n)
-    for lo in range(0, len(starts), rows):
-        block = starts[lo] if rows == 1 else starts[lo : lo + rows]  # a lone row is cheaper
+    for lo in range(0, int(n_starts), rows):
+        block = np.array([sample_wedge(n, rng) for _ in range(min(rows, int(n_starts) - lo))])
+        block = block[0] if rows == 1 else block  # a lone row is cheaper
         thetas, _, ks, codes = _newton_stack(_gradients, _hess, block, n, _newton_tol(n),
                                              _NEWTON_MAX_ITER)
         thetas, ks, codes = thetas.reshape(-1, n), np.atleast_1d(ks), np.atleast_1d(codes)

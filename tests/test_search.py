@@ -655,6 +655,20 @@ def test_multistart_matches_sequential_line_search(monkeypatch, sequential, n, s
         assert (p.value, p.morse_index, p.residual) == (q.value, q.morse_index, q.residual)
 
 
+@pytest.mark.parametrize("n, starts", [(4, 70), (12, 50), (40, 3)])
+def test_multistart_draws_each_stack_just_before_its_solve(monkeypatch, n, starts):
+    # drawing every start before the first solve held about 350 B a start
+    events = []
+    draw, stack = search.sample_wedge, search._newton_stack
+    monkeypatch.setattr(search, "sample_wedge", lambda *a: events.append("draw") or draw(*a))
+    monkeypatch.setattr(search, "_newton_stack", lambda *a: events.append("solve") or stack(*a))
+    multistart_search(n, starts, seed=0)
+    rows = search._stack_rows(n)
+    assert events.index("solve") <= rows
+    assert events == [e for lo in range(0, starts, rows)
+                      for e in ["draw"] * min(rows, starts - lo) + ["solve"]]
+
+
 @pytest.mark.parametrize("n, seed", [(3, 0), (6, 1), (9, 2), (12, 3)])
 def test_newton_steps_match_sequential_line_search(sequential, n, seed):
     got = multistart_search(n, 30, seed=seed).metadata
