@@ -13,6 +13,8 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
+from enum import Enum
 
 import numpy as np
 
@@ -49,7 +51,9 @@ def _atomic_write(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory + rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vortexeq-")
+    os.umask(umask := os.umask(0))  # reads the umask, which mkstemp's 0600 ignores
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open would give
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -66,16 +70,20 @@ def _emit(text: str, out: str | None) -> None:
         _atomic_write(out, text)
 
 
+def _plain(obj):
+    """json's ``default`` hook: an enum is its value, a numpy value its ``tolist()``
+    with each complex number as [re, im], and anything else a TypeError."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (np.ndarray, np.generic)):
+        if np.iscomplexobj(obj):
+            obj = np.stack((obj.real, obj.imag), axis=-1)
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _floats(arr) -> list:
-    return [float(x) for x in np.asarray(arr).ravel()]
-
-
-def _complex_pairs(values) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values).ravel()]
+    return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def _config(args: argparse.Namespace, fmt: str) -> dict:
@@ -106,18 +114,16 @@ def _pick(records: list, index: int, what: str, where: str):
 def _family_record(idx: int, p: CriticalPoint, plot_data: bool) -> dict:
     rec = {
         "id": idx,
-        "angles": _floats(p.config),
-        "class": p.cls.value,
-        "morse_index": list(p.morse_index),
-        "spectrum": _floats(p.spectrum.eigenvalues),
-        "value": float(p.value),
-        "residual": float(p.residual),
-        "reflection_symmetric": bool(p.reflection_symmetric),
+        "angles": p.config,
+        "class": p.cls,
+        "morse_index": p.morse_index,
+        "spectrum": p.spectrum.eigenvalues,
+        "value": p.value,
+        "residual": p.residual,
+        "reflection_symmetric": p.reflection_symmetric,
     }
     if plot_data:
-        rec["plot_data"] = [
-            [float(np.cos(t)), float(np.sin(t))] for t in p.config
-        ]
+        rec["plot_data"] = [[np.cos(t), np.sin(t)] for t in p.config]
     return rec
 
 
@@ -142,16 +148,6 @@ def _family_from_record(rec: dict) -> CriticalPoint:
     return cp
 
 
-def _equilibrium_record(eq: RelativeEquilibrium) -> dict:
-    return {
-        "epsilon": float(eq.epsilon),
-        "omega": float(eq.omega),
-        "r": _floats(eq.r),
-        "theta": _floats(eq.theta),
-        "residual": float(eq.residual),
-    }
-
-
 def _equilibrium_from_record(rec: dict) -> RelativeEquilibrium:
     """Rebuild an equilibrium from eps, r and theta, which the constructor
     checks; a stored residual is not read.  ValueError unless a stored omega
@@ -163,16 +159,9 @@ def _equilibrium_from_record(rec: dict) -> RelativeEquilibrium:
 
 def _scaling_record(family: list[RelativeEquilibrium]) -> dict | None:
     try:
-        rep = verify_lemma1_scaling(family)
+        return asdict(verify_lemma1_scaling(family))
     except InsufficientFamily:
         return None
-    return {
-        "epsilons": _floats(rep.epsilons),
-        "q0_ratios": _floats(rep.q0_ratios),
-        "radius_ratios": _floats(rep.radius_ratios),
-        "q0_bounded": bool(rep.q0_bounded),
-        "radius_bounded": bool(rep.radius_bounded),
-    }
 
 
 def cmd_find(args: argparse.Namespace) -> int:
@@ -182,9 +171,7 @@ def cmd_find(args: argparse.Namespace) -> int:
     payload["families"] = [
         _family_record(i, p, args.plot_data) for i, p in enumerate(catalog.points)
     ]
-    payload["metadata"] = {
-        k: catalog.metadata[k] for k in ("n_converged", "failures", "euler_sum")
-    }
+    payload["metadata"] = {k: catalog.metadata[k] for k in ("n_converged", "failures", "euler_sum")}
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -206,20 +193,15 @@ def cmd_continue(args: argparse.Namespace) -> int:
     cp = _family_from_record(record)
     payload = _header(_config(args, "json"))
     payload["seed_family"] = _family_record(args.family, cp, "plot_data" in record)
-    done: list[RelativeEquilibrium] = []
     failure = None
     try:
         done = sweep_epsilon(cp, args.eps)
     except NoConvergence as exc:
-        done = list(exc.partial or [])
-        failure = str(exc)
-    payload["equilibria"] = [_equilibrium_record(eq) for eq in done]
-    by_sign = {
-        "positive": [eq for eq in done if eq.epsilon > 0],
-        "negative": [eq for eq in done if eq.epsilon < 0],
-    }
+        done, failure = list(exc.partial or []), str(exc)
+    payload["equilibria"] = [dict(asdict(eq), omega=eq.omega, residual=eq.residual) for eq in done]
     payload["lemma1_scaling"] = {
-        sign: _scaling_record(group) for sign, group in by_sign.items()
+        "positive": _scaling_record([eq for eq in done if eq.epsilon > 0]),
+        "negative": _scaling_record([eq for eq in done if eq.epsilon < 0]),
     }
     if failure is not None:
         payload["error"] = failure
@@ -239,14 +221,14 @@ def cmd_stability(args: argparse.Namespace) -> int:
     for rec in data["equilibria"]:
         eq = _equilibrium_from_record(rec)
         verdict = stability_verdict(eq)
-        eigenvalues = np.asarray(verdict.spectrum.eigenvalues)
+        eigenvalues = verdict.spectrum.eigenvalues
         entry = {
-            "epsilon": float(eq.epsilon),
-            "classification": verdict.classification.value,
+            "epsilon": eq.epsilon,
+            "classification": verdict.classification,
             "n_zero": verdict.spectrum.zero_count,
-            "max_real_part": float(verdict.max_real_part),
+            "max_real_part": verdict.max_real_part,
             "instability_count": verdict.instability_count,
-            "spectrum": _complex_pairs(eigenvalues),
+            "spectrum": eigenvalues,
             "asymptotic": None,
         }
         if cp is not None and cp.morse_index[1] == 1:
@@ -258,8 +240,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
             a, p = (v[np.argsort((v * v).real, kind="stable")] for v in (actual, predicted))
             worst = np.minimum(np.abs(a - p), np.abs(a + p)) / np.abs(p) if a.size == p.size else []
             entry["asymptotic"] = {
-                "eigenvalues": _complex_pairs(predicted),
-                "mismatch": float(np.max(worst)) if len(worst) else None,
+                "eigenvalues": predicted,
+                "mismatch": np.max(worst) if len(worst) else None,
             }
         verdicts.append(entry)
     payload["verdicts"] = verdicts
@@ -278,8 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config(args, "csv")
     records = _load_json(args.equilibria)["equilibria"]
     eq = _equilibrium_from_record(_pick(records, args.index, "equilibrium", "file"))
-    aborted = False
-    growth = None
+    aborted, growth = False, None
     try:
         if args.perturb > 0.0:
             growth = perturbation_growth(
@@ -291,12 +272,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except CollisionAbort as exc:
         traj = exc.trajectory
         aborted = True
-    csv_path = args.out
-    report_path = None
-    if csv_path is not None:
-        stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-        csv_path = stem + ".csv"
-        report_path = stem + ".report.json"
+    csv_path = report_path = None
+    if args.out is not None:
+        stem = args.out.removesuffix(".csv")
+        csv_path, report_path = stem + ".csv", stem + ".report.json"
     report = _header(config)
     report["aborted"] = aborted
     # drifts from the first sample, which is the perturbed start under --perturb
@@ -304,18 +283,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     last = PlanarConfiguration(traj.positions[-1], eq.epsilon)
     h0 = hamiltonian(first)
     m0 = vorticity_moment(first)
-    report["rigidity_error"] = float(rigidity_error(traj))
+    report["rigidity_error"] = rigidity_error(traj)
     report["hamiltonian_drift"] = abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300)
     report["moment_drift"] = abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300)
-    report["steps"] = int(traj.times.size - 1)
-    if growth is not None:
-        report["growth"] = {
-            "fitted_rate": float(growth.fitted_rate),
-            "predicted_rate": float(growth.predicted_rate),
-            "amplitude": float(growth.amplitude),
-            "window_points": int(growth.window_points),
-            "max_deviation": float(growth.max_deviation),
-        }
+    report["steps"] = traj.times.size - 1
+    if growth is not None:  # not asdict, which would deep-copy the trajectory
+        report["growth"] = {k: v for k, v in vars(growth).items() if k != "trajectory"}
     _emit(_trajectory_csv(traj, config), csv_path)
     _emit(_json_text(report), report_path)
     if aborted:
@@ -417,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except VortexEqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (KeyError, TypeError, ValueError) as exc:

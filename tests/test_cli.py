@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, file schemas, determinism, atomicity."""
 
 import json
+import os
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,13 +11,14 @@ import pytest
 from vortexeq import (
     NoConvergence,
     RelativeEquilibrium,
+    StabilityClass,
     Trajectory,
     cli,
     continuation,
     dynamics,
     stability,
 )
-from vortexeq.cli import _trajectory_csv, main
+from vortexeq.cli import _json_text, _trajectory_csv, main
 
 
 def run(capsys, *argv):
@@ -189,6 +193,82 @@ def test_no_temp_files_left(tmp_path, capsys):
     run(capsys, "find", "--n", "2", "--starts", "40", "--out", str(path))
     leftovers = [p.name for p in tmp_path.iterdir() if p.name != "cat.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=lambda m: f"umask{m:03o}")
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path, capsys, umask):
+    path = tmp_path / "cat.json"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "find", "--n", "2", "--starts", "5", "--out", str(path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("case", ["out-is-a-directory", "catalog-is-a-directory",
+                                  "out-not-writable"])
+def test_file_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, case):
+    def no_access(*args, **kwargs):  # what mkstemp raises in a directory we may not write
+        raise PermissionError(13, "Permission denied", str(tmp_path))
+
+    if case == "out-not-writable":
+        monkeypatch.setattr(cli.tempfile, "mkstemp", no_access)
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    argv = {
+        "out-is-a-directory": ["find", "--n", "3", "--starts", "5", "--out", str(directory)],
+        "catalog-is-a-directory": ["continue", "--catalog", str(directory), "--eps", "1e-3",
+                                   "--out", str(tmp_path / "eq.json")],
+        "out-not-writable": ["find", "--n", "3", "--starts", "5",
+                             "--out", str(tmp_path / "cat.json")],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]  # no temp file left
+    assert list(directory.iterdir()) == []
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@dataclass
+class _Opaque:
+    x: float = 1.0
+
+
+def test_json_text_writes_library_values_bit_for_bit():
+    pairs = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(1 / 3, -5e-324)])
+    payload = {
+        "neg_zero": np.float64(-0.0),
+        "subnormal": 5e-324,
+        "third": np.array([1 / 3, -0.0, 5e-324]),
+        "pairs": pairs,
+        "flag": np.bool_(True),
+        "count": np.int64(-7),
+        "class": StabilityClass.MARGINAL,
+    }
+    back = json.loads(_json_text(payload))
+    assert _bits(back["neg_zero"]) == _bits(-0.0)
+    assert _bits(back["subnormal"]) == _bits(5e-324)
+    assert [_bits(x) for x in back["third"]] == [_bits(1 / 3), _bits(-0.0), _bits(5e-324)]
+    assert [[_bits(re), _bits(im)] for re, im in back["pairs"]] == [
+        [_bits(z.real), _bits(z.imag)] for z in pairs
+    ]
+    assert back["flag"] is True
+    assert back["count"] == -7 and type(back["count"]) is int
+    assert back["class"] == "marginal"
+
+
+@pytest.mark.parametrize("value", [_Opaque(), object(), 1j, {1, 2}],
+                         ids=["dataclass", "object", "complex", "set"])
+def test_json_text_refuses_unknown_objects(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _json_text({"value": [value]})
 
 
 @pytest.fixture
