@@ -56,7 +56,10 @@ def _atomic_write(path: str, text: str) -> None:
         os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open would give
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name path, not the temp file removed below
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -260,35 +263,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config(args, "csv")
     records = _load_json(args.equilibria)["equilibria"]
     eq = _equilibrium_from_record(_pick(records, args.index, "equilibrium", "file"))
-    aborted, growth = False, None
+    start = PlanarConfiguration.from_equilibrium(eq, args.perturb, args.seed)
     try:
-        if args.perturb > 0.0:
-            growth = perturbation_growth(
-                eq, amplitude=args.perturb, t_final=args.T, h=args.h, seed=args.seed
-            )
-            traj = growth.trajectory
-        else:
-            traj = integrate_rk4(PlanarConfiguration.from_equilibrium(eq), args.h, args.T)
+        traj, aborted = integrate_rk4(start, args.h, args.T), False
     except CollisionAbort as exc:
-        traj = exc.trajectory
-        aborted = True
+        traj, aborted = exc.trajectory, True
     csv_path = report_path = None
     if args.out is not None:
         stem = args.out.removesuffix(".csv")
         csv_path, report_path = stem + ".csv", stem + ".report.json"
     report = _header(config)
     report["aborted"] = aborted
-    # drifts from the first sample, which is the perturbed start under --perturb
-    first = PlanarConfiguration(traj.positions[0], eq.epsilon)
     last = PlanarConfiguration(traj.positions[-1], eq.epsilon)
-    h0 = hamiltonian(first)
-    m0 = vorticity_moment(first)
+    h0, m0 = hamiltonian(start), vorticity_moment(start)
     report["rigidity_error"] = rigidity_error(traj)
     report["hamiltonian_drift"] = abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300)
     report["moment_drift"] = abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300)
     report["steps"] = traj.times.size - 1
-    if growth is not None:  # not asdict, which would deep-copy the trajectory
-        report["growth"] = {k: v for k, v in vars(growth).items() if k != "trajectory"}
+    if args.perturb > 0.0 and not aborted:
+        report["growth"] = asdict(perturbation_growth(eq, traj, args.perturb))
     _emit(_trajectory_csv(traj, config), csv_path)
     _emit(_json_text(report), report_path)
     if aborted:

@@ -26,7 +26,6 @@ from .continuation import (
     _pair_arrays,
 )
 from .errors import CollisionAbort, InvalidN, VortexCollision
-from .search import TWO_PI
 from .stability import _symmetry_directions, stability_verdict
 
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
@@ -52,8 +51,29 @@ class PlanarConfiguration:
             raise VortexCollision(_COLLIDED)
 
     @classmethod
-    def from_equilibrium(cls, eq: RelativeEquilibrium) -> "PlanarConfiguration":
-        return cls(eq.positions(), eq.epsilon)
+    def from_equilibrium(
+        cls, eq: RelativeEquilibrium, amplitude: float = 0.0, seed: int = 0
+    ) -> "PlanarConfiguration":
+        """The equilibrium's positions, the weak vortices moved by a random
+        displacement of norm ``amplitude`` drawn from ``seed``.
+
+        The displacement is orthogonal, in polar coordinates, to the rigid
+        rotation and the uniform radius change: exciting those symmetry zero
+        modes only adds a secular phase drift (larger rings rotate at a
+        different rate) that masks the exponential rates a growth fit is
+        after.  N = 1 has no other direction, so a nonzero amplitude raises
+        InvalidN there."""
+        z = eq.positions()
+        if amplitude != 0.0:
+            n = eq.n
+            if n == 1:
+                raise InvalidN("N = 1 has no perturbation direction off the symmetry modes")
+            delta = np.random.default_rng(seed).standard_normal(2 * n)
+            for unit in _symmetry_directions(eq.r):
+                delta -= (delta @ unit) * unit
+            disp = (delta[:n] + 1j * eq.r * delta[n:]) * np.exp(1j * eq.theta)
+            z[1:] += amplitude * disp / np.linalg.norm(disp)
+        return cls(z, eq.epsilon)
 
     @property
     def gammas(self) -> np.ndarray:
@@ -151,50 +171,21 @@ class GrowthReport:
     amplitude: float
     window_points: int
     max_deviation: float
-    trajectory: Trajectory | None = None
 
 
 def perturbation_growth(
-    eq: RelativeEquilibrium,
-    amplitude: float = 1e-6,
-    t_final: float = TWO_PI,
-    h: float | None = None,
-    seed: int = 0,
+    eq: RelativeEquilibrium, traj: Trajectory, amplitude: float
 ) -> GrowthReport:
-    """Growth rate of a random perturbation against the rotating solution.
+    """Growth rate of a trajectory started ``amplitude`` off the equilibrium,
+    as ``PlanarConfiguration.from_equilibrium(eq, amplitude, seed)`` builds it.
 
-    Integrates the perturbed configuration, measures the Frobenius deviation
-    from the exactly rotating equilibrium, and fits d/dt log(deviation) by
-    least squares over the window where the deviation lies between
-    10 * amplitude and 1e-2 (whole trajectory when the window is too short,
-    as for stable equilibria).  The linear prediction is the largest real
-    part in the linearization spectrum.
-
-    The random perturbation displaces only the weak vortices and is chosen
-    orthogonal, in polar coordinates, to the rigid rotation direction and to
-    the uniform radius change.  Those two directions span the symmetry zero
-    modes of the linearization; exciting them only adds a secular phase drift
-    (larger rings rotate at a different rate) that masks the exponential
-    rates the fit is after.  An N = 1 equilibrium has no other direction, so
-    a nonzero amplitude raises InvalidN there.
+    Measures the Frobenius deviation from the exactly rotating equilibrium and
+    fits d/dt log(deviation) by least squares over the window where the
+    deviation lies between 10 * amplitude and 1e-2 (whole trajectory when the
+    window is too short, as for stable equilibria).  The linear prediction is
+    the largest real part in the linearization spectrum.
     """
-    predicted = stability_verdict(eq).max_real_part
-    if h is None:
-        h = t_final / 4096.0
-    base = eq.positions()
-    z0 = base.copy()
-    if amplitude != 0.0:
-        n = eq.n
-        if n == 1:
-            raise InvalidN("N = 1 has no perturbation direction off the symmetry modes")
-        rng = np.random.default_rng(seed)
-        delta = rng.standard_normal(2 * n)
-        for unit in _symmetry_directions(eq.r):
-            delta -= (delta @ unit) * unit
-        disp = (delta[:n] + 1j * eq.r * delta[n:]) * np.exp(1j * eq.theta)
-        z0[1:] += amplitude * disp / np.linalg.norm(disp)
-    traj = integrate_rk4(PlanarConfiguration(z0, eq.epsilon), h, t_final)
-    rotated = np.exp(1j * eq.omega * traj.times)[:, None] * base
+    rotated = np.exp(1j * eq.omega * traj.times)[:, None] * eq.positions()
     dev = np.linalg.norm(traj.positions - rotated, axis=1)
     floor = max(10.0 * amplitude, 1e-300)
     mask = (dev >= floor) & (dev <= 1e-2)
@@ -205,9 +196,8 @@ def perturbation_growth(
         rate = float(np.polyfit(traj.times[mask], np.log(dev[mask]), 1)[0])
     return GrowthReport(
         fitted_rate=rate,
-        predicted_rate=predicted,
+        predicted_rate=stability_verdict(eq).max_real_part,
         amplitude=amplitude,
         window_points=int(mask.sum()),
         max_deviation=float(dev.max()),
-        trajectory=traj,
     )

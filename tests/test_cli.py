@@ -1,21 +1,25 @@
 """Command-line interface: exit codes, file schemas, determinism, atomicity."""
 
+import errno
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 
 from vortexeq import (
     NoConvergence,
+    PlanarConfiguration,
     RelativeEquilibrium,
     StabilityClass,
     Trajectory,
     cli,
     continuation,
     dynamics,
+    integrate_rk4,
+    perturbation_growth,
     stability,
 )
 from vortexeq.cli import _json_text, _trajectory_csv, main
@@ -232,6 +236,17 @@ def test_file_errors_exit_1_with_one_line(tmp_path, capsys, monkeypatch, case):
     assert list(directory.iterdir()) == []
 
 
+def test_failed_rename_names_the_out_path(tmp_path, capsys, monkeypatch):
+    # mkstemp succeeds next to "runs"; only the rename onto the directory fails
+    (tmp_path / "runs").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "find", "--n", "3", "--starts", "5", "--out", "runs")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'runs'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]  # no temp file left
+
+
 def _bits(x):
     return struct.pack("<d", x)
 
@@ -345,7 +360,7 @@ def test_continue_output(equilibria_path):
     assert data["lemma1_scaling"]["negative"] is None
 
 
-def test_continue_usage_errors(catalog4_path):
+def test_continue_usage_errors(catalog4_path, capsys):
     assert run_usage_error("continue", "--catalog", str(catalog4_path),
                            "--eps", "1e-3,0") == 2
     assert run_usage_error("continue", "--catalog", str(catalog4_path),
@@ -353,6 +368,10 @@ def test_continue_usage_errors(catalog4_path):
     for eps in ("1e-3,nan", "1e-3,inf", "-inf"):
         assert run_usage_error("continue", "--catalog", str(catalog4_path),
                                "--eps", eps) == 2
+    capsys.readouterr()
+    assert run_usage_error("continue", "--catalog", str(catalog4_path),
+                           "--eps", "abc") == 2
+    assert "argument --eps: could not convert string to float" in capsys.readouterr().err
 
 
 def test_continue_checks_every_eps_before_solving(tmp_path, catalog4_path, capsys,
@@ -781,6 +800,7 @@ def test_simulate_abort_keeps_the_start(tmp_path, equilibria_path, capsys, monke
     report = json.loads((tmp_path / "run.report.json").read_text())
     assert report["aborted"] is True
     assert report["steps"] == 0
+    assert "growth" not in report
     lines = (tmp_path / "run.csv").read_text().split("\n")
     assert lines[2] == "t,x0,y0,x1,y1,x2,y2,x3,y3,x4,y4"
     assert lines[3].startswith("0.0,")
@@ -833,6 +853,22 @@ def test_simulate_growth_on_unstable_family(tmp_path, catalog4_path, capsys):
     assert growth["fitted_rate"] > 0.01
     assert growth["predicted_rate"] > 0.0
     assert growth["fitted_rate"] == pytest.approx(growth["predicted_rate"], rel=0.2)
+
+
+def test_simulate_growth_is_the_library_fit(tmp_path, equilibria_path, capsys):
+    # the report's growth is perturbation_growth on the run from the perturbed start
+    h, T, amplitude, seed = 0.05, 3.0, 1e-4, 3
+    code, _, _ = run(capsys, "simulate", "--equilibria", str(equilibria_path),
+                     "--index", "1", "--h", repr(h), "--T", repr(T),
+                     "--perturb", repr(amplitude), "--seed", str(seed),
+                     "--out", str(tmp_path / "run"))
+    assert code == 0
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    rec = json.loads(equilibria_path.read_text())["equilibria"][1]
+    eq = RelativeEquilibrium(r=rec["r"], theta=rec["theta"], epsilon=rec["epsilon"])
+    start = PlanarConfiguration.from_equilibrium(eq, amplitude, seed)
+    traj = integrate_rk4(start, h, T)
+    assert report["growth"] == asdict(perturbation_growth(eq, traj, amplitude))
 
 
 def test_simulate_usage_errors(equilibria_path):

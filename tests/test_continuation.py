@@ -501,6 +501,9 @@ def test_lemma1_requires_enough_members(min3_point):
     )
     with pytest.raises(InsufficientFamily):
         verify_lemma1_scaling(mixed)
+    repeated = sweep_epsilon(min3_point, [1e-2, 1e-3, 1e-2])
+    with pytest.raises(InsufficientFamily, match="^need at least 3 distinct"):
+        verify_lemma1_scaling(repeated)
 
 
 def test_positions_layout(min3_eq):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from vortexeq import (
     CollisionAbort,
+    InvalidN,
     PlanarConfiguration,
+    RelativeEquilibrium,
     Trajectory,
     VortexCollision,
     continuation,
@@ -23,6 +25,7 @@ from vortexeq import (
     perturbation_growth,
     potential,
     rigidity_error,
+    stability,
     vortex_field,
     vorticity_moment,
 )
@@ -237,6 +240,12 @@ def test_rk4_step_count_is_bounded(h, t_final, monkeypatch):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("h,t_final", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0)])
+def test_integrate_rk4_needs_positive_step_and_time(h, t_final):
+    with pytest.raises(ValueError, match="^need h > 0 and t_final > 0$"):
+        integrate_rk4(unit_pair(1e-3), h, t_final)
+
+
 def reference_biot_savart(z, gammas):
     """The Biot-Savart kernel as it was before it wrote into caller-owned
     arrays, kept verbatim as a bitwise oracle."""
@@ -388,14 +397,20 @@ def test_rigidity_error_matches_all_pairs(min3_eq):
         assert rigidity_error(traj) == float(np.abs(dist - dist[0]).max())
 
 
+def perturbed_run(eq, amplitude, t_final, h, seed=0):
+    """The growth report and trajectory of one run from a perturbed start."""
+    start = PlanarConfiguration.from_equilibrium(eq, amplitude, seed)
+    traj = integrate_rk4(start, h, t_final)
+    return perturbation_growth(eq, traj, amplitude), traj
+
+
 def test_growth_unstable_pair_matches_prediction(collinear_eq):
-    report = perturbation_growth(collinear_eq, amplitude=1e-6, t_final=200.0, h=0.02)
+    report, traj = perturbed_run(collinear_eq, 1e-6, 200.0, 0.02)
     target = np.sqrt(2 * 1.5 * 1e-3)
     assert report.fitted_rate == pytest.approx(target, rel=0.2)
     assert report.predicted_rate == pytest.approx(target, rel=0.01)
     assert report.window_points > 100
     # the deviation from the rigidly rotating start, one sample at a time
-    traj = report.trajectory
     pos = traj.positions.view(float).reshape(*traj.positions.shape, 2)
     base = collinear_eq.positions().view(float).reshape(-1, 2)
     dev = np.empty(traj.times.size)
@@ -408,22 +423,60 @@ def test_growth_unstable_pair_matches_prediction(collinear_eq):
 
 
 def test_growth_stable_pair_stays_flat(triangle_eq):
-    report = perturbation_growth(triangle_eq, amplitude=1e-6, t_final=200.0, h=0.02)
+    report, _ = perturbed_run(triangle_eq, 1e-6, 200.0, 0.02)
     unstable_rate = np.sqrt(2 * 1.5 * 1e-3)
     assert abs(report.fitted_rate) < 0.1 * unstable_rate
     assert report.max_deviation < 1e-4
 
 
 def test_growth_zero_amplitude(triangle_eq):
-    report = perturbation_growth(triangle_eq, amplitude=0.0, t_final=TWO_PI)
+    report, _ = perturbed_run(triangle_eq, 0.0, TWO_PI, TWO_PI / 4096)
     assert report.max_deviation < 1e-10
 
 
 def test_growth_deterministic(collinear_eq):
-    a = perturbation_growth(collinear_eq, amplitude=1e-6, t_final=20.0, h=0.05, seed=4)
-    b = perturbation_growth(collinear_eq, amplitude=1e-6, t_final=20.0, h=0.05, seed=4)
+    a, _ = perturbed_run(collinear_eq, 1e-6, 20.0, 0.05, seed=4)
+    b, _ = perturbed_run(collinear_eq, 1e-6, 20.0, 0.05, seed=4)
     assert a.fitted_rate == b.fitted_rate
     assert a.max_deviation == b.max_deviation
+
+
+def test_unperturbed_start_is_the_equilibrium(min3_eq):
+    plain = PlanarConfiguration.from_equilibrium(min3_eq).positions
+    assert plain.tobytes() == min3_eq.positions().tobytes()
+    for seed in (0, 7):
+        zero = PlanarConfiguration.from_equilibrium(min3_eq, 0.0, seed).positions
+        assert zero.tobytes() == plain.tobytes()
+
+
+def test_perturbed_start_moves_the_weak_vortices_off_the_symmetry_modes(min3_eq):
+    # an amplitude of 1 keeps the rounding of z + displacement below 1e-15 of it
+    z = min3_eq.positions()
+    moved = PlanarConfiguration.from_equilibrium(min3_eq, 1.0, 3).positions
+    assert moved[:1].tobytes() == z[:1].tobytes()  # the strong vortex stays put
+    disp = moved[1:] - z[1:]
+    assert np.linalg.norm(disp) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    # back to (dr, dtheta): orthogonal to the rotation and scaling directions
+    polar = disp * np.exp(-1j * min3_eq.theta)
+    delta = np.concatenate((polar.real, polar.imag / min3_eq.r))
+    for unit in stability._symmetry_directions(min3_eq.r):
+        assert abs(delta @ unit) <= 1e-14 * np.linalg.norm(delta)
+
+
+def test_perturbed_start_follows_the_seed(min3_eq):
+    def start(seed):
+        return PlanarConfiguration.from_equilibrium(min3_eq, 1e-6, seed).positions.tobytes()
+
+    assert start(5) == start(5)
+    assert start(5) != start(6)
+
+
+def test_perturbed_start_needs_two_weak_vortices():
+    eps = 1e-2
+    eq = RelativeEquilibrium(r=[1.0 / np.sqrt(1.0 + eps)], theta=[0.0], epsilon=eps)
+    with pytest.raises(InvalidN, match="^N = 1 has no perturbation direction"):
+        PlanarConfiguration.from_equilibrium(eq, 1e-6)
+    assert PlanarConfiguration.from_equilibrium(eq).positions.size == 2
 
 
 def pairwise_field(pos, gammas):

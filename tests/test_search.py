@@ -251,6 +251,7 @@ def test_symmetry_distance_zero_on_orbit():
 def test_symmetry_distance_separates_families():
     d = symmetry_distance([0.0, np.pi / 3], [0.0, np.pi])
     assert d > 0.5
+    assert symmetry_distance([0.0, np.pi], [0.0, 2.0, 4.0]) == np.inf  # N = 2 and 3
 
 
 def test_newton_refine_from_perturbed_ring():
