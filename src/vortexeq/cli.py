@@ -27,6 +27,7 @@ from .continuation import (
 from .dynamics import (
     _MAX_STEPS,
     PlanarConfiguration,
+    _time_blocks,
     hamiltonian,
     integrate_rk4,
     perturbation_growth,
@@ -47,15 +48,15 @@ from .stability import asymptotic_eigenvalues, stability_verdict
 TOOL_NAME = "vortexeq"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write text chunks to path via a temp file in the same directory + rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vortexeq-")
     os.umask(umask := os.umask(0))  # reads the umask, which mkstemp's 0600 ignores
     try:
         os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open would give
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         try:
             os.replace(tmp, path)
         except OSError as exc:  # name path, not the temp file removed below
@@ -66,11 +67,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    chunks = [chunks] if isinstance(chunks, str) else chunks  # a str is one chunk
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        _atomic_write(out, text)
+        _atomic_write(out, chunks)
 
 
 def _plain(obj):
@@ -100,11 +102,12 @@ def _header(config: dict) -> dict:
     return {"tool": TOOL_NAME, "version": __version__, "config": config}
 
 
-def _csv(config: dict, columns: list[str], rows) -> str:
-    """CSV text: tool and config comment lines, column header, rows of reprs."""
-    head = [f"# tool={TOOL_NAME} version={__version__}",
-            "# config=" + json.dumps(config, sort_keys=True), ",".join(columns)]
-    return "\n".join(head + [",".join(map(repr, row)) for row in rows]) + "\n"
+def _csv(config: dict, columns: list[str], blocks):
+    """CSV text chunks: tool and config comments and column header, then one per row block."""
+    yield "\n".join([f"# tool={TOOL_NAME} version={__version__}",
+                     "# config=" + json.dumps(config, sort_keys=True), ",".join(columns), ""])
+    for rows in blocks:
+        yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
 
 
 def _pick(records: list, index: int, what: str, where: str):
@@ -186,7 +189,7 @@ def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
     matched = np.empty_like(closed)
     matched[order] = np.sort(dense)
     rows = zip(range(args.n), closed.tolist(), matched.tolist(), np.abs(closed - matched).tolist())
-    _emit(_csv(_config(args, "csv"), ["j", "closed_form", "dense", "abs_difference"], rows),
+    _emit(_csv(_config(args, "csv"), ["j", "closed_form", "dense", "abs_difference"], [rows]),
           args.out)
     return 0
 
@@ -252,11 +255,12 @@ def cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trajectory_csv(traj, config: dict) -> str:
+def _trajectory_csv(traj, config: dict):
     cols = ["t"] + [f"{c}{j}" for j in range(traj.positions.shape[1]) for c in "xy"]
     flat = traj.positions.view(float)  # x0, y0, x1, y1, ... per row
-    # one row at a time: a whole-trajectory tolist() holds every float at once
-    return _csv(config, cols, ([t] + row.tolist() for t, row in zip(traj.times.tolist(), flat)))
+    # a block of rows at a time: a whole-trajectory tolist() holds every float at once
+    return _csv(config, cols, (np.column_stack((traj.times[rows], flat[rows])).tolist()
+                               for rows in _time_blocks(len(flat), len(cols))))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

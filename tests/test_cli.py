@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import struct
+import tracemalloc
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -713,13 +714,71 @@ def test_trajectory_csv_rows_are_float_reprs():
     values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0 / 3.0]
     positions = np.array(values[:6] + values[1:7]).view(complex).reshape(2, 3)
     traj = Trajectory(np.array([0.0, 1e-300]), positions)
-    lines = _trajectory_csv(traj, {"command": "simulate"}).split("\n")
+    lines = "".join(_trajectory_csv(traj, {"command": "simulate"})).split("\n")
     rows = [
         ",".join(repr(float(v)) for v in [t, *positions[i].view(float)])
         for i, t in enumerate(traj.times)
     ]
     assert lines[3:] == rows + [""]
     assert lines[3].startswith("0.0,-0.0,5e-324,")
+
+
+@pytest.mark.parametrize("size", ["1", "B", "B+1", "2B+3"])
+def test_trajectory_csv_block_edges_do_not_show(size):
+    # B rows of M = 3 vortices fill one chunk of the streamed CSV; the joined
+    # text is the one-shot text, whichever row a chunk ends on
+    b = dynamics._BLOCK_ELEMENTS // (1 + 2 * 3)
+    samples = {"1": 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[size]
+    rng = np.random.default_rng(samples)
+    traj = Trajectory(rng.uniform(0, 10, samples),
+                      rng.standard_normal((samples, 6)).view(complex))
+    config = {"command": "simulate"}
+    chunks = list(_trajectory_csv(traj, config))
+    assert len(chunks) == 1 + -(-samples // b)
+    head = [f"# tool=vortexeq version={cli.__version__}",
+            "# config=" + json.dumps(config, sort_keys=True), "t,x0,y0,x1,y1,x2,y2"]
+    rows = [",".join(map(repr, [t, *z.view(float).tolist()]))
+            for t, z in zip(traj.times.tolist(), traj.positions)]
+    assert "".join(chunks) == "\n".join(head + rows) + "\n"
+
+
+def test_failed_streamed_write_leaves_no_trace(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_text("the earlier run\n")
+
+    def chunks():
+        yield "# tool=vortexeq\n"
+        raise RuntimeError("no second chunk")
+
+    with pytest.raises(RuntimeError, match="no second chunk"):
+        cli._atomic_write(str(path), chunks())
+    assert path.read_bytes() == b"the earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]  # no .vortexeq-* file
+
+
+def test_simulate_memory_is_the_trajectory_plus_bounded_blocks(tmp_path, ring_points):
+    # a perturbed N = 10 ring over 8192 steps traces at most twice its
+    # (steps + 1, N + 1) complex trajectory: the CSV is streamed in row blocks
+    # and the diagnostics run in time blocks
+    eq = continuation.continue_equilibrium(ring_points[10], 1e-3)
+    path = tmp_path / "ring10.json"
+    path.write_text(json.dumps({"equilibria": [
+        {"epsilon": eq.epsilon, "r": eq.r.tolist(), "theta": eq.theta.tolist()}]}))
+    steps, h = 8192, 1e-3
+
+    def simulate(n_steps):
+        return main(["simulate", "--equilibria", str(path), "--h", repr(h),
+                     "--T", repr(n_steps * h), "--perturb", "1e-6", "--out", str(tmp_path / "run")])
+
+    assert simulate(2) == 0  # a short run first pays the one-off costs, such as lazy imports
+    tracemalloc.start()
+    try:
+        assert simulate(steps) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads((tmp_path / "run.report.json").read_text())["steps"] == steps
+    assert peak <= 2 * (steps + 1) * (10 + 1) * 16
 
 
 def test_stability_deterministic(tmp_path, equilibria_path, capsys):

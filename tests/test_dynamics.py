@@ -385,9 +385,11 @@ def test_rigidity_error_matches_all_pairs(min3_eq):
     rng = np.random.default_rng(5)
     config = PlanarConfiguration.from_equilibrium(min3_eq)
     pairs = rng.standard_normal((33, 7, 2))
+    long = 2 * (dynamics._BLOCK_ELEMENTS // 7) + 3  # over two time blocks
     trajectories = [
         Trajectory(np.arange(33.0), pairs.view(complex)[..., 0]),
         integrate_rk4(config, 0.05, 2.0),
+        Trajectory(np.arange(float(long)), rng.standard_normal((long, 14)).view(complex)),
     ]
     for traj in trajectories:
         pos = traj.positions.view(float).reshape(*traj.positions.shape, 2)
@@ -420,6 +422,14 @@ def test_growth_unstable_pair_matches_prediction(collinear_eq):
     assert report.max_deviation == pytest.approx(dev.max(), rel=1e-12)
     window = (dev >= 10.0 * report.amplitude) & (dev <= 1e-2)
     assert report.window_points == np.count_nonzero(window)
+    # over more than two time blocks, the deviation and the fit have the bits
+    # of the whole-trajectory arithmetic
+    assert traj.times.size > 2 * (dynamics._BLOCK_ELEMENTS // traj.positions.shape[1])
+    rotated = np.exp(1j * collinear_eq.omega * traj.times)[:, None] * collinear_eq.positions()
+    whole = np.linalg.norm(traj.positions - rotated, axis=1)
+    fitted = (whole >= 10.0 * report.amplitude) & (whole <= 1e-2)
+    assert report.max_deviation == float(whole.max())
+    assert report.fitted_rate == float(np.polyfit(traj.times[fitted], np.log(whole[fitted]), 1)[0])
 
 
 def test_growth_stable_pair_stays_flat(triangle_eq):
