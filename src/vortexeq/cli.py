@@ -27,15 +27,15 @@ from .continuation import (
 from .dynamics import (
     _MAX_STEPS,
     PlanarConfiguration,
-    _time_blocks,
+    _deviation,
+    _growth,
+    _rigidity,
+    _rk4_blocks,
+    _steps,
     hamiltonian,
-    integrate_rk4,
-    perturbation_growth,
-    rigidity_error,
     vorticity_moment,
 )
 from .errors import (
-    CollisionAbort,
     InsufficientFamily,
     NoConvergence,
     VortexEqError,
@@ -255,12 +255,31 @@ def cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trajectory_csv(traj, config: dict):
-    cols = ["t"] + [f"{c}{j}" for j in range(traj.positions.shape[1]) for c in "xy"]
-    flat = traj.positions.view(float)  # x0, y0, x1, y1, ... per row
+def _trajectory_csv(config: dict, m: int, blocks):
+    cols = ["t"] + [f"{c}{j}" for j in range(m) for c in "xy"]
     # a block of rows at a time: a whole-trajectory tolist() holds every float at once
-    return _csv(config, cols, (np.column_stack((traj.times[rows], flat[rows])).tolist()
-                               for rows in _time_blocks(len(flat), len(cols))))
+    return _csv(config, cols, (np.column_stack((t, z.view(float))).tolist() for t, z in blocks))
+
+
+def _simulation(eq: RelativeEquilibrium, start: PlanarConfiguration, args, report: dict):
+    """The run's (times, positions) blocks, each also read for the rigidity and a perturbed
+    run's deviation.  The report gets the diagnostics after the last block, while the CSV
+    of these blocks is still a temp file, so an error there leaves no CSV."""
+    h, steps, perturbed = args.h, _steps(args.h, args.T), args.perturb > 0.0
+    rigid, dev = 0.0, np.empty(steps + 1 if perturbed else 0)
+    for lo, z, aborted in _rk4_blocks(start, h, steps):
+        times, n = h * np.arange(lo, lo + len(z)), lo + len(z)
+        rigid = max(rigid, _rigidity(start.positions[None], z))
+        if perturbed:
+            dev[lo:n] = _deviation(eq, times, z)
+        yield times, z
+    last = PlanarConfiguration(z[-1], eq.epsilon)
+    h0, m0 = hamiltonian(start), vorticity_moment(start)
+    report.update(aborted=aborted, rigidity_error=rigid, steps=n - 1,
+                  hamiltonian_drift=abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300),
+                  moment_drift=abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300))
+    if perturbed and not aborted:
+        report["growth"] = asdict(_growth(eq, h * np.arange(n), dev[:n], args.perturb))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -268,27 +287,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     records = _load_json(args.equilibria)["equilibria"]
     eq = _equilibrium_from_record(_pick(records, args.index, "equilibrium", "file"))
     start = PlanarConfiguration.from_equilibrium(eq, args.perturb, args.seed)
-    try:
-        traj, aborted = integrate_rk4(start, args.h, args.T), False
-    except CollisionAbort as exc:
-        traj, aborted = exc.trajectory, True
     csv_path = report_path = None
     if args.out is not None:
         stem = args.out.removesuffix(".csv")
         csv_path, report_path = stem + ".csv", stem + ".report.json"
     report = _header(config)
-    report["aborted"] = aborted
-    last = PlanarConfiguration(traj.positions[-1], eq.epsilon)
-    h0, m0 = hamiltonian(start), vorticity_moment(start)
-    report["rigidity_error"] = rigidity_error(traj)
-    report["hamiltonian_drift"] = abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300)
-    report["moment_drift"] = abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300)
-    report["steps"] = traj.times.size - 1
-    if args.perturb > 0.0 and not aborted:
-        report["growth"] = asdict(perturbation_growth(eq, traj, args.perturb))
-    _emit(_trajectory_csv(traj, config), csv_path)
+    _emit(_trajectory_csv(config, eq.n + 1, _simulation(eq, start, args, report)), csv_path)
     _emit(_json_text(report), report_path)
-    if aborted:
+    if report["aborted"]:
         print("error: integration aborted on close approach", file=sys.stderr)
         return 1
     return 0

@@ -30,7 +30,8 @@ from .stability import _symmetry_directions, stability_verdict
 
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
 
-# Most RK4 steps in one run; the (steps + 1, M) sample array is allocated up front.
+# Most RK4 steps in one run: integrate_rk4 allocates its (steps + 1, M) samples up
+# front, and simulate keeps one float of deviation per step for a perturbed run's fit
 _MAX_STEPS = 10**6
 
 # Time blocks of _BLOCK_ELEMENTS // width samples bound a whole-trajectory pass's temporaries
@@ -119,6 +120,46 @@ def vorticity_moment(config: PlanarConfiguration) -> float:
     return float(config.gammas @ (z.real * z.real + z.imag * z.imag))
 
 
+def _steps(h: float, t_final: float) -> int:
+    """integrate_rk4's step count; ValueError unless h, t_final > 0 and t_final / h <= 10**6."""
+    if h <= 0.0 or t_final <= 0.0:
+        raise ValueError("need h > 0 and t_final > 0")
+    ratio = float(t_final) / float(h)
+    if not ratio <= _MAX_STEPS:  # false for inf and nan too
+        raise ValueError(f"t_final / h = {ratio:g} exceeds {_MAX_STEPS} steps")
+    return max(1, int(round(ratio)))
+
+
+def _rk4_blocks(config: PlanarConfiguration, h: float, steps: int):
+    """integrate_rk4's samples as (first index, rows, aborted) in blocks of _time_blocks's
+    rows for a CSV's 2M + 1 columns.  The rows are a view of one buffer that the next block
+    overwrites; aborted is true on the last block of a run that aborts."""
+    gammas, z = config.gammas, config.positions
+    rows = max(1, _BLOCK_ELEMENTS // (2 * z.size + 1))
+    buf = np.empty((min(rows, steps) + 1, z.size), dtype=complex)  # and the next block's row 0
+    buf[0] = z
+    # one set of pair and stage arrays per run; each stage is done in place, in
+    # the order of z + (h/2) k and z + (h/6) (k1 + 2 k2 + 2 k3 + k4), to the same bits
+    pairs, (k1, k2, k3, k4, s) = _pair_arrays(z.shape), np.empty((5, z.size), dtype=complex)
+    half, sixth, limit = 0.5 * h, h / 6.0, _ABORT_SEP**2
+    for lo in range(0, steps + 1, rows):
+        for j in range(rows):
+            z = buf[j]
+            # k1 of the next step also gives the abort check for the current state
+            aborted = _biot_savart(z, gammas, pairs, k1)[1] < limit
+            if aborted or lo + j == steps:
+                yield lo, buf[: j + 1], bool(aborted)
+                return
+            _biot_savart(np.add(z, np.multiply(half, k1, s), s), gammas, pairs, k2)
+            _biot_savart(np.add(z, np.multiply(half, k2, s), s), gammas, pairs, k3)
+            _biot_savart(np.add(z, np.multiply(h, k3, s), s), gammas, pairs, k4)
+            np.add(k1, np.multiply(2.0, k2, k2), k1)
+            np.add(k1, np.multiply(2.0, k3, k3), k1)
+            np.add(z, np.multiply(sixth, np.add(k1, k4, k1), k1), buf[j + 1])
+        yield lo, buf[:rows], False
+        buf[0] = buf[rows]
+
+
 def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Trajectory:
     """Fixed-step classical RK4 up to t_final, sampling every step.
 
@@ -126,52 +167,39 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
     pair comes within ten times the collision guard.  Raises ValueError,
     before any allocation, when t_final / h exceeds 10**6 steps.
     """
-    if h <= 0.0 or t_final <= 0.0:
-        raise ValueError("need h > 0 and t_final > 0")
-    ratio = float(t_final) / float(h)
-    if not ratio <= _MAX_STEPS:  # false for inf and nan too
-        raise ValueError(f"t_final / h = {ratio:g} exceeds {_MAX_STEPS} steps")
-    steps = max(1, int(round(ratio)))
-    gammas = config.gammas
-    z = config.positions
-    out = np.empty((steps + 1, z.size), dtype=complex)
-    out[0] = z
-    times = h * np.arange(steps + 1)
-    # one set of pair and stage arrays per run; each stage is done in place, in
-    # the order of z + (h/2) k and z + (h/6) (k1 + 2 k2 + 2 k3 + k4), to the same bits
-    pairs, (k1, k2, k3, k4, s) = _pair_arrays(z.shape), np.empty((5, z.size), dtype=complex)
-    half, sixth = 0.5 * h, h / 6.0
-    for i in range(steps + 1):
-        z = out[i]
-        # k1 of the next step also gives the abort check for the current state
-        sep2 = _biot_savart(z, gammas, pairs, k1)[1]
-        aborted = sep2 < _ABORT_SEP**2
-        if aborted or i == steps:
-            break
-        _biot_savart(np.add(z, np.multiply(half, k1, s), s), gammas, pairs, k2)
-        _biot_savart(np.add(z, np.multiply(half, k2, s), s), gammas, pairs, k3)
-        _biot_savart(np.add(z, np.multiply(h, k3, s), s), gammas, pairs, k4)
-        np.add(k1, np.multiply(2.0, k2, k2), k1)
-        np.add(k1, np.multiply(2.0, k3, k3), k1)
-        np.add(z, np.multiply(sixth, np.add(k1, k4, k1), k1), out[i + 1])
-    traj = Trajectory(times[: i + 1], out[: i + 1])
+    steps = _steps(h, t_final)
+    out = np.empty((steps + 1, config.positions.size), dtype=complex)
+    for lo, block, aborted in _rk4_blocks(config, h, steps):
+        out[lo : lo + len(block)] = block
+    traj = Trajectory(h * np.arange(lo + len(block)), out[: lo + len(block)])
     if aborted:
         raise CollisionAbort(
-            f"vortices within {_ABORT_SEP:g} at t = {times[i]:g}", trajectory=traj
+            f"vortices within {_ABORT_SEP:g} at t = {traj.times[-1]:g}", trajectory=traj
         )
     return traj
 
 
+def _rigidity(first: np.ndarray, block: np.ndarray) -> float:
+    """Max deviation of the pairwise distances in block's rows from those in row first."""
+    block = np.concatenate((first, block))
+    m, worst = block.shape[1], 0.0
+    ring = np.concatenate((block, block), axis=1)
+    for s in range(1, m // 2 + 1):  # the pairs (j, j + s mod M) cover every pair: O(block * M)
+        d = block - ring[:, s : s + m]  # -(z_k - z_j) for k < j, so the same squares
+        dist = np.sqrt(d.real * d.real + d.imag * d.imag)
+        worst = max(worst, float(np.abs(dist - dist[0]).max()))
+    return worst
+
+
 def rigidity_error(traj: Trajectory) -> float:
     """Max deviation of any pairwise distance from its initial value."""
-    p, worst = traj.positions, 0.0
-    for rows in _time_blocks(*p.shape):
-        block = np.concatenate((p[:1], p[rows]))  # row 0 gives the initial distances
-        for i in range(p.shape[1] - 1):  # one row of pairs: O(block * M) memory
-            d = block[:, i : i + 1] - block[:, i + 1 :]
-            dist = np.sqrt(d.real * d.real + d.imag * d.imag)
-            worst = max(worst, float(np.abs(dist - dist[0]).max()))
-    return worst
+    p = traj.positions
+    return max(_rigidity(p[:1], p[rows]) for rows in _time_blocks(*p.shape))
+
+
+def _deviation(eq: RelativeEquilibrium, times: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each row of block from the rigidly rotating equilibrium."""
+    return np.linalg.norm(block - np.exp(1j * eq.omega * times)[:, None] * eq.positions(), axis=1)
 
 
 @dataclass
@@ -197,13 +225,17 @@ def perturbation_growth(
     (0.278, predicted 0.0, for the stable N = 4 minimum at eps = 1e-3 over T = 6.3).
     The linear prediction is the largest real part in the linearization spectrum.
     """
-    z, dev = eq.positions(), np.empty(traj.times.size)
+    dev = np.empty(traj.times.size)
     for rows in _time_blocks(*traj.positions.shape):
-        rotated = np.exp(1j * eq.omega * traj.times[rows])[:, None] * z
-        dev[rows] = np.linalg.norm(traj.positions[rows] - rotated, axis=1)
+        dev[rows] = _deviation(eq, traj.times[rows], traj.positions[rows])
+    return _growth(eq, traj.times, dev, amplitude)
+
+
+def _growth(eq: RelativeEquilibrium, times, dev, amplitude: float) -> GrowthReport:
+    """``perturbation_growth``'s fit to the deviation dev of each sample at times."""
     mask = (dev >= max(10.0 * amplitude, 1e-300)) & (dev <= 1e-2)
     mask = mask if mask.sum() >= 8 else dev > 0.0
-    fit = np.polyfit(traj.times[mask], np.log(dev[mask]), 1) if mask.sum() >= 2 else [0.0]
+    fit = np.polyfit(times[mask], np.log(dev[mask]), 1) if mask.sum() >= 2 else [0.0]
     return GrowthReport(fitted_rate=float(fit[0]),
                         predicted_rate=stability_verdict(eq).max_real_part, amplitude=amplitude,
                         window_points=int(mask.sum()), max_deviation=float(dev.max()))

@@ -20,6 +20,8 @@ from vortexeq import (
     continuation,
     dynamics,
     integrate_rk4,
+    newton_refine,
+    ngon,
     perturbation_growth,
     stability,
 )
@@ -714,7 +716,8 @@ def test_trajectory_csv_rows_are_float_reprs():
     values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0 / 3.0]
     positions = np.array(values[:6] + values[1:7]).view(complex).reshape(2, 3)
     traj = Trajectory(np.array([0.0, 1e-300]), positions)
-    lines = "".join(_trajectory_csv(traj, {"command": "simulate"})).split("\n")
+    blocks = [(traj.times, traj.positions)]
+    lines = "".join(_trajectory_csv({"command": "simulate"}, 3, blocks)).split("\n")
     rows = [
         ",".join(repr(float(v)) for v in [t, *positions[i].view(float)])
         for i, t in enumerate(traj.times)
@@ -733,7 +736,9 @@ def test_trajectory_csv_block_edges_do_not_show(size):
     traj = Trajectory(rng.uniform(0, 10, samples),
                       rng.standard_normal((samples, 6)).view(complex))
     config = {"command": "simulate"}
-    chunks = list(_trajectory_csv(traj, config))
+    blocks = [(traj.times[rows], traj.positions[rows])
+              for rows in dynamics._time_blocks(samples, 7)]
+    chunks = list(_trajectory_csv(config, 3, blocks))
     assert len(chunks) == 1 + -(-samples // b)
     head = [f"# tool=vortexeq version={cli.__version__}",
             "# config=" + json.dumps(config, sort_keys=True), "t,x0,y0,x1,y1,x2,y2"]
@@ -779,6 +784,35 @@ def test_simulate_memory_is_the_trajectory_plus_bounded_blocks(tmp_path, ring_po
         tracemalloc.stop()
     assert json.loads((tmp_path / "run.report.json").read_text())["steps"] == steps
     assert peak <= 2 * (steps + 1) * (10 + 1) * 16
+
+
+def test_simulate_memory_per_step_does_not_depend_on_n(tmp_path):
+    # RK4 runs in blocks streamed to the CSV and the diagnostics, so a perturbed
+    # run holds about one float of deviation per step whatever N is, where a
+    # whole trajectory would hold 16 (N + 1) bytes per step
+    h, growth = 1e-3, {}
+    for n in (10, 25):
+        eq = continuation.continue_equilibrium(newton_refine(ngon(n)), 1e-3)
+        path = tmp_path / f"ring{n}.json"
+        path.write_text(json.dumps({"equilibria": [
+            {"epsilon": eq.epsilon, "r": eq.r.tolist(), "theta": eq.theta.tolist()}]}))
+
+        def simulate(n_steps):
+            return main(["simulate", "--equilibria", str(path), "--h", repr(h), "--T",
+                         repr(n_steps * h), "--perturb", "1e-6", "--out", str(tmp_path / "run")])
+
+        assert simulate(2) == 0  # a short run first pays the one-off costs, such as lazy imports
+        peaks = []
+        for steps in (4096, 16384):
+            tracemalloc.start()
+            try:
+                assert simulate(steps) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert json.loads((tmp_path / "run.report.json").read_text())["steps"] == steps
+        growth[n] = (peaks[1] - peaks[0]) / (16384 - 4096)
+    assert max(growth.values()) <= 48, growth
 
 
 def test_stability_deterministic(tmp_path, equilibria_path, capsys):

@@ -10,6 +10,7 @@ from vortexeq import (
     DegenerateSeed,
     InvalidEpsilon,
     InvalidN,
+    NoConvergence,
     RelativeEquilibrium,
     StabilityClass,
     asymptotic_eigenvalues,
@@ -23,7 +24,7 @@ from vortexeq import (
     reduced_field,
     stability_verdict,
 )
-from vortexeq import stability
+from vortexeq import continuation, stability
 from vortexeq.continuation import _field, _reduced_jacobian
 from vortexeq.stability import _IMAG_REL_TOL, _ZERO_TOL, _symmetry_directions
 from tests.test_continuation import (
@@ -76,6 +77,52 @@ def test_linearize_matches_complex_step(n, eps):
     ref = cs_jacobian(lambda z: real_form_reduced(z, eps), x)
     jac = _reduced_jacobian(*by_products, eps)
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def reference_reduced_jacobian(r, zs, ct, st, a, b, epsilon):
+    """``_reduced_jacobian`` as it was with fancy-index diagonals, kept verbatim
+    as a bitwise oracle."""
+    n = r.size
+    z, e = zs[1:], ct + 1j * st
+    k = np.arange(n)
+    diff = z[:, None] - zs
+    diff[k, k + 1] = 1.0
+    p = -1j * continuation._gammas(epsilon, n) / (diff * diff)
+    p[k, k + 1] = 0.0
+    dw = p[:, 1:] - epsilon * p[:, :1]
+    dw[k, k] -= p.sum(axis=1)
+    d_r = np.conj(dw * e)
+    rot = np.concatenate((d_r, -1j * d_r * r), axis=1)
+    rot[k, k] -= 1j * e
+    rot[k, k + n] += z
+    rot *= (ct - 1j * st)[:, None]
+    rot[k, k + n] -= 1j * (a + 1j * b)
+    jac = np.concatenate((rot.real, rot.imag / r[:, None]))
+    jac[k + n, k] -= b / r**2
+    return jac
+
+
+def test_reduced_jacobian_diagonals_match_the_fancy_index_formula_bitwise(census_catalogs):
+    states = []
+    for n, catalog in census_catalogs.items():
+        for cp in catalog.points:
+            for eps in (1e-3, -1e-3):
+                try:
+                    eq = continue_equilibrium(cp, eps)
+                except (DegenerateSeed, NoConvergence):
+                    continue
+                states.append((n, eq.r, eq.theta, eps))
+    assert len(states) >= 2 * sum(len(c.points) for c in census_catalogs.values()) - 4
+    for n in (25, 50, 100):
+        eps = 1e-4
+        eq = continue_equilibrium(newton_refine(ngon(n)), eps)
+        states.append((n, eq.r, eq.theta, eps))
+    states.append((7, *off_equilibrium_state(7, seed=3), -3e-2))
+    for n, r, theta, eps in states:
+        by_products = _field(np.concatenate((r, theta)), eps)[1:-1]
+        jac = _reduced_jacobian(*by_products, eps)
+        assert jac.shape == (2 * n, 2 * n)
+        assert jac.tobytes() == reference_reduced_jacobian(*by_products, eps).tobytes(), (n, eps)
 
 
 @pytest.mark.parametrize("case", FD_EQUILIBRIA, ids=str)
