@@ -24,17 +24,7 @@ from .continuation import (
     sweep_epsilon,
     verify_lemma1_scaling,
 )
-from .dynamics import (
-    _MAX_STEPS,
-    PlanarConfiguration,
-    _deviation,
-    _growth,
-    _rigidity,
-    _rk4_blocks,
-    _steps,
-    hamiltonian,
-    vorticity_moment,
-)
+from .dynamics import _MAX_STEPS, PlanarConfiguration, _simulation
 from .errors import (
     InsufficientFamily,
     NoConvergence,
@@ -157,8 +147,8 @@ def _family_from_record(rec: dict) -> CriticalPoint:
 def _equilibrium_from_record(rec: dict) -> RelativeEquilibrium:
     """Rebuild an equilibrium from eps, r and theta, which the constructor
     checks; a stored residual is not read.  ValueError unless a stored omega
-    is 1."""
-    if rec.get("omega", RelativeEquilibrium.omega) != RelativeEquilibrium.omega:
+    is 1, TypeError unless rec is a JSON object."""
+    if "omega" in rec and rec["omega"] != RelativeEquilibrium.omega:
         raise ValueError(f"omega must be 1, got {rec['omega']!r}")
     return RelativeEquilibrium(r=rec["r"], theta=rec["theta"], epsilon=rec["epsilon"])
 
@@ -220,7 +210,7 @@ def cmd_continue(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     data = _load_json(args.equilibria)
-    seed_rec = data.get("seed_family")
+    seed_rec = data["seed_family"] if "seed_family" in data else None  # TypeError unless an object
     cp = _family_from_record(seed_rec) if seed_rec else None
     payload = _header(_config(args, "json"))
     verdicts = []
@@ -261,27 +251,6 @@ def _trajectory_csv(config: dict, m: int, blocks):
     return _csv(config, cols, (np.column_stack((t, z.view(float))).tolist() for t, z in blocks))
 
 
-def _simulation(eq: RelativeEquilibrium, start: PlanarConfiguration, args, report: dict):
-    """The run's (times, positions) blocks, each also read for the rigidity and a perturbed
-    run's deviation.  The report gets the diagnostics after the last block, while the CSV
-    of these blocks is still a temp file, so an error there leaves no CSV."""
-    h, steps, perturbed = args.h, _steps(args.h, args.T), args.perturb > 0.0
-    rigid, dev = 0.0, np.empty(steps + 1 if perturbed else 0)
-    for lo, z, aborted in _rk4_blocks(start, h, steps):
-        times, n = h * np.arange(lo, lo + len(z)), lo + len(z)
-        rigid = max(rigid, _rigidity(start.positions[None], z))
-        if perturbed:
-            dev[lo:n] = _deviation(eq, times, z)
-        yield times, z
-    last = PlanarConfiguration(z[-1], eq.epsilon)
-    h0, m0 = hamiltonian(start), vorticity_moment(start)
-    report.update(aborted=aborted, rigidity_error=rigid, steps=n - 1,
-                  hamiltonian_drift=abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300),
-                  moment_drift=abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300))
-    if perturbed and not aborted:
-        report["growth"] = asdict(_growth(eq, h * np.arange(n), dev[:n], args.perturb))
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config(args, "csv")
     records = _load_json(args.equilibria)["equilibria"]
@@ -292,7 +261,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         stem = args.out.removesuffix(".csv")
         csv_path, report_path = stem + ".csv", stem + ".report.json"
     report = _header(config)
-    _emit(_trajectory_csv(config, eq.n + 1, _simulation(eq, start, args, report)), csv_path)
+    run = _simulation(eq, start, args.h, args.T, args.perturb, report)
+    _emit(_trajectory_csv(config, eq.n + 1, run), csv_path)
     _emit(_json_text(report), report_path)
     if report["aborted"]:
         print("error: integration aborted on close approach", file=sys.stderr)

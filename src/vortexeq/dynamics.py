@@ -13,7 +13,7 @@ at the linearized rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .stability import _symmetry_directions, stability_verdict
 
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
 
-# Most RK4 steps in one run: integrate_rk4 allocates its (steps + 1, M) samples up
-# front, and simulate keeps one float of deviation per step for a perturbed run's fit
+# Most RK4 steps in one run: integrate_rk4 allocates its (steps + 1, M) samples up front;
+# simulate keeps 8 B per step for a perturbed run's fit, 84 B when _growth fits every sample
 _MAX_STEPS = 10**6
 
 # Time blocks of _BLOCK_ELEMENTS // width samples bound a whole-trajectory pass's temporaries
@@ -130,12 +130,11 @@ def _steps(h: float, t_final: float) -> int:
     return max(1, int(round(ratio)))
 
 
-def _rk4_blocks(config: PlanarConfiguration, h: float, steps: int):
-    """integrate_rk4's samples as (first index, rows, aborted) in blocks of _time_blocks's
-    rows for a CSV's 2M + 1 columns.  The rows are a view of one buffer that the next block
-    overwrites; aborted is true on the last block of a run that aborts."""
+def _rk4_blocks(config: PlanarConfiguration, h: float, steps: int, rows: int):
+    """RK4's samples as (first index, rows, aborted) in blocks of ``rows`` samples.  The rows
+    are a view of one buffer that the next block overwrites; aborted is true on the last block
+    of a run that aborts.  With rows > steps the one block is the whole run."""
     gammas, z = config.gammas, config.positions
-    rows = max(1, _BLOCK_ELEMENTS // (2 * z.size + 1))
     buf = np.empty((min(rows, steps) + 1, z.size), dtype=complex)  # and the next block's row 0
     buf[0] = z
     # one set of pair and stage arrays per run; each stage is done in place, in
@@ -168,10 +167,8 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
     before any allocation, when t_final / h exceeds 10**6 steps.
     """
     steps = _steps(h, t_final)
-    out = np.empty((steps + 1, config.positions.size), dtype=complex)
-    for lo, block, aborted in _rk4_blocks(config, h, steps):
-        out[lo : lo + len(block)] = block
-    traj = Trajectory(h * np.arange(lo + len(block)), out[: lo + len(block)])
+    ((_, z, aborted),) = _rk4_blocks(config, h, steps, steps + 1)
+    traj = Trajectory(h * np.arange(len(z)), z)
     if aborted:
         raise CollisionAbort(
             f"vortices within {_ABORT_SEP:g} at t = {traj.times[-1]:g}", trajectory=traj
@@ -222,7 +219,8 @@ def perturbation_growth(
     deviation lies between 10 * amplitude and 1e-2.  Below 8 samples there, as for
     stable equilibria, it fits every sample of nonzero deviation, so ``window_points``
     is the sample count of a perturbed run and ``fitted_rate`` is no exponential rate
-    (0.278, predicted 0.0, for the stable N = 4 minimum at eps = 1e-3 over T = 6.3).
+    (0.278, predicted 0.0, for the stable N = 4 minimum at eps = 1e-3 over T = 6.3).  That
+    fit's arrays span every sample: ``simulate``'s memory then grows about 84 B per step.
     The linear prediction is the largest real part in the linearization spectrum.
     """
     dev = np.empty(traj.times.size)
@@ -239,3 +237,27 @@ def _growth(eq: RelativeEquilibrium, times, dev, amplitude: float) -> GrowthRepo
     return GrowthReport(fitted_rate=float(fit[0]),
                         predicted_rate=stability_verdict(eq).max_real_part, amplitude=amplitude,
                         window_points=int(mask.sum()), max_deviation=float(dev.max()))
+
+
+def _simulation(eq: RelativeEquilibrium, start: PlanarConfiguration, h: float, t_final: float,
+                amplitude: float, report: dict):
+    """simulate's run from start, eq moved by ``amplitude``: integrate_rk4's (times, positions)
+    in blocks of rows for a CSV's 2M + 1 columns, each also read for the rigidity and, when
+    amplitude > 0, the deviation.  The report gets the diagnostics after the last block, while
+    the CSV of these blocks is still a temp file, so an error there leaves no CSV."""
+    steps, perturbed = _steps(h, t_final), amplitude > 0.0
+    rows = max(1, _BLOCK_ELEMENTS // (2 * start.positions.size + 1))
+    rigid, dev = 0.0, np.empty(steps + 1 if perturbed else 0)
+    for lo, z, aborted in _rk4_blocks(start, h, steps, rows):
+        times, n = h * np.arange(lo, lo + len(z)), lo + len(z)
+        rigid = max(rigid, _rigidity(start.positions[None], z))
+        if perturbed:
+            dev[lo:n] = _deviation(eq, times, z)
+        yield times, z
+    last = PlanarConfiguration(z[-1], eq.epsilon)
+    h0, m0 = hamiltonian(start), vorticity_moment(start)
+    report.update(aborted=aborted, rigidity_error=rigid, steps=n - 1,
+                  hamiltonian_drift=abs(hamiltonian(last) - h0) / max(abs(h0), 1e-300),
+                  moment_drift=abs(vorticity_moment(last) - m0) / max(abs(m0), 1e-300))
+    if perturbed and not aborted:
+        report["growth"] = asdict(_growth(eq, h * np.arange(n), dev[:n], amplitude))

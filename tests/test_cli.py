@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vortexeq import (
+    CollisionAbort,
     NoConvergence,
     PlanarConfiguration,
     RelativeEquilibrium,
@@ -699,6 +700,24 @@ def test_malformed_equilibria_rejected(tmp_path, equilibria_path, capsys, comman
     assert list(tmp_path.iterdir()) == [bad]
 
 
+# Equilibria files whose top level, or whose record, is an array and not an object.
+NOT_OBJECTS = [("stability", [1, 2]), ("stability", {"equilibria": [[1, 2]]}),
+               ("simulate", {"equilibria": [[1, 2]]})]
+
+
+@pytest.mark.parametrize("command,data", NOT_OBJECTS,
+                         ids=["stability-file", "stability-record", "simulate-record"])
+def test_arrays_for_objects_are_malformed_input(tmp_path, capsys, command, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    extra = ["--h", "0.1", "--T", "1"] if command == "simulate" else []
+    code, out, err = run(capsys, command, "--equilibria", str(bad), *extra,
+                         "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == "" and err.startswith("error: malformed input: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 @pytest.mark.parametrize("family", [{"morse_index": 5}, 3], ids=["morse_index", "family"])
 def test_wrongly_typed_catalog_field_rejected(tmp_path, catalog4_path, capsys, family):
     data = json.loads(catalog4_path.read_text())
@@ -745,6 +764,59 @@ def test_trajectory_csv_block_edges_do_not_show(size):
     rows = [",".join(map(repr, [t, *z.view(float).tolist()]))
             for t, z in zip(traj.times.tolist(), traj.positions)]
     assert "".join(chunks) == "\n".join(head + rows) + "\n"
+
+
+def equilibrium_at(path, index):
+    rec = json.loads(path.read_text())["equilibria"][index]
+    return RelativeEquilibrium(r=rec["r"], theta=rec["theta"], epsilon=rec["epsilon"])
+
+
+def csv_rows(traj):
+    """The CSV rows of a trajectory: t and each x, y as the repr of its float."""
+    return [",".join(map(repr, [t, *z.view(float).tolist()]))
+            for t, z in zip(traj.times.tolist(), traj.positions)]
+
+
+@pytest.mark.parametrize("perturb", ["0", "1e-6"])
+@pytest.mark.parametrize("size", ["B-1", "B", "B+1", "2B+3"])
+def test_simulate_writes_the_library_trajectory(tmp_path, equilibria_path, capsys, size,
+                                                perturb):
+    # the CSV streams in blocks of B rows, B = _BLOCK_ELEMENTS // (2M + 1) for its
+    # 2M + 1 columns; whichever row of a block the run ends on, the rows are
+    # integrate_rk4's samples from the same start, bit for bit
+    eq = equilibrium_at(equilibria_path, 1)
+    b = dynamics._BLOCK_ELEMENTS // (2 * (eq.n + 1) + 1)
+    samples = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[size]
+    h, T = 0.01, (samples - 1) * 0.01
+    code, _, _ = run(capsys, "simulate", "--equilibria", str(equilibria_path), "--index", "1",
+                     "--h", repr(h), "--T", repr(T), "--perturb", perturb,
+                     "--out", str(tmp_path / "run"))
+    assert code == 0
+    traj = integrate_rk4(PlanarConfiguration.from_equilibrium(eq, float(perturb), 0), h, T)
+    assert traj.times.size == samples
+    assert (tmp_path / "run.csv").read_text().split("\n")[3:] == csv_rows(traj) + [""]
+
+
+def test_simulate_abort_writes_the_library_partial_trajectory(tmp_path, equilibria_path,
+                                                              capsys, monkeypatch):
+    # with an abort distance of 0.5 the perturbed eps = -1e-3 run aborts at step
+    # 860, inside its second block of rows: exit 1, and the CSV holds the
+    # trajectory that integrate_rk4's CollisionAbort carries, bit for bit
+    monkeypatch.setattr(dynamics, "_ABORT_SEP", 0.5)
+    eq = equilibrium_at(equilibria_path, 3)
+    code, out, err = run(capsys, "simulate", "--equilibria", str(equilibria_path),
+                         "--index", "3", "--h", "0.05", "--T", "100", "--perturb", "1e-4",
+                         "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == "" and err == "error: integration aborted on close approach\n"
+    with pytest.raises(CollisionAbort) as info:
+        integrate_rk4(PlanarConfiguration.from_equilibrium(eq, 1e-4, 0), 0.05, 100.0)
+    traj = info.value.trajectory
+    b = dynamics._BLOCK_ELEMENTS // (2 * (eq.n + 1) + 1)
+    assert traj.times.size - 1 == 860 and b < 860 < 2 * b - 1
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    assert report["aborted"] is True and report["steps"] == 860 and "growth" not in report
+    assert (tmp_path / "run.csv").read_text().split("\n")[3:] == csv_rows(traj) + [""]
 
 
 def test_failed_streamed_write_leaves_no_trace(tmp_path):

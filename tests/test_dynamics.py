@@ -344,9 +344,22 @@ def test_rk4_matches_reference_bitwise(min3_eq):
     assert run_rk4(*cases[-1])[0].times.size == 116
 
 
+def blocked_rk4(config, h, t_final, rows):
+    """The run as _rk4_blocks streams it in blocks of ``rows`` samples, each
+    copied before the next overwrites it and joined; returns the trajectory and
+    whether the run aborted."""
+    steps = dynamics._steps(h, t_final)
+    blocks = [(lo, z.copy(), aborted)
+              for lo, z, aborted in dynamics._rk4_blocks(config, h, steps, rows)]
+    assert [lo for lo, _, _ in blocks] == [k * rows for k in range(len(blocks))]
+    assert all(len(z) == rows and not aborted for _, z, aborted in blocks[:-1])
+    z = np.concatenate([z for _, z, _ in blocks])
+    return Trajectory(h * np.arange(len(z)), z), blocks[-1][2]
+
+
 @pytest.mark.parametrize("size", ["1", "B-1", "B", "B+1", "2B+3"])
 def test_rk4_block_edges_do_not_show(min3_eq, ring_points, size):
-    # the run is integrated in blocks of B samples, B = _BLOCK_ELEMENTS // (2M + 1)
+    # simulate streams the run in blocks of B samples, B = _BLOCK_ELEMENTS // (2M + 1)
     # for the CSV's 2M + 1 columns; whichever sample a block ends on, the run is
     # the one-array loop's to the bit
     for eq in (min3_eq, continue_equilibrium(ring_points[10], 1e-3)):
@@ -354,19 +367,17 @@ def test_rk4_block_edges_do_not_show(min3_eq, ring_points, size):
         steps = {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[size]
         start = PlanarConfiguration.from_equilibrium(eq, 1e-3, 1)
         case = (start, TWO_PI / 512, steps * TWO_PI / 512)
-        got = run_rk4(*case)
+        got = blocked_rk4(*case, b)
         assert got[0].times.size == steps + 1
         assert_same_run(got, reference_rk4(*case))
 
 
 @pytest.mark.parametrize("rows", [115, 116, None], ids=["first-row", "last-row", "inside"])
-def test_rk4_abort_at_a_block_edge(min3_eq, monkeypatch, rows):
+def test_rk4_abort_at_a_block_edge(min3_eq, rows):
     # the abort comes at sample 115: on the first row of the second block, on
     # the last row of the first block, or inside the first block (B = 910)
     case = rk4_cases(min3_eq)[-1]
-    if rows is not None:
-        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", rows * (2 * 4 + 1))
-    got = run_rk4(*case)
+    got = blocked_rk4(*case, rows or dynamics._BLOCK_ELEMENTS // (2 * 4 + 1))
     assert got[1] and got[0].times.size == 116
     assert_same_run(got, reference_rk4(*case))
 
