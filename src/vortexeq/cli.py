@@ -24,7 +24,7 @@ from .continuation import (
     sweep_epsilon,
     verify_lemma1_scaling,
 )
-from .dynamics import _MAX_STEPS, PlanarConfiguration, _simulation
+from .dynamics import _MAX_STEPS, PlanarConfiguration, _simulation, _steps
 from .errors import (
     InsufficientFamily,
     NoConvergence,
@@ -58,7 +58,6 @@ def _atomic_write(path: str, chunks) -> None:
 
 
 def _emit(chunks, out: str | None) -> None:
-    chunks = [chunks] if isinstance(chunks, str) else chunks  # a str is one chunk
     if out is None:
         sys.stdout.writelines(chunks)
     else:
@@ -81,15 +80,15 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
-def _config(args: argparse.Namespace, fmt: str) -> dict:
-    """The resolved run configuration: every parsed option but ``--out``."""
-    config = {k: v for k, v in vars(args).items() if k not in ("out", "func")}
-    config["format"] = fmt
-    return config
+def _config(args: argparse.Namespace) -> dict:
+    """The resolved run configuration: every parsed option but ``--out``, and the format."""
+    return {k: v for k, v in vars(args).items() if k not in ("out", "func")}
 
 
-def _header(config: dict) -> dict:
-    return {"tool": TOOL_NAME, "version": __version__, "config": config}
+def _json_out(args: argparse.Namespace, path: str | None, **records) -> None:
+    """Write the tool, version and run configuration, then the records, as one JSON object."""
+    header = {"tool": TOOL_NAME, "version": __version__, "config": _config(args)}
+    _emit([_json_text(header | records)], path)
 
 
 def _csv(config: dict, columns: list[str], blocks):
@@ -162,13 +161,9 @@ def _scaling_record(family: list[RelativeEquilibrium]) -> dict | None:
 
 def cmd_find(args: argparse.Namespace) -> int:
     catalog = multistart_search(args.n, args.starts, seed=args.seed)
-    payload = _header(_config(args, "json"))
-    payload["n"] = catalog.n
-    payload["families"] = [
-        _family_record(i, p, args.plot_data) for i, p in enumerate(catalog.points)
-    ]
-    payload["metadata"] = {k: catalog.metadata[k] for k in ("n_converged", "failures", "euler_sum")}
-    _emit(_json_text(payload), args.out)
+    _json_out(args, args.out, n=catalog.n,
+              families=[_family_record(i, p, args.plot_data) for i, p in enumerate(catalog.points)],
+              metadata={k: catalog.metadata[k] for k in ("n_converged", "failures", "euler_sum")})
     return 0
 
 
@@ -179,29 +174,25 @@ def cmd_ngon_spectrum(args: argparse.Namespace) -> int:
     matched = np.empty_like(closed)
     matched[order] = np.sort(dense)
     rows = zip(range(args.n), closed.tolist(), matched.tolist(), np.abs(closed - matched).tolist())
-    _emit(_csv(_config(args, "csv"), ["j", "closed_form", "dense", "abs_difference"], [rows]),
-          args.out)
+    _emit(_csv(_config(args), ["j", "closed_form", "dense", "abs_difference"], [rows]), args.out)
     return 0
 
 
 def cmd_continue(args: argparse.Namespace) -> int:
     record = _pick(_load_json(args.catalog)["families"], args.family, "family", "catalog")
     cp = _family_from_record(record)
-    payload = _header(_config(args, "json"))
-    payload["seed_family"] = _family_record(args.family, cp, "plot_data" in record)
     failure = None
     try:
         done = sweep_epsilon(cp, args.eps)
     except NoConvergence as exc:
         done, failure = list(exc.partial or []), str(exc)
-    payload["equilibria"] = [dict(asdict(eq), omega=eq.omega, residual=eq.residual) for eq in done]
-    payload["lemma1_scaling"] = {
-        "positive": _scaling_record([eq for eq in done if eq.epsilon > 0]),
-        "negative": _scaling_record([eq for eq in done if eq.epsilon < 0]),
-    }
-    if failure is not None:
-        payload["error"] = failure
-    _emit(_json_text(payload), args.out)
+    error = {} if failure is None else {"error": failure}
+    _json_out(args, args.out, seed_family=_family_record(args.family, cp, "plot_data" in record),
+              equilibria=[dict(asdict(eq), omega=eq.omega) for eq in done],
+              lemma1_scaling={
+                  "positive": _scaling_record([eq for eq in done if eq.epsilon > 0]),
+                  "negative": _scaling_record([eq for eq in done if eq.epsilon < 0]),
+              }, **error)
     if failure is None:
         return 0
     print(f"error: {failure}", file=sys.stderr)
@@ -212,7 +203,6 @@ def cmd_stability(args: argparse.Namespace) -> int:
     data = _load_json(args.equilibria)
     seed_rec = data["seed_family"] if "seed_family" in data else None  # TypeError unless an object
     cp = _family_from_record(seed_rec) if seed_rec else None
-    payload = _header(_config(args, "json"))
     verdicts = []
     for rec in data["equilibria"]:
         eq = _equilibrium_from_record(rec)
@@ -240,8 +230,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
                 "mismatch": np.max(worst) if len(worst) else None,
             }
         verdicts.append(entry)
-    payload["verdicts"] = verdicts
-    _emit(_json_text(payload), args.out)
+    _json_out(args, args.out, verdicts=verdicts)
     return 0
 
 
@@ -252,7 +241,6 @@ def _trajectory_csv(config: dict, m: int, blocks):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config(args, "csv")
     records = _load_json(args.equilibria)["equilibria"]
     eq = _equilibrium_from_record(_pick(records, args.index, "equilibrium", "file"))
     start = PlanarConfiguration.from_equilibrium(eq, args.perturb, args.seed)
@@ -260,10 +248,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is not None:
         stem = args.out.removesuffix(".csv")
         csv_path, report_path = stem + ".csv", stem + ".report.json"
-    report = _header(config)
+    report = {}
     run = _simulation(eq, start, args.h, args.T, args.perturb, report)
-    _emit(_trajectory_csv(config, eq.n + 1, run), csv_path)
-    _emit(_json_text(report), report_path)
+    _emit(_trajectory_csv(_config(args), eq.n + 1, run), csv_path)
+    _json_out(args, report_path, **report)
     if report["aborted"]:
         print("error: integration aborted on close approach", file=sys.stderr)
         return 1
@@ -311,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--plot-data", action="store_true",
                         help="embed unit-circle point lists per family")
     p_find.add_argument("--seed", type=seed, default=0, help="RNG seed for the starts")
-    p_find.set_defaults(func=cmd_find)
+    p_find.set_defaults(func=cmd_find, format="json")
 
     p_spec = sub.add_parser("ngon-spectrum",
                             help="closed-form vs dense spectrum of the regular polygon")
     p_spec.add_argument("--n", type=_number(int, 3), required=True)
-    p_spec.set_defaults(func=cmd_ngon_spectrum)
+    p_spec.set_defaults(func=cmd_ngon_spectrum, format="csv")
 
     p_cont = sub.add_parser("continue",
                             help="continue a catalog family to nonzero epsilon")
@@ -324,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--family", type=int, default=0, help="family id in the catalog")
     p_cont.add_argument("--eps", type=_eps_values, required=True,
                         help="comma-separated nonzero epsilon values")
-    p_cont.set_defaults(func=cmd_continue)
+    p_cont.set_defaults(func=cmd_continue, format="json")
 
     p_stab = sub.add_parser("stability", help="linear stability of continued equilibria")
     p_stab.add_argument("--equilibria", required=True,
                         help="equilibria JSON from continue")
-    p_stab.set_defaults(func=cmd_stability)
+    p_stab.set_defaults(func=cmd_stability, format="json")
 
     p_sim = sub.add_parser("simulate", help="integrate the full vortex system")
     p_sim.add_argument("--equilibria", required=True,
@@ -342,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="perturbation amplitude (0 = unperturbed)")
     p_sim.add_argument("--seed", type=seed, default=0,
                        help="RNG seed for the perturbation")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, format="csv")
 
     for p in (p_find, p_spec, p_cont, p_stab, p_sim):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -356,8 +344,11 @@ def main(argv: list[str] | None = None) -> int:
         i = argv.index("--eps")
         argv[i : i + 2] = [f"--eps={argv[i + 1]}"]
     args = parser.parse_args(argv)
-    if args.command == "simulate" and args.T / args.h > _MAX_STEPS:
-        parser.error(f"simulate requires --T / --h <= {_MAX_STEPS}")
+    if args.command == "simulate":
+        try:
+            _steps(args.h, args.T)  # the step count's rules, before any file is read
+        except ValueError as exc:
+            parser.error(f"simulate requires a whole --T / --h <= {_MAX_STEPS}: {exc}")
     try:
         return args.func(args)
     except VortexEqError as exc:

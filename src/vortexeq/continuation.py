@@ -12,7 +12,7 @@ theta(eps)) once the rotation is fixed by holding theta_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -54,11 +54,11 @@ def _gammas(epsilon: float, n: int) -> np.ndarray:
 @dataclass
 class RelativeEquilibrium:
     """A fixed point of the (1+N)-vortex problem in the frame rotating at
-    omega = 1, stored as its radii, angles and eps.
+    omega = 1: its radii, angles, eps and the reduced field's sup-norm there.
 
     Construction, ``dataclasses.replace`` included, raises ValueError unless
     r and theta are nonempty finite 1-d arrays of equal length, eps is finite
-    and nonzero, every radius is positive and the reduced field is below 1e-10.
+    and nonzero, every radius is positive and the residual is below 1e-10.
     """
 
     omega: ClassVar[float] = 1.0
@@ -66,6 +66,7 @@ class RelativeEquilibrium:
     r: np.ndarray
     theta: np.ndarray
     epsilon: float
+    residual: float = field(init=False)
 
     def __post_init__(self):
         self.r = r = np.asarray(self.r, dtype=float)
@@ -77,19 +78,13 @@ class RelativeEquilibrium:
             raise ValueError(f"epsilon must be finite and nonzero, got {eps!r}")
         if (r <= 0.0).any():  # a nan radius is left to reduced_field's check
             raise ValueError("radii must be positive")
-        residual = float(np.abs(reduced_field(r, theta, eps)).max())
+        self.residual = residual = float(np.abs(reduced_field(r, theta, eps)).max())
         if residual >= 1e-10:
             raise ValueError(f"equilibrium residual {residual:.3e} >= 1e-10")
 
     @property
     def n(self) -> int:
         return self.r.size
-
-    @property
-    def residual(self) -> float:
-        """Sup-norm of ``rotating_frame_residual`` at the stored state."""
-        res = rotating_frame_residual(self.r, self.theta, self.epsilon)
-        return float(np.abs(res).max())
 
     def positions(self) -> np.ndarray:
         """Complex positions x + iy (N+1,) from ``_positions``, strong vortex first."""

@@ -34,13 +34,13 @@ _ABORT_SEP = 10.0 * _COLLISION_GUARD
 # simulate keeps 8 B per step for a perturbed run's fit, 84 B when _growth fits every sample
 _MAX_STEPS = 10**6
 
-# Time blocks of _BLOCK_ELEMENTS // width samples bound a whole-trajectory pass's temporaries
+# Time blocks of _block_rows(M) samples bound a whole-trajectory pass's temporaries
 _BLOCK_ELEMENTS = 2**13
 
 
-def _time_blocks(samples: int, width: int):
-    rows = max(1, _BLOCK_ELEMENTS // width)
-    return (slice(lo, lo + rows) for lo in range(0, samples, rows))
+def _block_rows(m: int) -> int:
+    """Samples in a time block of M vortices: rows of 2M + 1 CSV columns in _BLOCK_ELEMENTS."""
+    return max(1, _BLOCK_ELEMENTS // (2 * m + 1))
 
 
 @dataclass
@@ -121,13 +121,17 @@ def vorticity_moment(config: PlanarConfiguration) -> float:
 
 
 def _steps(h: float, t_final: float) -> int:
-    """integrate_rk4's step count; ValueError unless h, t_final > 0 and t_final / h <= 10**6."""
+    """integrate_rk4's step count t_final / h; ValueError unless h, t_final > 0 and
+    t_final / h is within 1e-9 (relative) of a whole number from 1 to 10**6."""
     if h <= 0.0 or t_final <= 0.0:
         raise ValueError("need h > 0 and t_final > 0")
     ratio = float(t_final) / float(h)
     if not ratio <= _MAX_STEPS:  # false for inf and nan too
         raise ValueError(f"t_final / h = {ratio:g} exceeds {_MAX_STEPS} steps")
-    return max(1, int(round(ratio)))
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise ValueError(f"t_final / h = {ratio!r} is not a whole number of steps")
+    return steps
 
 
 def _rk4_blocks(config: PlanarConfiguration, h: float, steps: int, rows: int):
@@ -164,7 +168,8 @@ def integrate_rk4(config: PlanarConfiguration, h: float, t_final: float) -> Traj
 
     Aborts with CollisionAbort (carrying the partial trajectory) when any
     pair comes within ten times the collision guard.  Raises ValueError,
-    before any allocation, when t_final / h exceeds 10**6 steps.
+    before any allocation, unless t_final / h is a whole number of steps
+    (to 1e-9 relative) and at most 10**6.
     """
     steps = _steps(h, t_final)
     ((_, z, aborted),) = _rk4_blocks(config, h, steps, steps + 1)
@@ -190,8 +195,8 @@ def _rigidity(first: np.ndarray, block: np.ndarray) -> float:
 
 def rigidity_error(traj: Trajectory) -> float:
     """Max deviation of any pairwise distance from its initial value."""
-    p = traj.positions
-    return max(_rigidity(p[:1], p[rows]) for rows in _time_blocks(*p.shape))
+    p, rows = traj.positions, _block_rows(traj.positions.shape[1])
+    return max(_rigidity(p[:1], p[lo : lo + rows]) for lo in range(0, len(p), rows))
 
 
 def _deviation(eq: RelativeEquilibrium, times: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -223,9 +228,10 @@ def perturbation_growth(
     fit's arrays span every sample: ``simulate``'s memory then grows about 84 B per step.
     The linear prediction is the largest real part in the linearization spectrum.
     """
-    dev = np.empty(traj.times.size)
-    for rows in _time_blocks(*traj.positions.shape):
-        dev[rows] = _deviation(eq, traj.times[rows], traj.positions[rows])
+    dev, rows = np.empty(traj.times.size), _block_rows(traj.positions.shape[1])
+    for lo in range(0, dev.size, rows):
+        block = slice(lo, lo + rows)
+        dev[block] = _deviation(eq, traj.times[block], traj.positions[block])
     return _growth(eq, traj.times, dev, amplitude)
 
 
@@ -242,13 +248,12 @@ def _growth(eq: RelativeEquilibrium, times, dev, amplitude: float) -> GrowthRepo
 def _simulation(eq: RelativeEquilibrium, start: PlanarConfiguration, h: float, t_final: float,
                 amplitude: float, report: dict):
     """simulate's run from start, eq moved by ``amplitude``: integrate_rk4's (times, positions)
-    in blocks of rows for a CSV's 2M + 1 columns, each also read for the rigidity and, when
-    amplitude > 0, the deviation.  The report gets the diagnostics after the last block, while
-    the CSV of these blocks is still a temp file, so an error there leaves no CSV."""
+    in blocks of ``_block_rows(M)`` rows, each also read for the rigidity and, when
+    amplitude > 0, the deviation.  The dict report gets the diagnostics after the last block,
+    while the CSV of these blocks is still a temp file, so an error there leaves no CSV."""
     steps, perturbed = _steps(h, t_final), amplitude > 0.0
-    rows = max(1, _BLOCK_ELEMENTS // (2 * start.positions.size + 1))
     rigid, dev = 0.0, np.empty(steps + 1 if perturbed else 0)
-    for lo, z, aborted in _rk4_blocks(start, h, steps, rows):
+    for lo, z, aborted in _rk4_blocks(start, h, steps, _block_rows(start.positions.size)):
         times, n = h * np.arange(lo, lo + len(z)), lo + len(z)
         rigid = max(rigid, _rigidity(start.positions[None], z))
         if perturbed:

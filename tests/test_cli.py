@@ -135,6 +135,39 @@ def test_config_key_sets(tmp_path, catalog4_path, equilibria_path, capsys):
         assert config["format"] == ("csv" if csv else "json")
 
 
+SIMULATE_DIAGNOSTICS = {"aborted", "rigidity_error", "steps", "hamiltonian_drift",
+                        "moment_drift"}
+
+
+def test_json_output_key_sets(tmp_path, catalog4_path, equilibria_path, capsys, monkeypatch):
+    # every JSON output is the tool, version and config header and the records of
+    # its command, nothing else
+    header = {"tool", "version", "config"}
+
+    def keys(path):
+        return set(json.loads(path.read_text()))
+
+    assert keys(catalog4_path) == header | {"n", "families", "metadata"}
+    continued = header | {"seed_family", "equilibria", "lemma1_scaling"}
+    assert keys(equilibria_path) == continued
+    run(capsys, "stability", "--equilibria", str(equilibria_path),
+        "--out", str(tmp_path / "st.json"))
+    assert keys(tmp_path / "st.json") == header | {"verdicts"}
+    for perturb, growth in (("0", set()), ("1e-6", {"growth"})):
+        run(capsys, "simulate", "--equilibria", str(equilibria_path), "--h", "0.1",
+            "--T", "1", "--perturb", perturb, "--out", str(tmp_path / "sim"))
+        assert keys(tmp_path / "sim.report.json") == header | SIMULATE_DIAGNOSTICS | growth
+
+    def stall(cp, eps, x0):
+        raise NoConvergence("stalled on purpose")
+
+    monkeypatch.setattr(continuation, "_solve", stall)
+    code, _, _ = run(capsys, "continue", "--catalog", str(catalog4_path), "--eps", "1e-3",
+                     "--out", str(tmp_path / "failed.json"))
+    assert code == 1
+    assert keys(tmp_path / "failed.json") == continued | {"error"}
+
+
 def test_find_catalog_schema(catalog4_path):
     data = json.loads(catalog4_path.read_text())
     assert data["tool"] == "vortexeq"
@@ -491,6 +524,16 @@ def test_continue_partial_output_on_failure(tmp_path, catalog4_path, capsys,
     assert err == f"error: {data['error']}\n"
 
 
+def test_continue_writes_the_residual_its_record_was_checked_with(equilibria_path):
+    # each record's residual is the reduced field's sup-norm that the
+    # RelativeEquilibrium constructor computed and checked, bit for bit
+    for rec in json.loads(equilibria_path.read_text())["equilibria"]:
+        eq = RelativeEquilibrium(rec["r"], rec["theta"], rec["epsilon"])
+        field = stability.reduced_field(rec["r"], rec["theta"], rec["epsilon"])
+        assert rec["residual"] == eq.residual == float(np.abs(field).max())
+        assert rec["residual"] < 1e-12
+
+
 def test_stability_verdicts(tmp_path, equilibria_path, capsys):
     out = tmp_path / "verdicts.json"
     code, _, _ = run(capsys, "stability", "--equilibria", str(equilibria_path),
@@ -749,14 +792,14 @@ def test_trajectory_csv_rows_are_float_reprs():
 def test_trajectory_csv_block_edges_do_not_show(size):
     # B rows of M = 3 vortices fill one chunk of the streamed CSV; the joined
     # text is the one-shot text, whichever row a chunk ends on
-    b = dynamics._BLOCK_ELEMENTS // (1 + 2 * 3)
+    b = dynamics._block_rows(3)
     samples = {"1": 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[size]
     rng = np.random.default_rng(samples)
     traj = Trajectory(rng.uniform(0, 10, samples),
                       rng.standard_normal((samples, 6)).view(complex))
     config = {"command": "simulate"}
-    blocks = [(traj.times[rows], traj.positions[rows])
-              for rows in dynamics._time_blocks(samples, 7)]
+    blocks = [(traj.times[lo : lo + b], traj.positions[lo : lo + b])
+              for lo in range(0, samples, b)]
     chunks = list(_trajectory_csv(config, 3, blocks))
     assert len(chunks) == 1 + -(-samples // b)
     head = [f"# tool=vortexeq version={cli.__version__}",
@@ -781,11 +824,11 @@ def csv_rows(traj):
 @pytest.mark.parametrize("size", ["B-1", "B", "B+1", "2B+3"])
 def test_simulate_writes_the_library_trajectory(tmp_path, equilibria_path, capsys, size,
                                                 perturb):
-    # the CSV streams in blocks of B rows, B = _BLOCK_ELEMENTS // (2M + 1) for its
-    # 2M + 1 columns; whichever row of a block the run ends on, the rows are
+    # the CSV streams in blocks of B = _block_rows(M) rows for its 2M + 1 columns;
+    # whichever row of a block the run ends on, the rows are
     # integrate_rk4's samples from the same start, bit for bit
     eq = equilibrium_at(equilibria_path, 1)
-    b = dynamics._BLOCK_ELEMENTS // (2 * (eq.n + 1) + 1)
+    b = dynamics._block_rows(eq.n + 1)
     samples = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[size]
     h, T = 0.01, (samples - 1) * 0.01
     code, _, _ = run(capsys, "simulate", "--equilibria", str(equilibria_path), "--index", "1",
@@ -812,7 +855,7 @@ def test_simulate_abort_writes_the_library_partial_trajectory(tmp_path, equilibr
     with pytest.raises(CollisionAbort) as info:
         integrate_rk4(PlanarConfiguration.from_equilibrium(eq, 1e-4, 0), 0.05, 100.0)
     traj = info.value.trajectory
-    b = dynamics._BLOCK_ELEMENTS // (2 * (eq.n + 1) + 1)
+    b = dynamics._block_rows(eq.n + 1)
     assert traj.times.size - 1 == 860 and b < 860 < 2 * b - 1
     report = json.loads((tmp_path / "run.report.json").read_text())
     assert report["aborted"] is True and report["steps"] == 860 and "growth" not in report
@@ -1068,6 +1111,21 @@ def test_simulate_rejects_too_many_steps(equilibria_path, capsys, monkeypatch, h
     assert run_usage_error("simulate", "--equilibria", str(equilibria_path),
                            "--h", h, "--T", T) == 2
     assert "--T / --h <= 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h,T", [("1", "0.3"), ("0.4", "1")])
+def test_simulate_rejects_a_fractional_step_count(tmp_path, equilibria_path, capsys,
+                                                  monkeypatch, h, T):
+    # one step of 1 would end at t = 1 and two of 0.4 at t = 0.8: a usage error
+    # before the file is read, and no file is written
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_load_json", no_read)
+    assert run_usage_error("simulate", "--equilibria", str(equilibria_path),
+                           "--h", h, "--T", T, "--out", str(tmp_path / "run")) == 2
+    assert "is not a whole number of steps" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_bad_index(equilibria_path, capsys):

@@ -246,6 +246,20 @@ def test_integrate_rk4_needs_positive_step_and_time(h, t_final):
         integrate_rk4(unit_pair(1e-3), h, t_final)
 
 
+@pytest.mark.parametrize("h,t_final", [(1.0, 0.3), (0.4, 1.0), (0.1, 1e-12)])
+def test_integrate_rk4_needs_a_whole_step_count(h, t_final):
+    # one step of 1.0 would end at t = 1.0, and two steps of 0.4 at t = 0.8
+    with pytest.raises(ValueError, match="is not a whole number of steps$"):
+        integrate_rk4(unit_pair(1e-3), h, t_final)
+
+
+def test_integrate_rk4_ends_at_t_final():
+    # 6.3 / 0.01 is 629.9999999999999 in floating point: 630 steps, within 1e-9
+    traj = integrate_rk4(unit_pair(1e-3), 0.01, 6.3)
+    assert traj.times.size == 631
+    assert traj.times[-1] == pytest.approx(6.3, rel=1e-12)
+
+
 def reference_biot_savart(z, gammas):
     """The Biot-Savart kernel as it was before it wrote into caller-owned
     arrays, kept verbatim as a bitwise oracle."""
@@ -359,11 +373,11 @@ def blocked_rk4(config, h, t_final, rows):
 
 @pytest.mark.parametrize("size", ["1", "B-1", "B", "B+1", "2B+3"])
 def test_rk4_block_edges_do_not_show(min3_eq, ring_points, size):
-    # simulate streams the run in blocks of B samples, B = _BLOCK_ELEMENTS // (2M + 1)
-    # for the CSV's 2M + 1 columns; whichever sample a block ends on, the run is
+    # simulate streams the run in blocks of B = _block_rows(M) samples for the CSV's
+    # 2M + 1 columns; whichever sample a block ends on, the run is
     # the one-array loop's to the bit
     for eq in (min3_eq, continue_equilibrium(ring_points[10], 1e-3)):
-        b = dynamics._BLOCK_ELEMENTS // (2 * (eq.n + 1) + 1)
+        b = dynamics._block_rows(eq.n + 1)
         steps = {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[size]
         start = PlanarConfiguration.from_equilibrium(eq, 1e-3, 1)
         case = (start, TWO_PI / 512, steps * TWO_PI / 512)
@@ -377,7 +391,7 @@ def test_rk4_abort_at_a_block_edge(min3_eq, rows):
     # the abort comes at sample 115: on the first row of the second block, on
     # the last row of the first block, or inside the first block (B = 910)
     case = rk4_cases(min3_eq)[-1]
-    got = blocked_rk4(*case, rows or dynamics._BLOCK_ELEMENTS // (2 * 4 + 1))
+    got = blocked_rk4(*case, rows or dynamics._block_rows(4))
     assert got[1] and got[0].times.size == 116
     assert_same_run(got, reference_rk4(*case))
 
@@ -423,7 +437,7 @@ def test_rigidity_error_matches_all_pairs(min3_eq):
     rng = np.random.default_rng(5)
     config = PlanarConfiguration.from_equilibrium(min3_eq)
     pairs = rng.standard_normal((33, 7, 2))
-    long = 2 * (dynamics._BLOCK_ELEMENTS // 7) + 3  # over two time blocks
+    long = 2 * dynamics._block_rows(7) + 3  # over two time blocks
     trajectories = [
         Trajectory(np.arange(33.0), pairs.view(complex)[..., 0]),
         integrate_rk4(config, 0.05, 2.0),
@@ -462,7 +476,7 @@ def test_growth_unstable_pair_matches_prediction(collinear_eq):
     assert report.window_points == np.count_nonzero(window)
     # over more than two time blocks, the deviation and the fit have the bits
     # of the whole-trajectory arithmetic
-    assert traj.times.size > 2 * (dynamics._BLOCK_ELEMENTS // traj.positions.shape[1])
+    assert traj.times.size > 2 * dynamics._block_rows(traj.positions.shape[1])
     rotated = np.exp(1j * collinear_eq.omega * traj.times)[:, None] * collinear_eq.positions()
     whole = np.linalg.norm(traj.positions - rotated, axis=1)
     fitted = (whole >= 10.0 * report.amplitude) & (whole <= 1e-2)
