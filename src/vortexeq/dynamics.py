@@ -31,7 +31,7 @@ from .stability import _symmetry_directions, stability_verdict
 _ABORT_SEP = 10.0 * _COLLISION_GUARD
 
 # Most RK4 steps in one run: integrate_rk4 allocates its (steps + 1, M) samples up front;
-# simulate keeps 8 B per step for a perturbed run's fit, 84 B when _growth fits every sample
+# simulate keeps 8 B per step for a perturbed run's fit
 _MAX_STEPS = 10**6
 
 # Time blocks of _block_rows(M) samples bound a whole-trajectory pass's temporaries
@@ -123,7 +123,7 @@ def vorticity_moment(config: PlanarConfiguration) -> float:
 def _steps(h: float, t_final: float) -> int:
     """integrate_rk4's step count t_final / h; ValueError unless h, t_final > 0 and
     t_final / h is within 1e-9 (relative) of a whole number from 1 to 10**6."""
-    if h <= 0.0 or t_final <= 0.0:
+    if not (h > 0.0 and t_final > 0.0):  # nan too
         raise ValueError("need h > 0 and t_final > 0")
     ratio = float(t_final) / float(h)
     if not ratio <= _MAX_STEPS:  # false for inf and nan too
@@ -221,12 +221,10 @@ def perturbation_growth(
 
     Measures the Frobenius deviation from the exactly rotating equilibrium and
     fits d/dt log(deviation) by least squares over the window where the
-    deviation lies between 10 * amplitude and 1e-2.  Below 8 samples there, as for
-    stable equilibria, it fits every sample of nonzero deviation, so ``window_points``
-    is the sample count of a perturbed run and ``fitted_rate`` is no exponential rate
-    (0.278, predicted 0.0, for the stable N = 4 minimum at eps = 1e-3 over T = 6.3).  That
-    fit's arrays span every sample: ``simulate``'s memory then grows about 84 B per step.
-    The linear prediction is the largest real part in the linearization spectrum.
+    deviation lies between 10 * amplitude and 1e-2.  With fewer than 8 samples
+    there, as for stable equilibria, it reports no fit: ``fitted_rate`` 0.0 and
+    ``window_points`` the window's count.  The linear prediction is the largest
+    real part in the linearization spectrum.
     """
     dev, rows = np.empty(traj.times.size), _block_rows(traj.positions.shape[1])
     for lo in range(0, dev.size, rows):
@@ -238,8 +236,7 @@ def perturbation_growth(
 def _growth(eq: RelativeEquilibrium, times, dev, amplitude: float) -> GrowthReport:
     """``perturbation_growth``'s fit to the deviation dev of each sample at times."""
     mask = (dev >= max(10.0 * amplitude, 1e-300)) & (dev <= 1e-2)
-    mask = mask if mask.sum() >= 8 else dev > 0.0
-    fit = np.polyfit(times[mask], np.log(dev[mask]), 1) if mask.sum() >= 2 else [0.0]
+    fit = np.polyfit(times[mask], np.log(dev[mask]), 1) if mask.sum() >= 8 else [0.0]
     return GrowthReport(fitted_rate=float(fit[0]),
                         predicted_rate=stability_verdict(eq).max_real_part, amplitude=amplitude,
                         window_points=int(mask.sum()), max_deviation=float(dev.max()))

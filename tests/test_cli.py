@@ -901,24 +901,27 @@ def test_simulate_memory_is_the_trajectory_plus_bounded_blocks(tmp_path, ring_po
     assert peak <= 2 * (steps + 1) * (10 + 1) * 16
 
 
-def test_simulate_memory_per_step_does_not_depend_on_n(tmp_path):
+def test_simulate_memory_per_step_does_not_depend_on_n(tmp_path, equilibria_path):
     # RK4 runs in blocks streamed to the CSV and the diagnostics, so a perturbed
     # run holds about one float of deviation per step whatever N is, where a
-    # whole trajectory would hold 16 (N + 1) bytes per step
-    h, growth = 1e-3, {}
+    # whole trajectory would hold 16 (N + 1) bytes per step; a run with no fit,
+    # such as the stable N = 4 minimum at eps = 1e-3, holds no more.  Both runs
+    # are long enough that a per-step cost, not the one-off peak, sets their peaks
+    h, growth, runs = 1e-3, {}, {4: [str(equilibria_path), "--index", "1"]}
     for n in (10, 25):
         eq = continuation.continue_equilibrium(newton_refine(ngon(n)), 1e-3)
         path = tmp_path / f"ring{n}.json"
         path.write_text(json.dumps({"equilibria": [
             {"epsilon": eq.epsilon, "r": eq.r.tolist(), "theta": eq.theta.tolist()}]}))
-
+        runs[n] = [str(path)]
+    for n, equilibria in runs.items():
         def simulate(n_steps):
-            return main(["simulate", "--equilibria", str(path), "--h", repr(h), "--T",
+            return main(["simulate", "--equilibria", *equilibria, "--h", repr(h), "--T",
                          repr(n_steps * h), "--perturb", "1e-6", "--out", str(tmp_path / "run")])
 
         assert simulate(2) == 0  # a short run first pays the one-off costs, such as lazy imports
         peaks = []
-        for steps in (4096, 16384):
+        for steps in (8192, 16384):
             tracemalloc.start()
             try:
                 assert simulate(steps) == 0
@@ -926,7 +929,7 @@ def test_simulate_memory_per_step_does_not_depend_on_n(tmp_path):
             finally:
                 tracemalloc.stop()
             assert json.loads((tmp_path / "run.report.json").read_text())["steps"] == steps
-        growth[n] = (peaks[1] - peaks[0]) / (16384 - 4096)
+        growth[n] = (peaks[1] - peaks[0]) / (16384 - 8192)
     assert max(growth.values()) <= 48, growth
 
 
@@ -1077,6 +1080,23 @@ def test_simulate_growth_is_the_library_fit(tmp_path, equilibria_path, capsys):
     start = PlanarConfiguration.from_equilibrium(eq, amplitude, seed)
     traj = integrate_rk4(start, h, T)
     assert report["growth"] == asdict(perturbation_growth(eq, traj, amplitude))
+
+
+def test_growth_without_a_window_reports_no_fit(tmp_path, equilibria_path, capsys):
+    # over one period the stable N = 4 minimum's deviation never reaches
+    # 10 * amplitude, so its window holds fewer than 8 samples and nothing is fitted
+    h, T, amplitude = 0.01, 6.3, 1e-6
+    code, _, _ = run(capsys, "simulate", "--equilibria", str(equilibria_path),
+                     "--index", "1", "--h", repr(h), "--T", repr(T),
+                     "--perturb", repr(amplitude), "--out", str(tmp_path / "run"))
+    assert code == 0
+    growth = json.loads((tmp_path / "run.report.json").read_text())["growth"]
+    rec = json.loads(equilibria_path.read_text())["equilibria"][1]
+    eq = RelativeEquilibrium(r=rec["r"], theta=rec["theta"], epsilon=rec["epsilon"])
+    traj = integrate_rk4(PlanarConfiguration.from_equilibrium(eq, amplitude, 0), h, T)
+    assert growth == asdict(perturbation_growth(eq, traj, amplitude))
+    assert growth["window_points"] < 8
+    assert growth["fitted_rate"] == growth["predicted_rate"] == 0.0
 
 
 def test_simulate_usage_errors(equilibria_path):

@@ -240,7 +240,9 @@ def test_rk4_step_count_is_bounded(h, t_final, monkeypatch):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("h,t_final", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0)])
+@pytest.mark.parametrize(
+    "h,t_final", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0), (np.nan, 1.0), (0.1, np.nan)]
+)
 def test_integrate_rk4_needs_positive_step_and_time(h, t_final):
     with pytest.raises(ValueError, match="^need h > 0 and t_final > 0$"):
         integrate_rk4(unit_pair(1e-3), h, t_final)
